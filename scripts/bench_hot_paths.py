@@ -6,12 +6,12 @@ Measures the three paths the perf work targets:
 * ``sim`` — end-to-end `run_app` wall time and simulated cycles per
   second for a memory-bound CABA run and a compute-leaning Base run.
 * ``cycle_loop`` — per-run ``Simulator.run()`` wall clock on the
-  Table 1 machine with the vectorized core on (``REPRO_SOA=1``) vs.
-  the pure-Python reference scan (``REPRO_SOA=0``), everything else
-  shared. Gated two ways: the SoA machinery must not regress the pure
-  path by more than 3% over the checked-in baseline, and with numpy
-  available the vectorized core must hold the 2x per-run speedup
-  acceptance floor (geomean over the benchmark apps).
+  Table 1 machine with the screened issue path on (``REPRO_SOA=1``)
+  vs. the reference scan (``REPRO_SOA=0``), everything else shared.
+  Gated two ways: the SoA machinery must not regress the reference
+  path by more than 3% over the checked-in baseline, and the screened
+  path must hold the 2x per-run speedup acceptance floor (geomean over
+  the benchmark apps).
 * ``cycle_loop_sampled`` — the same per-run ``Simulator.run()`` unit,
   exact vs. interval-sampled (``repro.gpu.sampling``) at the default
   10 % detail fraction, at full trace scale (the calibrated operating
@@ -70,7 +70,6 @@ from repro import design as designs  # noqa: E402
 from repro.compression import make_algorithm  # noqa: E402
 from repro.core.params import CabaParams  # noqa: E402
 from repro.core.subroutines import SubroutineLibrary  # noqa: E402
-from repro.gpu import soa as soa_mod  # noqa: E402
 from repro.gpu.config import GPUConfig  # noqa: E402
 from repro.gpu.sampling import SampleConfig  # noqa: E402
 from repro.gpu.simulator import Simulator  # noqa: E402
@@ -118,25 +117,22 @@ def bench_sim(repeats: int) -> dict:
 
 
 def bench_cycle_loop(repeats: int, work: float) -> dict:
-    """Per-run simulator wall clock: SoA screen vs. reference scan.
+    """Per-run simulator wall clock: screened path vs. reference scan.
 
     Unlike ``sim`` (which times the whole ``run_app`` harness on the
     small machine), this times ``Simulator.run()`` alone on the Table 1
     machine, flipping ``REPRO_SOA`` per run with the kernel, image and
-    controller factory shared — the ratio isolates the vectorized core.
+    controller factory shared — the ratio isolates the screened path.
     The two legs are interleaved (reference, SoA, reference, ...) so
     machine noise lands on both equally, and each leg keeps its best of
     ``repeats``. Simulated cycle counts must match across modes (the
     byte-identity contract); a mismatch aborts the benchmark.
     """
-    numpy_ok = soa_mod.np is not None
     points = [("PVC", designs.caba("bdi")), ("MM", designs.base())]
     config = GPUConfig()
     scale = TraceScale(work=work)
-    modes = [("reference", "0")]
-    if numpy_ok:
-        modes.append(("soa", "1"))
-    out: dict = {"scale_work": work, "numpy": numpy_ok, "points": {}}
+    modes = [("reference", "0"), ("soa", "1")]
+    out: dict = {"scale_work": work, "points": {}}
     prior = os.environ.get("REPRO_SOA")
     try:
         for app_name, point in points:
@@ -168,31 +164,26 @@ def bench_cycle_loop(repeats: int, work: float) -> dict:
                     elapsed, cyc = one_run(flag)
                     best[name] = min(best[name], elapsed)
                     cycles[name] = cyc
-            if numpy_ok and cycles["soa"] != cycles["reference"]:
+            if cycles["soa"] != cycles["reference"]:
                 raise AssertionError(
                     f"{app_name}-{point.name}: SoA and reference modes "
                     f"disagree on simulated cycles "
                     f"({cycles['soa']} vs {cycles['reference']})"
                 )
-            entry = {
+            out["points"][f"{app_name}-{point.name}"] = {
                 "cycles": cycles["reference"],
                 "reference_seconds": round(best["reference"], 4),
+                "soa_seconds": round(best["soa"], 4),
+                "speedup": round(best["reference"] / best["soa"], 3),
             }
-            if numpy_ok:
-                entry["soa_seconds"] = round(best["soa"], 4)
-                entry["speedup"] = round(
-                    best["reference"] / best["soa"], 3
-                )
-            out["points"][f"{app_name}-{point.name}"] = entry
     finally:
         if prior is None:
             os.environ.pop("REPRO_SOA", None)
         else:
             os.environ["REPRO_SOA"] = prior
-    if numpy_ok:
-        out["speedup_geomean"] = round(
-            geomean(e["speedup"] for e in out["points"].values()), 3
-        )
+    out["speedup_geomean"] = round(
+        geomean(e["speedup"] for e in out["points"].values()), 3
+    )
     return out
 
 
@@ -368,9 +359,9 @@ def check_runner(record: dict, baseline: dict) -> list[str]:
     """Gates: tracing-disabled sim time within 3% of the checked-in
     baseline (the observability layer must be free when off); per-future
     engine dispatch within 3% of the pool.map baseline; the SoA
-    machinery must not regress the pure-Python cycle loop by more than
-    3%; and, with numpy, the vectorized core must hold the 2x per-run
-    speedup acceptance floor."""
+    machinery must not regress the reference cycle loop by more than
+    3%; and the screened path must hold the 2x per-run speedup
+    acceptance floor."""
     failures = []
     sim_record = record.get("sim", {})
     baseline_sim = baseline.get("sim", {})
@@ -401,7 +392,7 @@ def check_runner(record: dict, baseline: dict) -> list[str]:
                 f"over baseline {base['reference_seconds']:.3f}s "
                 f"({entry['reference_seconds'] / base['reference_seconds'] - 1:+.1%})"
             )
-    if cyc.get("numpy"):
+    if cyc:
         gm = cyc.get("speedup_geomean", 0.0)
         if gm < 2.0:
             failures.append(

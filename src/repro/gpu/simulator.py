@@ -143,9 +143,9 @@ class Simulator:
         self._sample = sample
         self._has_caba = caba_factory is not None
 
-        # Vectorized warp-state mirror (REPRO_SOA, default on with
-        # numpy). Must exist before the initial blocks are dispatched:
-        # warps are constructed as SoA-backed from the start.
+        # Live screen codes (REPRO_SOA, default on). Must exist before
+        # the initial blocks are dispatched: warps are constructed as
+        # SoA-backed from the start.
         self._soa = None
         cap = self.occupancy.blocks_per_sm * kernel.warps_per_block
         if cap > 0 and soa_enabled():

@@ -63,7 +63,7 @@ _CAT_IDLE = int(StallCat.IDLE)
 #: Refined category -> Figure-1 slot (indexable by the plain ints above).
 _CAT_SLOT = SLOT_OF_CAT
 
-#: Figure-1 slot -> stall-memo tier for the vectorized core: 0 = not
+#: Figure-1 slot -> stall-memo tier for the screened path: 0 = not
 #: memoizable (an instruction issued), 1 = valid while the scheduler's
 #: warp state is unchanged, 2 = additionally requires unchanged
 #: execution-unit/MSHR state.
@@ -132,7 +132,7 @@ class SM:
         self._pend_wid: list[int] = [NO_WARP] * n
         self._pend_n: list[int] = [0] * n
 
-        #: Vectorized-core state (repro.gpu.soa); None = reference path.
+        #: Screen codes (repro.gpu.soa); None = reference path.
         self._soa = None
         self._gid0 = 0
         #: Per-scheduler stall memos, rebuilt by every scanned slot:
@@ -152,7 +152,7 @@ class SM:
         self._ledger = obs.ledger
 
     def attach_soa(self, soa) -> None:
-        """Adopt the vectorized issue path (``tick_soa``); must be
+        """Adopt the screened issue path (``tick_soa``); must be
         called before any block is dispatched."""
         self._soa = soa
         self._gid0 = self.sm_id * self.config.schedulers_per_sm
@@ -235,11 +235,11 @@ class SM:
         return issued
 
     def tick_soa(self, cycle: int) -> int:
-        """``tick`` for the vectorized core: byte-identical observable
+        """``tick`` for the screened path: byte-identical observable
         behaviour, but a scheduler slot is classified without a warp
         scan wherever a memoized outcome is provably still valid, and
-        scans that do run pre-screen their warps against the batched
-        SoA scoreboard pass instead of attempting issue per warp.
+        scans that do run pre-screen their warps against the live
+        screen codes instead of attempting issue per warp.
 
         A memo is valid while the scheduler's seq counter is unchanged
         (tier 1: scoreboard/idle outcomes) and, for unit-gated stalls
@@ -265,6 +265,7 @@ class SM:
         n_sched = self.config.schedulers_per_sm
         soa = self._soa
         seq = soa.seq
+        codes = soa.code
         memos = self._memos
         gid0 = self._gid0
         for s in range(n_sched):
@@ -320,15 +321,7 @@ class SM:
                 slots[slot] += 1
                 last[s] = slot
                 continue
-            screen = soa.screen(g, cycle)
-            if screen is None:
-                # Scheduler state changed after this cycle's screen was
-                # computed (an earlier slot issued, a barrier released,
-                # a block dispatched): run the reference scan verbatim.
-                self._scan_safe = False
-                cat = self._issue_slot(s, cycle)
-            else:
-                cat = self._issue_slot_soa(s, cycle, screen)
+            cat = self._issue_slot_soa(s, cycle, codes)
             if ledger is not None:
                 cat = self._charge(ledger, s, cat)
             slot = _CAT_SLOT[cat]
@@ -376,22 +369,26 @@ class SM:
 
     def _issue_slot_soa(self, s: int, cycle: int, screen: list[int]) -> int:
         """``_issue_slot`` with the per-warp scoreboard checks replaced
-        by the pre-computed screen codes: ``< SCREEN_BLOCKED`` is a
-        candidate (the code is its instruction class), ``< 32`` is
+        by the live screen codes: ``< SCREEN_BLOCKED`` is a candidate
+        (the code is its instruction class), ``< 32`` is
         scoreboard-blocked, the rest are finished/barrier/assist-gated.
 
         Unit reservations cannot change across a scan's *failed*
         attempts, so the structural gates every issue path checks first
         are hoisted out of the per-candidate work: a candidate whose
         class targets a busy unit is skipped with exactly the status
-        and wake hint its issue attempt would have produced.
+        and wake hint its issue attempt would have produced. The same
+        holds for a global load armed with an MSHR stall line (see
+        ``_issue_global_load``): failed attempts never free an MSHR,
+        so ``mshr_full`` read once stays true for the whole scan, while
+        the in-flight set is read live.
 
         Also separates the parent scan's wake-hint contribution from
         assist-warp attempts (``_scan_hint``) and records whether the
-        outcome is replay-stable (``_scan_safe``): a deep MSHR probe
-        that did not arm the per-warp epoch pre-check — a partial line
-        send — can make progress on the very next retry, so such a
-        stall must not be memoized.
+        outcome is replay-stable (``_scan_safe``): an MSHR stall that
+        did not arm a stall line — a partial line send — can make
+        progress on the very next retry, so such a stall must not be
+        memoized.
         """
         caba = self.caba
         if caba is not None and caba.issue_high(s, cycle):
@@ -407,7 +404,9 @@ class SM:
         sfu_busy = sfu_free > cycle
         heavy_free = self._heavy_alu_free
         heavy_busy = heavy_free > cycle
-        mshr_epoch = self.memory.mshr_epoch[self.sm_id]
+        memory = self.memory
+        mshr_full = memory._mshr_used[self.sm_id] >= self.config.l1_mshrs
+        inflight = memory._inflight[self.sm_id]
         current = self._current[s] if self._greedy else None
         # A stale greedy current whose block has retired is detached
         # from the arrays (its slot may have been reassigned); it is
@@ -419,8 +418,9 @@ class SM:
                     saw = _SAW_LSU
                     if lsu_free < self._wake_hint:
                         self._wake_hint = lsu_free
-                elif code == 4 and (
-                    current.mshr_fail_epoch == mshr_epoch
+                elif code == 4 and mshr_full and (
+                    current.mshr_stall_line is not None
+                    and current.mshr_stall_line not in inflight
                     and current.coal_key == (current.pc, current.iteration)
                 ):
                     saw = _SAW_MSHR
@@ -439,8 +439,9 @@ class SM:
                         self._merge_scan_hint(h0)
                         return _CAT_ISSUE
                     saw = 1 << status
-                    if status == _STRUCT_MSHR and (
-                        current.mshr_fail_epoch != mshr_epoch
+                    if (
+                        status == _STRUCT_MSHR
+                        and current.mshr_stall_line is None
                     ):
                         self._scan_safe = False
             elif code < 32:
@@ -464,8 +465,10 @@ class SM:
                             if lsu_free < self._wake_hint:
                                 self._wake_hint = lsu_free
                             continue
-                        if warp.mshr_fail_epoch == mshr_epoch and (
-                            warp.coal_key == (warp.pc, warp.iteration)
+                        line = warp.mshr_stall_line
+                        if mshr_full and line is not None and (
+                            line not in inflight
+                            and warp.coal_key == (warp.pc, warp.iteration)
                         ):
                             saw |= _SAW_MSHR
                             continue
@@ -493,9 +496,7 @@ class SM:
                     self._merge_scan_hint(h0)
                     return _CAT_ISSUE
                 saw |= 1 << status
-                if status == _STRUCT_MSHR and (
-                    warp.mshr_fail_epoch != mshr_epoch
-                ):
+                if status == _STRUCT_MSHR and warp.mshr_stall_line is None:
                     self._scan_safe = False
         else:
             # LRR never has a greedy current warp.
@@ -515,8 +516,10 @@ class SM:
                             if lsu_free < self._wake_hint:
                                 self._wake_hint = lsu_free
                             continue
-                        if warp.mshr_fail_epoch == mshr_epoch and (
-                            warp.coal_key == (warp.pc, warp.iteration)
+                        line = warp.mshr_stall_line
+                        if mshr_full and line is not None and (
+                            line not in inflight
+                            and warp.coal_key == (warp.pc, warp.iteration)
                         ):
                             saw |= _SAW_MSHR
                             continue
@@ -545,9 +548,7 @@ class SM:
                     self._merge_scan_hint(h0)
                     return _CAT_ISSUE
                 saw |= 1 << status
-                if status == _STRUCT_MSHR and (
-                    warp.mshr_fail_epoch != mshr_epoch
-                ):
+                if status == _STRUCT_MSHR and warp.mshr_stall_line is None:
                     self._scan_safe = False
         self._merge_scan_hint(h0)
         if caba is not None and caba.issue_low(s, cycle):
@@ -776,8 +777,8 @@ class SM:
         elif kind is OpKind.SFU:
             status = self._issue_sfu(warp, instr, cycle)
         elif kind is OpKind.LOAD or kind is OpKind.STORE:
-            # _issue_memory's dispatch, inlined: replayed (stalled)
-            # memory instructions dominate this path.
+            # Replayed (stalled) memory instructions dominate this
+            # path, so the space/kind dispatch is inline.
             if instr.space is not MemSpace.GLOBAL:
                 status = self._issue_onchip_memory(warp, instr, cycle)
             elif kind is OpKind.LOAD:
@@ -840,13 +841,6 @@ class SM:
         self.schedule(until, release)
 
     # --- Memory --------------------------------------------------------
-    def _issue_memory(self, warp: WarpContext, instr: Instr, cycle: int) -> int:
-        if instr.space is not MemSpace.GLOBAL:
-            return self._issue_onchip_memory(warp, instr, cycle)
-        if instr.kind is OpKind.LOAD:
-            return self._issue_global_load(warp, instr, cycle)
-        return self._issue_global_store(warp, instr, cycle)
-
     def _issue_onchip_memory(self, ctx, instr: Instr, cycle: int) -> int:
         """Shared-memory (and assist-warp L1-local) accesses: fixed latency."""
         if self._lsu_free > cycle:
@@ -868,26 +862,32 @@ class SM:
             return _STRUCT_LSU
         memory = self.memory
         sm_id = self.sm_id
-        epoch = memory.mshr_epoch[sm_id]
-        if warp.mshr_fail_epoch == epoch and warp.coal_key == (
-            warp.pc, warp.iteration
+        line = warp.mshr_stall_line
+        if (
+            line is not None
+            and memory._mshr_used[sm_id] >= self.config.l1_mshrs
+            and line not in memory._inflight[sm_id]
+            and warp.coal_key == (warp.pc, warp.iteration)
         ):
-            # Same instruction, MSHR state untouched since the last
-            # failed attempt: the pre-check below would fail again.
+            # Same instruction, every MSHR still taken and the line the
+            # last attempt failed on still not in flight: the pre-check
+            # below would fail again.
             return _STRUCT_MSHR
         lines = self._coalesce(instr, warp)
         for line in lines:
             if not memory.mshr_available(sm_id, line):
                 # MSHRs free up via fill events, which also end
                 # fast-forwards.
-                warp.mshr_fail_epoch = epoch
+                warp.mshr_stall_line = line
                 return _STRUCT_MSHR
         fills = []
         for line in lines:
-            fill = self.memory.load(self.sm_id, line, cycle)
+            fill = memory.load(sm_id, line, cycle)
             if fill is None:
                 # MSHRs full: replay later; lines already sent keep their
-                # MSHR-release events and will merge on the retry.
+                # MSHR-release events and will merge on the retry, which
+                # runs the pre-check again (the stall stays unarmed).
+                warp.mshr_stall_line = None
                 return _STRUCT_MSHR
             if not fill.merged and not fill.from_l1:
                 self.schedule(
@@ -984,6 +984,7 @@ class SM:
             lines = list(seen)
         warp.coal_key = key
         warp.coal_lines = lines
+        warp.mshr_stall_line = None
         return lines
 
     # --- Barrier ---------------------------------------------------------

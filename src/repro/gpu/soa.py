@@ -1,75 +1,67 @@
-"""Structure-of-arrays mirror of scheduler-visible warp state.
+"""Live screen codes for scheduler-visible warp state.
 
 The per-warp issue scan in :mod:`repro.gpu.sm` is the innermost loop of
 the simulator: every scheduler, every cycle, walks its warps and asks
 each one "could you issue?". Almost every answer is "no, same reason as
 last cycle" — the warp is scoreboard-blocked on an in-flight load, or
 parked at a barrier, or the whole scheduler is idle. This module holds
-the machinery that lets the SM answer those questions in bulk:
+the machinery that lets the SM answer those questions without an issue
+attempt per warp:
 
-* ``SoAState`` mirrors the fields the scan reads (pc, scoreboard
-  pending mask, finished/barrier/assist gating) into flat numpy arrays,
-  one slot per resident warp, so one vectorized pass per cycle can
-  pre-classify every warp of every SM as *candidate*, *scoreboard
-  blocked* or *inactive* (the "screen").
-* A per-scheduler *sequence counter* is bumped by every mutation of a
-  screen-visible field of that scheduler's warps (every mutation site
-  calls ``repro.gpu.warp.touch``). A screen — or any memoized scan
-  result — is valid for a scheduler exactly while its sequence counter
-  is unchanged; anything that could change the scan outcome (an event
-  callback clearing a scoreboard bit, a barrier release, a block
-  dispatch) invalidates by construction, and the SM falls back to the
-  reference scan for that scheduler.
+* ``SoAState.code`` holds one *screen code* per resident warp slot,
+  classifying the warp as *candidate* (the code is its instruction
+  class), *scoreboard blocked* or *inactive*. The codes are live: every
+  site that mutates a screen-visible field (``pc``, ``pending_mask``,
+  ``finished``, ``at_barrier``, ``assist_block``) calls
+  ``repro.gpu.warp.touch``, which recomputes the slot's code on the
+  spot, so the scan reads them directly and they can never be stale.
+* A per-scheduler *sequence counter* is bumped by every such mutation.
+  A memoized scan result is valid for a scheduler exactly while its
+  sequence counter is unchanged; anything that could change the scan
+  outcome (an event callback clearing a scoreboard bit, a barrier
+  release, a block dispatch) invalidates it by construction.
 
-The arrays are mirrors, synced at mutation sites: Python-side reads
-keep using the plain warp attributes (scalar numpy reads are slower
-than attribute access), and the arrays are only ever read by the
-batched screen.
+Everything is plain Python lists: at the per-slot granularity of the
+mutation sites, list stores beat any vectorized recompute, and the
+module runs wherever the reference scan does.
 
-Enabled via ``REPRO_SOA`` (default on when numpy is importable),
-mirroring the ``REPRO_NUMPY`` pattern from ``repro.compression.batch``.
-The flag is read per simulation, so tests can flip modes per run.
+Enabled via ``REPRO_SOA`` (default on); ``REPRO_SOA=0`` selects the
+reference scan. The flag is read per simulation, so tests can flip
+modes per run.
 """
 
 from __future__ import annotations
 
 import os
 
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
 from repro.gpu.isa import MemSpace, OpKind
 
 
 def soa_enabled() -> bool:
-    """Whether new simulations should use the vectorized core."""
-    if np is None:
-        return False
+    """Whether new simulations should use the screened issue path."""
     return os.environ.get("REPRO_SOA", "1") != "0"
 
 
-#: Screen codes (one per warp slot, from the batched per-cycle pass).
-#: A candidate's code is its *instruction class*: the execution unit
-#: whose reservation every issue path for that op kind checks before
-#: any side effect. When that unit is busy the scan can skip the issue
-#: attempt entirely — the status and wake hint the attempt would have
-#: produced are determined by the class alone.
+#: Screen codes (one per warp slot). A candidate's code is its
+#: *instruction class*: the execution unit whose reservation every issue
+#: path for that op kind checks before any side effect. When that unit
+#: is busy the scan can skip the issue attempt entirely — the status and
+#: wake hint the attempt would have produced are determined by the
+#: class alone.
 KLASS_ANY = 0  # always structurally issuable (light ALU, SYNC, MEMO)
 KLASS_MEM = 1  # STORE / on-chip LOAD: gated on the LSU port
 KLASS_SFU = 2  # gated on the SFU initiation interval
 KLASS_HEAVY = 3  # long-latency ALU: gated on the narrow heavy pipe
 #: Global LOAD: gated on the LSU port, then on the armed per-warp MSHR
-#: pre-check (same instruction, MSHR state untouched since the last
-#: failed attempt -> fails again, side-effect free).
+#: pre-check (MSHRs still full and the recorded blocking line still not
+#: in flight -> the pre-check fails again, side-effect free).
 KLASS_GLOAD = 4
 SCREEN_BLOCKED = 16  # scoreboard-blocked on its next instruction
 SCREEN_INACTIVE = 32  # finished, at a barrier, or assist-gated
 
 
 class SoAState:
-    """Flat per-warp arrays plus the per-scheduler invalidation seqs.
+    """Per-slot screen codes plus the per-scheduler invalidation seqs.
 
     Warp slots are global across the machine: SM ``i`` owns slots
     ``[i * cap, (i + 1) * cap)`` where ``cap`` is the per-SM residency
@@ -80,28 +72,16 @@ class SoAState:
     """
 
     def __init__(self, n_sms: int, n_sched: int, cap: int, program) -> None:
-        if np is None:  # pragma: no cover - guarded by soa_enabled()
-            raise RuntimeError("SoAState requires numpy")
         self.cap = cap
         n_slots = n_sms * cap
         self.n_gids = n_sms * n_sched
-        #: Scoreboard masks; register indices are < 64 (repro.gpu.isa
-        #: validates), so a warp's pending mask fits uint64 exactly.
-        self.pending = np.zeros(n_slots, dtype=np.uint64)
-        self.pc = np.zeros(n_slots, dtype=np.int64)
         #: Per-SM wake hint, written at the end of every tick_soa —
         #: exactly what ``SM.next_wake`` returns for a SM without a
         #: CABA controller, so the simulator's fast-forward can take
-        #: one batched min instead of calling into every SM. A plain
-        #: list, deliberately: at n_sms elements the builtin ``min``
-        #: beats ``ndarray.min``'s per-call overhead, and the per-tick
-        #: store is hot.
+        #: one min over the list instead of calling into every SM.
         self.wake = [float("inf")] * n_sms
-        #: 1 when the warp is finished, at a barrier, or assist-gated;
-        #: the scheduler skips such a warp without attempting issue.
-        self.inactive = np.zeros(n_slots, dtype=np.int8)
         #: Per-scheduler invalidation counters (+1 sentinel for unbound
-        #: slots); plain list — single-element bumps dominate.
+        #: slots).
         self.seq: list[int] = [0] * (self.n_gids + 1)
         #: Scheduler owning each slot (sentinel ``n_gids`` = unbound).
         self.gid_of: list[int] = [self.n_gids] * n_slots
@@ -114,14 +94,10 @@ class SoAState:
         body = program.body
         #: Registers the instruction at each pc waits on: the issue
         #: scan's scoreboard check is ``pending & (src | dst)``.
-        self.need_lut = np.array(
-            [(instr.src_mask | instr.dst_mask) for instr in body]
-            or [0],
-            dtype=np.uint64,
-        )
-        # sm.py never imports this module (the simulator wires the two
-        # together), so pulling the heavy-pipe threshold from it is
-        # cycle-free.
+        self.need_lut: list[int] = [
+            instr.src_mask | instr.dst_mask for instr in body
+        ] or [0]
+        # Imported here: sm.py imports this module (through warp.py).
         from repro.gpu.sm import HEAVY_ALU_LATENCY
 
         def klass(instr) -> int:
@@ -137,15 +113,13 @@ class SoAState:
             return KLASS_ANY
 
         #: Instruction class at each pc (candidate screen codes).
-        self.klass_lut = np.array(
-            [klass(instr) for instr in body] or [0], dtype=np.int8
-        )
+        self.klass_lut: list[int] = [klass(instr) for instr in body] or [0]
+        #: Live screen code of each slot: ``klass_lut[pc]``, plus
+        #: SCREEN_BLOCKED when ``pending & need_lut[pc]``, plus
+        #: SCREEN_INACTIVE when finished/at a barrier/assist-gated. An
+        #: unbound slot holds the code of a freshly dispatched warp.
+        self.code: list[int] = [self.klass_lut[0]] * n_slots
         self._program = program
-
-        # Lazily computed per-cycle screen (see screen()).
-        self._screen: list[int] = []
-        self._screen_seq: list[int] = []
-        self._screen_cycle = -1
 
     # ------------------------------------------------------------------
     # Slot lifecycle
@@ -166,37 +140,5 @@ class SoAState:
         """Return a retired warp's slot to the free pool."""
         self.seq[self.gid_of[slot]] += 1
         self.gid_of[slot] = self.n_gids
-        self.pending[slot] = 0
-        self.pc[slot] = 0
-        self.inactive[slot] = 0
+        self.code[slot] = self.klass_lut[0]
         self._free[slot // self.cap].append(slot)
-
-    # ------------------------------------------------------------------
-    # The batched screen
-    # ------------------------------------------------------------------
-    def screen(self, gid: int, cycle: int) -> list[int] | None:
-        """Screen codes for ``cycle``, or None if scheduler ``gid``
-        mutated since the codes were computed (caller must fall back to
-        the reference scan).
-
-        Computed at most once per cycle, for all SMs at once: one
-        vectorized scoreboard check against the need-LUT plus the
-        inactive flags, folded with the instruction class so a
-        candidate's code tells the scan which unit gates it
-        (``code < SCREEN_BLOCKED``). Per-scheduler validity comes from
-        comparing the seq counters captured at compute time.
-        """
-        if self._screen_cycle != cycle:
-            pc = self.pc
-            blocked = (self.pending & self.need_lut[pc]) != 0
-            inactive = self.inactive != 0
-            self._screen = (
-                self.klass_lut[pc]
-                + blocked.view(np.int8) * SCREEN_BLOCKED
-                + inactive.view(np.int8) * SCREEN_INACTIVE
-            ).tolist()
-            self._screen_seq = self.seq.copy()
-            self._screen_cycle = cycle
-        if self._screen_seq[gid] != self.seq[gid]:
-            return None
-        return self._screen

@@ -34,7 +34,7 @@ SLOT_LABELS = {
 
 #: Slots whose classification is a function of scheduler-visible warp
 #: state alone (scoreboard masks, barrier/assist gating). The
-#: vectorized core (repro.gpu.soa) may replay such a classification
+#: screened issue path (repro.gpu.soa) may replay such a classification
 #: verbatim while that state is unchanged.
 STATE_ONLY_SLOTS = frozenset({Slot.DATA_STALL, Slot.IDLE})
 

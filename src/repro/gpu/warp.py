@@ -12,6 +12,7 @@ completes (Section 4.2.1: "stalls the progress of its parent warp").
 from __future__ import annotations
 
 from repro.gpu.isa import Instr, Program
+from repro.gpu.soa import SCREEN_BLOCKED, SCREEN_INACTIVE
 
 
 class WarpContext:
@@ -39,7 +40,7 @@ class WarpContext:
         "sched",
         "coal_key",
         "coal_lines",
-        "mshr_fail_epoch",
+        "mshr_stall_line",
         "mem_source",
     )
 
@@ -65,9 +66,11 @@ class WarpContext:
         #: their line list instead of regenerating addresses.
         self.coal_key: tuple[int, int] | None = None
         self.coal_lines: list[int] = []
-        #: MSHR epoch at which this warp's current load last failed the
-        #: MSHR pre-check; the SM skips the retry until the epoch moves.
-        self.mshr_fail_epoch = -1
+        #: Line on which this warp's current load last failed the MSHR
+        #: pre-check (None = unarmed). While every MSHR is still taken
+        #: and that line is still not in flight, the pre-check would
+        #: fail again, so the SM skips the retry.
+        self.mshr_stall_line: int | None = None
         #: Deepest memory level the warp's most recent load reached
         #: (repro.memory.hierarchy.MEM_SRC_*); only maintained while the
         #: observability ledger is attached.
@@ -101,8 +104,8 @@ class WarpContext:
 
 
 def touch(warp) -> None:
-    """Write one warp's screen-visible state through to its SoA mirror
-    slot and invalidate the owning scheduler's memoized scan results.
+    """Recompute one warp's live screen code and invalidate the owning
+    scheduler's memoized scan results.
 
     Every site that mutates a tracked field (``pc``, ``pending_mask``,
     ``finished``, ``at_barrier``, ``assist_block``) calls this — guarded
@@ -116,26 +119,29 @@ def touch(warp) -> None:
     Fields that never influence the issue scan or its traced
     refinements independently of a tracked field (``iteration``,
     ``outstanding_mem``, ``mem_source``, the coalescer memo,
-    ``mshr_fail_epoch``) are untracked: every behavioural write to
-    them is adjacent to a tracked write on the same warp.
+    ``mshr_stall_line``) are untracked: every behavioural write to
+    them is adjacent to a tracked write on the same warp, or is checked
+    against the coalescer memo by the scan itself.
     """
     soa = warp.soa
     slot = warp.slot
-    soa.pending[slot] = warp.pending_mask
-    soa.pc[slot] = warp.pc
-    soa.inactive[slot] = (
-        1 if (warp.finished or warp.at_barrier or warp.assist_block) else 0
-    )
+    pc = warp.pc
+    code = soa.klass_lut[pc]
+    if warp.pending_mask & soa.need_lut[pc]:
+        code += SCREEN_BLOCKED
+    if warp.finished or warp.at_barrier or warp.assist_block:
+        code += SCREEN_INACTIVE
+    soa.code[slot] = code
     soa.seq[soa.gid_of[slot]] += 1
 
 
 class SoAWarpContext(WarpContext):
-    """A warp whose screen-visible state is mirrored into a
+    """A warp whose screen code lives in a
     :class:`repro.gpu.soa.SoAState` slot.
 
     The scheduler-facing contract is identical to :class:`WarpContext`
-    — same plain attributes, same costs on the read side. The mirror is
-    kept in sync by :func:`touch` calls at the mutation sites, plus the
+    — same plain attributes, same costs on the read side. The code is
+    kept current by :func:`touch` calls at the mutation sites, plus the
     :meth:`advance` override below for the hottest write (the program
     counter moving past an issued instruction).
     """
@@ -150,17 +156,12 @@ class SoAWarpContext(WarpContext):
 
     def advance(self) -> bool:
         finished = super().advance()
-        soa = self.soa
-        if soa is not None:
-            slot = self.slot
-            soa.pc[slot] = self.pc
-            if finished:
-                soa.inactive[slot] = 1
-            soa.seq[soa.gid_of[slot]] += 1
+        if self.soa is not None:
+            touch(self)
         return finished
 
     def detach(self) -> None:
-        """Disconnect from the arrays (called when the slot is
+        """Disconnect from the screen codes (called when the slot is
         released). Late register-release events on retired warps keep
         mutating the plain attributes, but must not write into a slot
         that may already belong to a new warp."""

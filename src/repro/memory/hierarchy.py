@@ -121,8 +121,10 @@ class MemorySystem:
             {} for _ in range(config.n_sms)
         ]
         self._mshr_used = [0] * config.n_sms
-        #: Bumped whenever an SM's MSHR/in-flight state changes; lets the
-        #: SM skip re-checking a stalled load until something changed.
+        #: Bumped whenever an SM's MSHR/in-flight state changes (every
+        #: allocation and release). Keys the SM's memoized MSHR stalls;
+        #: a single stalled load is re-checked against the MSHR count
+        #: and its blocking line instead (SM._issue_global_load).
         self.mshr_epoch = [0] * config.n_sms
 
         self.crossbar = Crossbar(

@@ -18,7 +18,11 @@ busy) — old gaps are almost never reachable by later requests anyway.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import itemgetter
+
 _INF = float("inf")
+_END = itemgetter(1)
 
 #: Upper bound on tracked free intervals per timeline. Bounds the cost
 #: of a reservation; dropping the oldest gap only forgoes backfill
@@ -42,7 +46,13 @@ class Timeline:
         if duration <= 0:
             return max(at, 0.0)
         free = self._free
-        for index, (start, end) in enumerate(free):
+        # First fit, starting at the first gap that does not end before
+        # ``at``: an earlier gap cannot hold a positive duration (even
+        # with rounding, ``at + duration >= at``). Gaps are sorted and
+        # disjoint, so their ends are sorted too.
+        first = bisect_left(free, at, 0, len(free) - 1, key=_END)
+        for index in range(first, len(free)):
+            start, end = free[index]
             begin = start if start > at else at
             if begin + duration <= end:
                 self.busy_time += duration
@@ -56,24 +66,6 @@ class Timeline:
                     del free[0]
                 return begin
         raise AssertionError("open-ended timeline should always fit")
-
-    def peek(self, at: float) -> float:
-        """When service of a unit-length request would start (no side
-        effects)."""
-        for start, end in self._free:
-            begin = start if start > at else at
-            if begin + 1.0 <= end:
-                return begin
-        return at
-
-    def is_free(self, at: float) -> bool:
-        """Whether the instant ``at`` falls in free time."""
-        return any(start <= at < end for start, end in self._free)
-
-    @property
-    def next_free(self) -> float:
-        """Start of the trailing open-ended free interval (diagnostic)."""
-        return self._free[-1][0]
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time the resource was busy."""

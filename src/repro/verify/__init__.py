@@ -11,9 +11,8 @@ surface:
 * :mod:`repro.verify.invariants` — conservation laws replayed on traced
   simulation runs (issue slots, MSHRs, flits, DRAM bursts, compressed
   cache budgets),
-* :mod:`repro.verify.soa` — byte-identical agreement of the vectorized
-  (``REPRO_SOA``) and pure-Python simulator cores on replayed runs
-  (skipped gracefully without numpy),
+* :mod:`repro.verify.soa` — byte-identical agreement of the screened
+  (``REPRO_SOA``) and reference simulator issue paths on replayed runs,
 * :mod:`repro.verify.sampling` — bounded-error agreement (≤2 % on IPC /
   bandwidth / compression ratio) of interval-sampled runs against exact
   runs on the calibrated matrix, plus bit-exact parent-instruction

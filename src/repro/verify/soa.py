@@ -1,14 +1,11 @@
 """SoA-vs-reference simulator differential (``repro check``).
 
-``REPRO_SOA`` selects between the vectorized warp-state core
-(:mod:`repro.gpu.soa`) and the pure-Python reference issue scan. The
-two are contractually byte-identical; this pass replays small traced
-runs in both modes and compares everything the paper's figures are
-built from — the full stats object (per-SM slot counters included),
-memory traffic, and the stall ledger's per-(category, warp) charges.
-
-With numpy unavailable the vectorized core cannot run, so the pass
-degrades to a single informational "skipped" result instead of failing.
+``REPRO_SOA`` selects between the screened issue path
+(:mod:`repro.gpu.soa`) and the reference issue scan. The two are
+contractually byte-identical; this pass replays small traced runs in
+both modes and compares everything the paper's figures are built
+from — the full stats object (per-SM slot counters included), memory
+traffic, and the stall ledger's per-(category, warp) charges.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from contextlib import contextmanager
 from typing import Sequence
 
 from repro import design as designs
-from repro.gpu import soa as soa_mod
 from repro.gpu.config import GPUConfig
 from repro.harness.runner import clear_caches, run_app
 from repro.verify.report import CheckResult
@@ -60,11 +56,6 @@ def soa_differential(
     scale: TraceScale | None = None,
 ) -> list[CheckResult]:
     """Replay each app in both ``REPRO_SOA`` modes and diff the runs."""
-    if soa_mod.np is None:
-        return [CheckResult(
-            name="soa.differential", passed=True, checked=0,
-            detail="numpy unavailable; vectorized core disabled",
-        )]
     config = config or GPUConfig.small()
     scale = scale or TraceScale(work=0.25, waves=0.25)
     results: list[CheckResult] = []

@@ -1,10 +1,10 @@
 """SoA-vs-reference equivalence suite.
 
-``REPRO_SOA`` selects between the vectorized warp-state core (numpy
-structure-of-arrays screen, memoized scans) and the pure-Python
-reference scan. The two are contractually byte-identical: same cycle
-counts, same per-SM slot accounting, same memory traffic, same figures.
-This suite pins that contract three ways:
+``REPRO_SOA`` selects between the screened issue path (live per-slot
+screen codes, memoized scans) and the reference scan. The two are
+contractually byte-identical: same cycle counts, same per-SM slot
+accounting, same memory traffic, same figures. This suite pins that
+contract three ways:
 
 * the reference mode must reproduce ``tests/fixtures/golden_stats.json``
   byte-exactly (the fixture pins the default mode, so transitivity
@@ -13,12 +13,19 @@ This suite pins that contract three ways:
   down to the per-SM slot counters;
 * hypothesis-fuzzed kernels are run in both modes and compared.
 
+It also checks that a stale memoized slot outcome falls back to a real
+scan, that the screen codes are never stale, and that the screened path
+runs without numpy.
+
 CI runs the whole test suite once per mode (``REPRO_SOA=0`` leg); this
 file is the targeted cross-mode check that works within a single leg.
 """
 
 import json
 import os
+import random
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,10 +33,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import design as designs
+from repro.core.params import CabaParams
 from repro.gpu import soa as soa_mod
 from repro.gpu.config import GPUConfig
-from repro.harness.runner import clear_caches, run_app
-from repro.workloads.tracegen import TraceScale
+from repro.gpu.simulator import Simulator
+from repro.gpu.sm import SM
+from repro.harness.runner import (
+    _make_caba_factory,
+    build_image,
+    clear_caches,
+    run_app,
+)
+from repro.workloads.apps import get_app
+from repro.workloads.tracegen import TraceScale, build_kernel
 
 from tests.gpu.test_simulator_fuzz import bodies, run_program
 from tests.harness.test_golden_stats import (
@@ -40,8 +56,6 @@ from tests.harness.test_golden_stats import (
     _design_for,
     _snapshot,
 )
-
-has_numpy = soa_mod.np is not None
 
 
 @contextmanager
@@ -78,9 +92,9 @@ def _fingerprint(result):
 def test_reference_mode_matches_golden(app, algorithm):
     """The pure-Python scan reproduces the pinned stats byte-exactly.
 
-    The fixture is (re)generated under the default mode — SoA wherever
-    numpy is available — so this closes the loop: reference == golden
-    == SoA for every (app, algorithm) cell.
+    The fixture is (re)generated under the default mode — SoA — so this
+    closes the loop: reference == golden == SoA for every
+    (app, algorithm) cell.
     """
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         pytest.skip("fixture is being regenerated")
@@ -97,7 +111,6 @@ def test_reference_mode_matches_golden(app, algorithm):
 # ----------------------------------------------------------------------
 # Head-to-head on representative workloads (per-SM granularity)
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not has_numpy, reason="SoA mode needs numpy")
 @pytest.mark.parametrize("app,algorithm", [
     ("PVC", "bdi"),        # memory-bound, assist warps + decompression
     ("MM", "none"),        # compute-leaning baseline
@@ -117,19 +130,20 @@ def test_modes_agree_head_to_head(app, algorithm):
 
 
 # ----------------------------------------------------------------------
-# Stale-screen fallback
+# Stale-memo fallback
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not has_numpy, reason="SoA mode needs numpy")
 def test_stale_seq_counter_falls_back_to_reference_scan(monkeypatch):
-    """A screen invalidated between compute and use must push the SM
-    onto the reference scan with byte-identical results.
+    """A memoized slot outcome whose scheduler seq counter has moved on
+    must be discarded in favour of a real scan, with byte-identical
+    results.
 
-    The per-scheduler seq counters are the SoA core's only correctness
-    valve: any mutation of screen-visible state invalidates the batch
-    result and the scheduler re-scans in Python. Force the stale path
-    directly — bump half the schedulers' counters after every screen is
-    computed — and pin that the run is indistinguishable from a clean
-    SoA run (and hence from the reference mode)."""
+    The per-scheduler seq counters are the memo's correctness valve:
+    any mutation of screen-visible state invalidates the scheduler's
+    memoized stall and the next slot re-scans its warps. Force the
+    stale path directly — before every tick, bump the counter of every
+    even scheduler that holds a still-valid memo — and pin that the run
+    is indistinguishable from a clean screened run (and hence from the
+    reference mode, by the head-to-head test above)."""
     scale = TraceScale(work=0.25, waves=0.25)
     design = _design_for("bdi")
 
@@ -141,34 +155,131 @@ def test_stale_seq_counter_falls_back_to_reference_scan(monkeypatch):
     with soa_mode("1"):
         clean = _fingerprint(run_once())
 
-    real_screen = soa_mod.SoAState.screen
-    fallbacks = [0]
+    real_tick = SM.tick_soa
+    invalidated = [0]
 
-    def stale_screen(self, gid, cycle):
-        real_screen(self, gid, cycle)  # compute + snapshot this cycle
-        if gid % 2 == 0:
-            # Mutation-after-compute: exactly what an event callback
-            # flipping a scoreboard bit between the batch pass and this
-            # scheduler's turn would do.
-            self.seq[gid] += 1
-        codes = real_screen(self, gid, cycle)
-        if codes is None:
-            fallbacks[0] += 1
-        return codes
+    def stale_tick(self, cycle):
+        seq = self._soa.seq
+        for s, memo in enumerate(self._memos):
+            g = self._gid0 + s
+            if g % 2 == 0 and memo is not None and memo[0] == seq[g]:
+                # Exactly what an event callback flipping a scoreboard
+                # bit between two ticks would do to the counter.
+                seq[g] += 1
+                invalidated[0] += 1
+        return real_tick(self, cycle)
 
-    monkeypatch.setattr(soa_mod.SoAState, "screen", stale_screen)
+    monkeypatch.setattr(SM, "tick_soa", stale_tick)
     with soa_mode("1"):
         stale = _fingerprint(run_once())
     monkeypatch.undo()
 
-    assert fallbacks[0] > 0, "stale path never exercised"
+    assert invalidated[0] > 0, "stale path never exercised"
     assert stale == clean
+
+
+# ----------------------------------------------------------------------
+# Live screen codes
+# ----------------------------------------------------------------------
+def _assert_codes_live(sim):
+    """Every bound slot's screen code equals the code recomputed from
+    its warp's own fields, and exactly the resident warps are bound."""
+    soa = sim._soa
+    resident = {}
+    for sm in sim.sms:
+        for warps in sm.sched_warps:
+            for warp in warps:
+                resident[warp.slot] = warp
+    bound = {
+        slot for slot, gid in enumerate(soa.gid_of) if gid != soa.n_gids
+    }
+    assert bound == set(resident)
+    for slot, warp in resident.items():
+        pc = warp.pc
+        instr = warp.program.body[pc]
+        expect = soa.klass_lut[pc]
+        if warp.pending_mask & (instr.src_mask | instr.dst_mask):
+            expect += soa_mod.SCREEN_BLOCKED
+        if warp.finished or warp.at_barrier or warp.assist_block:
+            expect += soa_mod.SCREEN_INACTIVE
+        assert soa.code[slot] == expect, (slot, warp.global_index)
+
+
+@pytest.mark.parametrize("app,algorithm", [("PVC", "bdi"), ("MM", "none")])
+def test_screen_codes_stay_live(app, algorithm):
+    """The screen codes are never stale: checked at random points of a
+    run, after random event drains that tick no SM (fills land,
+    scoreboard bits clear, assist warps finish and blocks retire with no
+    scan in between), and after the run completes."""
+    config = GPUConfig.small()
+    scale = TraceScale(work=0.25, waves=0.25)
+    design = _design_for(algorithm)
+    profile = get_app(app)
+    image = build_image(profile, design, config, scale)
+    factory, regs = _make_caba_factory(
+        design, config, CabaParams(), plane=image.plane
+    )
+    with soa_mode("1"):
+        sim = Simulator(config, build_kernel(profile, config, scale),
+                        design, image, caba_factory=factory,
+                        assist_regs_per_thread=regs)
+    assert sim._soa is not None
+    rng = random.Random(f"{app}/{algorithm}")
+    checks = 0
+    while not sim.done:
+        sim._run_detailed(sim._cycle + rng.randint(1, 200))
+        _assert_codes_live(sim)
+        sim._deliver_until(sim._cycle + rng.randint(1, 50))
+        _assert_codes_live(sim)
+        checks += 1
+    assert checks > 5
+    sim.run()
+    _assert_codes_live(sim)
+
+
+_NO_NUMPY_RUN = """
+import sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from repro import design as designs
+from repro.gpu.config import GPUConfig
+from repro.gpu.simulator import Simulator
+from repro.harness.runner import build_image
+from repro.workloads.apps import get_app
+from repro.workloads.tracegen import TraceScale, build_kernel
+config = GPUConfig.small()
+scale = TraceScale(work=0.25, waves=0.25)
+profile = get_app("MM")
+sim = Simulator(config, build_kernel(profile, config, scale),
+                designs.base(),
+                build_image(profile, designs.base(), config, scale))
+assert sim._soa is not None, "screened path disabled"
+print(sim.run().stats.cycles)
+"""
+
+
+def test_screened_path_runs_without_numpy():
+    """The screen codes are plain lists: with numpy unimportable the
+    screened path still runs, and simulates the same cycles."""
+    env = dict(os.environ, REPRO_SOA="1")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RUN], env=env, check=True,
+        capture_output=True, text=True, timeout=600,
+    )
+    with soa_mode("1"):
+        clear_caches()
+        run = run_app("MM", designs.base(), GPUConfig.small(),
+                      scale=TraceScale(work=0.25, waves=0.25),
+                      use_cache=False, keep_raw=True)
+    assert int(out.stdout.split()[-1]) == run.raw.stats.cycles
 
 
 # ----------------------------------------------------------------------
 # Fuzzed kernels in both modes
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not has_numpy, reason="SoA mode needs numpy")
 @settings(max_examples=10, deadline=None)
 @given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
 def test_fuzzed_programs_agree_across_modes(kinds, iterations):
@@ -179,12 +290,11 @@ def test_fuzzed_programs_agree_across_modes(kinds, iterations):
     assert _fingerprint(vectorized) == _fingerprint(reference)
 
 
-@pytest.mark.skipif(not has_numpy, reason="SoA mode needs numpy")
 @settings(max_examples=6, deadline=None)
 @given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
 def test_fuzzed_caba_runs_agree_across_modes(kinds, iterations):
-    """Assist-warp machinery (never SoA-mirrored) must not disturb the
-    parent warps' vectorized screen."""
+    """Assist-warp machinery (never screened) must not disturb the
+    parent warps' screen codes."""
     from repro.core.controller import CabaController
     from repro.core.params import CabaParams
     from repro.core.subroutines import SubroutineLibrary

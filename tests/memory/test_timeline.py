@@ -118,3 +118,70 @@ def test_busy_time_equals_total_duration(requests):
     for at, duration in requests:
         t.reserve(at, duration)
     assert abs(t.busy_time - sum(d for _, d in requests)) < 1e-6
+
+
+class FirstFitOracle:
+    """Linear first-fit over every free gap: the reservation rule
+    ``Timeline.reserve`` implements, without the bisected start."""
+
+    def __init__(self) -> None:
+        self.free = [(0.0, float("inf"))]
+        self.busy_time = 0.0
+        self.overflowed = False
+
+    def reserve(self, at: float, duration: float) -> float:
+        if duration <= 0:
+            return max(at, 0.0)
+        for index, (start, end) in enumerate(self.free):
+            begin = max(start, at)
+            if begin + duration <= end:
+                self.busy_time += duration
+                replacement = []
+                if start < begin:
+                    replacement.append((start, begin))
+                if begin + duration < end:
+                    replacement.append((begin + duration, end))
+                self.free[index : index + 1] = replacement
+                if len(self.free) > MAX_FREE_INTERVALS:
+                    del self.free[0]
+                    self.overflowed = True
+                return begin
+        raise AssertionError("open-ended timeline should always fit")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spread=st.floats(min_value=3.0, max_value=50.0),
+    data=st.data(),
+)
+def test_bisected_reserve_matches_linear_first_fit(spread, data):
+    """Skipping the gaps that end before ``at`` changes nothing: same
+    start times, same busy time, same free list, including after the
+    gap list overflows and drops its oldest entries."""
+    t = Timeline()
+    oracle = FirstFitOracle()
+    # A run of spaced-out reservations first, so every example overflows
+    # MAX_FREE_INTERVALS before the random sequence starts.
+    for i in range(MAX_FREE_INTERVALS + 4):
+        assert t.reserve(spread * (i + 1), 1.0) == oracle.reserve(
+            spread * (i + 1), 1.0
+        )
+    assert oracle.overflowed
+    for _ in range(data.draw(st.integers(min_value=1, max_value=120))):
+        # Requests aimed at the edges of the current gaps hit the
+        # boundary cases of the bisection; free ones cover the rest.
+        edges = [x for gap in oracle.free for x in gap if x != float("inf")]
+        at = data.draw(st.one_of(
+            st.floats(min_value=0, max_value=3000),
+            st.integers(min_value=0, max_value=3000).map(float),
+            st.tuples(
+                st.sampled_from(edges), st.floats(min_value=-2, max_value=2)
+            ).map(lambda p: max(0.0, p[0] + p[1])),
+        ))
+        duration = data.draw(st.one_of(
+            st.integers(min_value=0, max_value=12).map(float),
+            st.floats(min_value=0.01, max_value=40),
+        ))
+        assert t.reserve(at, duration) == oracle.reserve(at, duration)
+        assert t.busy_time == oracle.busy_time
+        assert t._free == oracle.free
