@@ -15,11 +15,6 @@ Commands:
                          conservation invariants
     bench report         render the checked-in BENCH_*.json benchmark
                          records (before/after trajectory) as tables
-    serve                run the simulation-as-a-service sweep server
-    worker               join a fabric-mode server as a sweep worker
-    submit               submit a run list / sweep to a sweep server
-    status JOB           poll one job's progress on a sweep server
-    result JOB           fetch one finished job's results as JSON
 
 The CLI is a thin layer over the public API (``repro.run_app``,
 ``repro.harness.figures``), so everything it prints is reproducible from
@@ -235,87 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="benchmark record files (default: "
                               "BENCH_runner.json and BENCH_compression.json "
                               "in the current directory)")
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the async sweep server (submissions dedup against the "
-             "content-addressed run cache and in-flight work)",
-    )
-    serve_p.add_argument("--host", default=None,
-                         help="bind address (default: REPRO_SERVE_HOST "
-                              "or 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=None,
-                         help="bind port, 0 for ephemeral (default: "
-                              "REPRO_SERVE_PORT or 8377)")
-    serve_p.add_argument("--jobs", type=_jobs_arg, default=None,
-                         help="simulation worker processes "
-                              "(default: REPRO_SERVE_JOBS or 1)")
-    serve_p.add_argument("--fabric", action="store_true", default=None,
-                         help="lease sweeps to remote 'repro worker' "
-                              "processes instead of simulating "
-                              "in-process (default: REPRO_FABRIC)")
-
-    url_help = "server URL (default: REPRO_SERVE_URL or http://127.0.0.1:8377)"
-    worker_p = sub.add_parser(
-        "worker",
-        help="join a fabric-mode sweep server as a simulation worker",
-    )
-    worker_p.add_argument("--url", default=None, help=url_help)
-    worker_p.add_argument("--name", default=None,
-                          help="worker name for the coordinator's "
-                               "stats (default: pid<NNN>)")
-    worker_p.add_argument("--lease-specs", type=int, default=None,
-                          help="specs to request per lease (default: "
-                               "the coordinator's REPRO_FABRIC_LEASE_SPECS)")
-    worker_p.add_argument("--poll", type=float, default=None,
-                          help="idle poll interval in seconds "
-                               "(default: the coordinator's hint)")
-    worker_p.add_argument("--max-idle", type=float, default=None,
-                          help="exit after this many consecutive idle "
-                               "seconds (default: run until killed)")
-    worker_p.add_argument("--stall-after", type=int, default=None,
-                          help=argparse.SUPPRESS)  # failure-injection hook
-
-    submit_p = sub.add_parser(
-        "submit", help="submit runs to a sweep server"
-    )
-    submit_p.add_argument("payload", nargs="?", default=None,
-                          help="JSON payload file ('-' for stdin) with "
-                               "'runs' or 'sweep'; omit when using "
-                               "--apps/--designs")
-    submit_p.add_argument("--apps", nargs="+", default=None, metavar="APP",
-                          help="sweep these apps (cross product with "
-                               "--designs)")
-    submit_p.add_argument("--designs", nargs="+", default=None,
-                          metavar="DESIGN",
-                          help="sweep design names (default: all; see "
-                               "'run --design' choices)")
-    submit_p.add_argument("--algorithm", default="bdi",
-                          help="compression algorithm for the sweep "
-                               "(default bdi)")
-    submit_p.add_argument("--config", choices=sorted(CONFIGS),
-                          default="small")
-    submit_p.add_argument("--url", default=None, help=url_help)
-    submit_p.add_argument("--tenant", default=None,
-                          help="tenant identity for quotas (default: "
-                               "REPRO_SERVE_TENANT or 'anonymous')")
-    submit_p.add_argument("--wait", action="store_true",
-                          help="block until the job finishes and print "
-                               "its results")
-
-    status_p = sub.add_parser(
-        "status", help="poll one job's progress on a sweep server"
-    )
-    status_p.add_argument("job", help="job id returned by submit")
-    status_p.add_argument("--url", default=None, help=url_help)
-    status_p.add_argument("--tenant", default=None)
-
-    result_p = sub.add_parser(
-        "result", help="fetch one finished job's results as JSON"
-    )
-    result_p.add_argument("job", help="job id returned by submit")
-    result_p.add_argument("--url", default=None, help=url_help)
-    result_p.add_argument("--tenant", default=None)
     return parser
 
 
@@ -667,171 +581,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.service.server import ServiceConfig, make_server
-
-    config = ServiceConfig.from_env()
-    if args.host is not None:
-        config.host = args.host
-    if args.port is not None:
-        config.port = args.port
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    if args.fabric is not None:
-        config.fabric = args.fabric
-    server = make_server(config)
-    host, port = server.start_background()
-    limits = config.limits
-    print(f"sweep server listening on http://{host}:{port}")
-    if config.fabric:
-        fabric = server.store.engine.config
-        print(f"  engine           : fabric coordinator "
-              f"(lease ttl {fabric.lease_ttl:g}s, "
-              f"{fabric.lease_specs} specs/lease, "
-              f"{fabric.retries} attempts)")
-        print(f"  workers join with: repro worker --url "
-              f"http://{host}:{port}")
-    else:
-        print(f"  engine jobs      : {config.jobs}")
-    print(f"  tenant rate      : {limits.rate:g}/s "
-          f"(burst {limits.burst:g})")
-    print(f"  tenant queue cap : {limits.max_queued_jobs} jobs, "
-          f"{limits.max_inflight_specs} in-flight specs")
-    try:
-        # The server runs on its own event-loop thread; this thread
-        # just waits for an interrupt so Ctrl-C shuts down cleanly.
-        asyncio.run(asyncio.Event().wait())
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.stop()
-        server.store.close()
-    return 0
-
-
-def _service_url(args) -> str:
-    import os
-
-    return args.url or os.environ.get(
-        "REPRO_SERVE_URL", "http://127.0.0.1:8377"
-    )
-
-
-def _service_client(args):
-    import os
-
-    from repro.service.client import ServiceClient
-
-    tenant = args.tenant or os.environ.get(
-        "REPRO_SERVE_TENANT", "anonymous"
-    )
-    return ServiceClient(_service_url(args), tenant=tenant)
-
-
-def _cmd_worker(args) -> int:
-    from repro.service.client import ServiceError
-    from repro.service.fabric import FabricWorker
-
-    url = _service_url(args)
-    worker = FabricWorker(
-        url,
-        name=args.name,
-        lease_specs=args.lease_specs,
-        poll=args.poll,
-        max_idle=args.max_idle,
-        stall_after=args.stall_after,
-        log=lambda message: print(f"worker: {message}", flush=True),
-    )
-    try:
-        summary = worker.run()
-    except KeyboardInterrupt:
-        print("\nworker: interrupted", flush=True)
-        return 130
-    except (ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"worker: done — {summary['completed']} spec(s) "
-          f"({summary['simulated']} simulated, "
-          f"{summary['cached']} served from cache)", flush=True)
-    return 0
-
-
-def _cmd_submit(args) -> int:
-    import json
-
-    from repro.service.client import ServiceError
-
-    if (args.payload is None) == (args.apps is None):
-        print("error: give a payload file or --apps, not both",
-              file=sys.stderr)
-        return 2
-    if args.payload is not None:
-        try:
-            if args.payload == "-":
-                payload = json.load(sys.stdin)
-            else:
-                with open(args.payload) as fh:
-                    payload = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read payload: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sweep = {"apps": args.apps, "algorithm": args.algorithm,
-                 "config": args.config}
-        if args.designs is not None:
-            sweep["designs"] = args.designs
-        payload = {"sweep": sweep}
-    client = _service_client(args)
-    try:
-        accepted = client.submit(payload)
-    except (ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"job        : {accepted['job']}")
-    print(f"tenant     : {accepted['tenant']}")
-    print(f"served from: {accepted['served_from']}")
-    print(f"specs      : {accepted['specs']}")
-    if not args.wait:
-        return 0
-    try:
-        final = client.wait(accepted["job"])
-        print(json.dumps(client.result(accepted["job"]), indent=2,
-                         sort_keys=True))
-    except (ServiceError, OSError, TimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0 if final["status"] == "done" else 1
-
-
-def _cmd_status(args) -> int:
-    import json
-
-    from repro.service.client import ServiceError
-
-    client = _service_client(args)
-    try:
-        status = client.status(args.job)
-    except (ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(status, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_result(args) -> int:
-    from repro.service.client import ServiceError
-
-    client = _service_client(args)
-    try:
-        sys.stdout.write(client.result_bytes(args.job).decode())
-    except (ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 _COMMANDS = {
     "list-apps": lambda args: _cmd_list_apps(),
     "run": _cmd_run,
@@ -842,11 +591,6 @@ _COMMANDS = {
     "cache": _cmd_cache,
     "check": _cmd_check,
     "bench": _cmd_bench,
-    "serve": _cmd_serve,
-    "worker": _cmd_worker,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
-    "result": _cmd_result,
 }
 
 

@@ -1,4 +1,4 @@
-"""Persistent, content-addressed run cache with pluggable backends.
+"""Persistent, content-addressed run cache.
 
 Every ``(app, design, config, scale, params)`` run of the simulator is
 fully deterministic, so its :class:`~repro.harness.runner.RunResult` can
@@ -15,28 +15,17 @@ the compressors, the workload generators or the energy model produces a
 different stamp, so stale entries are simply never looked up again
 (``repro cache clear`` removes them from disk).
 
-Storage is a :class:`CacheBackend` — ``get/put/has/list/sweep`` over
-opaque ``(kind, key)`` pairs, where ``kind`` is one of ``runs``,
-``planes`` or ``traces``. Three implementations:
-
-* :class:`LocalDirBackend` (default) — one pickle per run under
-  ``<root>/<stamp>/<key>.pkl`` (planes and traces in subdirectories).
-  Writes are atomic (temp file + rename), so concurrent workers of the
-  parallel engine can share one cache directory safely.
-* :class:`SharedFSBackend` — byte-identical layout plus fsync-before-
-  rename durability, for N writers on a shared/network filesystem.
-* :class:`HTTPCacheBackend` — reads/writes through the sweep server's
-  ``/v1/cache/{kind}/{key}`` endpoints so distributed-fabric workers
-  share the coordinator's cache (a spec any node already paid for is
-  never re-simulated). Reads degrade to misses on network errors;
-  writes raise :class:`CacheBackendError`.
+Layout: one pickle per run under ``<root>/<stamp>/<key>.pkl``, with
+compression planes in ``planes/`` and exported trace artifacts in
+``traces/`` beside them. Writes are atomic (temp file + rename), so
+concurrent workers of the parallel engine can share one cache directory
+safely; ``repro cache sweep`` removes temp files orphaned by killed
+workers once they are older than ``REPRO_CACHE_TMP_AGE``.
 
 Knobs (also documented in README.md):
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-caba``).
 * ``REPRO_CACHE=0`` — disable the persistent cache entirely.
-* ``REPRO_CACHE_BACKEND`` — ``local`` (default), ``shared-fs``, or an
-  ``http://host:port`` coordinator URL.
 * ``REPRO_CACHE_TMP_AGE`` — minimum age in seconds before ``sweep_tmp``
   may remove a ``.tmp`` file (default 3600).
 """
@@ -44,14 +33,12 @@ Knobs (also documented in README.md):
 from __future__ import annotations
 
 import hashlib
-import http.client
+import math
 import os
 import pickle
-import re
 import tempfile
 import time
 from pathlib import Path
-from urllib.parse import urlsplit
 
 #: Bump manually on cache-format changes (key scheme, pickle layout).
 #: 2: stamp hashes package-relative paths, not bare file names (a module
@@ -102,6 +89,9 @@ def default_tmp_age() -> float:
         value = float(env)
     except ValueError:
         return DEFAULT_TMP_AGE
+    if not math.isfinite(value):
+        # max(0.0, nan) is 0.0, which would sweep live writers' temps.
+        return DEFAULT_TMP_AGE
     return max(0.0, value)
 
 
@@ -112,303 +102,13 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-caba"
 
 
-class CacheBackendError(RuntimeError):
-    """A cache backend could not persist an entry (e.g. the coordinator
-    is unreachable). Reads never raise this — a failed read is a miss —
-    but a failed write must surface, or a fabric worker would complete
-    a lease whose result nobody can ever fetch."""
-
-
-#: Entry namespaces every backend must store independently. ``runs``
-#: and ``planes`` keys are hex content addresses; ``traces`` keys are
-#: artifact file names (``<label>.json`` etc.).
-CACHE_KINDS = ("runs", "planes", "traces")
-
-#: Conservative key shape shared by all kinds: content-address digests
-#: and trace artifact names both match, path traversal cannot.
-_KEY_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-
-def valid_cache_key(kind: str, key: str) -> bool:
-    """True when ``(kind, key)`` is a well-formed cache address. The
-    HTTP endpoints validate with this before touching the filesystem."""
-    return kind in CACHE_KINDS and bool(_KEY_RE.match(key)) \
-        and ".." not in key and len(key) <= 255
-
-
-class CacheBackend:
-    """Opaque ``(kind, key) -> bytes`` store under one version stamp.
-
-    :class:`RunCache` owns keying and (de)serialization; backends only
-    move bytes. The contract every implementation must honour:
-
-    * ``get`` returns ``None`` for missing entries *and* on any read
-      error — a backend never turns a damaged or unreachable entry
-      into an exception (the caller re-simulates instead).
-    * ``put`` is atomic (readers never observe a partial entry) and
-      keeps an existing entry unless ``overwrite`` is set. Write
-      failures raise :class:`CacheBackendError`.
-    * ``list`` returns keys, not paths, and may be approximate during
-      concurrent writes.
-    * ``sweep`` reclaims backend-private debris (e.g. orphaned atomic
-      temp files) and returns how many items it removed.
-    """
-
-    name = "abstract"
-
-    def get(self, kind: str, key: str) -> bytes | None:
-        raise NotImplementedError
-
-    def put(self, kind: str, key: str, data: bytes,
-            overwrite: bool = False) -> None:
-        raise NotImplementedError
-
-    def has(self, kind: str, key: str) -> bool:
-        return self.get(kind, key) is not None
-
-    def list(self, kind: str) -> list[str]:
-        raise NotImplementedError
-
-    def sweep(self, max_age: float | None = None) -> int:
-        return 0
-
-
-class LocalDirBackend(CacheBackend):
-    """The historical on-disk layout, unchanged byte for byte:
-    ``<root>/<stamp>/<key>.pkl`` for runs, ``planes/`` and ``traces/``
-    subdirectories for the other kinds. Atomic temp-file + rename
-    writes keep concurrent writers of the parallel engine safe."""
-
-    name = "local"
-    #: Shared-FS subclass flips this to fsync before the rename.
-    durable = False
-
-    def __init__(self, root: Path | str, stamp: str) -> None:
-        self.root = Path(root)
-        self.stamp = stamp
-
-    def path(self, kind: str, key: str) -> Path:
-        base = self.root / self.stamp
-        if kind == "runs":
-            return base / f"{key}.pkl"
-        if kind == "planes":
-            return base / "planes" / f"{key}.pkl"
-        if kind == "traces":
-            # Trace artifacts keep their full file names (the exporter
-            # writes .json/.csv/.chrome.json siblings per label).
-            return base / "traces" / key
-        raise ValueError(f"unknown cache kind {kind!r}")
-
-    def get(self, kind: str, key: str) -> bytes | None:
-        try:
-            return self.path(kind, key).read_bytes()
-        except OSError:
-            return None
-
-    def put(self, kind: str, key: str, data: bytes,
-            overwrite: bool = False) -> None:
-        path = self.path(kind, key)
-        if not overwrite and path.exists():
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except OSError as exc:
-            raise CacheBackendError(f"cache write failed: {exc}") from exc
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                if self.durable:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            if self.durable:
-                self._fsync_dir(path.parent)
-        except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise CacheBackendError(f"cache write failed: {exc}") from exc
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    @staticmethod
-    def _fsync_dir(path: Path) -> None:
-        """Flush the directory entry so a crashed host cannot forget
-        the rename (no-op on filesystems without dir fds)."""
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
-    def has(self, kind: str, key: str) -> bool:
-        return self.path(kind, key).is_file()
-
-    def list(self, kind: str) -> list[str]:
-        base = self.path(kind, "x").parent
-        try:
-            names = sorted(p.name for p in base.iterdir()
-                           if p.is_file() and p.suffix != ".tmp")
-        except OSError:
-            return []
-        if kind == "traces":
-            return names
-        return [n[:-4] for n in names if n.endswith(".pkl")]
-
-    def sweep(self, max_age: float | None = None) -> int:
-        """Remove leftover ``.tmp`` files (interrupted atomic writes
-        from killed workers, any stamp) older than ``max_age``."""
-        if max_age is None:
-            max_age = default_tmp_age()
-        removed = 0
-        if not self.root.exists():
-            return 0
-        now = time.time()
-        for path in self.root.rglob("*.tmp"):
-            try:
-                stat = path.stat()
-                if not path.is_file():
-                    continue
-                if now - stat.st_mtime < max_age:
-                    continue  # young: likely an in-flight atomic write
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
-class SharedFSBackend(LocalDirBackend):
-    """Same layout as :class:`LocalDirBackend`, hardened for many
-    writers on a shared (e.g. network) filesystem: file contents and
-    the directory entry are fsynced around the atomic rename, so a
-    node crash cannot leave another node reading a hole where a
-    completed entry used to be."""
-
-    name = "shared-fs"
-    durable = True
-
-
-class HTTPCacheBackend(CacheBackend):
-    """Entries live on a sweep server, addressed as
-    ``/v1/cache/{kind}/{key}``. Used by fabric workers so every node
-    shares the coordinator's content-addressed cache.
-
-    Stateless per request (one ``http.client`` connection each) —
-    worker processes fork/thread freely without sharing sockets.
-    Implemented on ``http.client`` directly rather than
-    :mod:`repro.service.client` so the harness layer keeps zero
-    service-layer imports.
-    """
-
-    name = "http"
-
-    def __init__(self, url: str, timeout: float = 30.0) -> None:
-        if "//" not in url:
-            url = f"http://{url}"
-        parts = urlsplit(url)
-        if parts.scheme != "http":
-            raise ValueError(f"unsupported cache URL scheme: {url!r}")
-        self.url = url
-        self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or 80
-        self.timeout = timeout
-
-    def _request(self, method: str, path: str,
-                 body: bytes | None = None) -> tuple[int, bytes]:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            headers = {}
-            if body is not None:
-                headers["Content-Type"] = "application/octet-stream"
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            return response.status, response.read()
-        finally:
-            conn.close()
-
-    def get(self, kind: str, key: str) -> bytes | None:
-        try:
-            status, data = self._request("GET", f"/v1/cache/{kind}/{key}")
-        except OSError:
-            return None  # unreachable coordinator reads as a miss
-        return data if status == 200 else None
-
-    def put(self, kind: str, key: str, data: bytes,
-            overwrite: bool = False) -> None:
-        path = f"/v1/cache/{kind}/{key}"
-        if overwrite:
-            path += "?overwrite=1"
-        try:
-            status, body = self._request("PUT", path, body=data)
-        except OSError as exc:
-            raise CacheBackendError(
-                f"cache PUT to {self.url} failed: {exc}") from exc
-        if status != 200:
-            raise CacheBackendError(
-                f"cache PUT {kind}/{key} rejected: HTTP {status} "
-                f"{body[:200]!r}")
-
-    def has(self, kind: str, key: str) -> bool:
-        try:
-            status, _ = self._request("HEAD", f"/v1/cache/{kind}/{key}")
-        except OSError:
-            return False
-        return status == 200
-
-    def list(self, kind: str) -> list[str]:
-        try:
-            status, data = self._request("GET", f"/v1/cache/{kind}")
-        except OSError:
-            return []
-        if status != 200:
-            return []
-        try:
-            import json
-            keys = json.loads(data).get("keys", [])
-            return [k for k in keys if isinstance(k, str)]
-        except Exception:
-            return []
-
-
-def backend_from_env(root: Path, stamp: str) -> CacheBackend:
-    """Backend selected by ``REPRO_CACHE_BACKEND`` (default: the
-    historical local-dir layout rooted at ``root``)."""
-    value = os.environ.get("REPRO_CACHE_BACKEND", "").strip()
-    if not value or value == "local":
-        return LocalDirBackend(root, stamp)
-    if value in ("shared-fs", "shared_fs", "sharedfs"):
-        return SharedFSBackend(root, stamp)
-    if value.startswith("http"):
-        return HTTPCacheBackend(value)
-    raise ValueError(
-        f"unknown REPRO_CACHE_BACKEND {value!r} "
-        "(expected 'local', 'shared-fs', or an http://host:port URL)")
-
-
 class RunCache:
-    """Keyed, pickled store of raw-free :class:`RunResult` entries over
-    a :class:`CacheBackend` (local directory unless configured)."""
+    """On-disk store of raw-free :class:`RunResult` pickles."""
 
     def __init__(self, root: Path | str | None = None,
-                 stamp: str | None = None,
-                 backend: CacheBackend | None = None) -> None:
+                 stamp: str | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stamp = stamp if stamp is not None else version_stamp()
-        self.backend = backend if backend is not None \
-            else backend_from_env(self.root, self.stamp)
 
     # ------------------------------------------------------------------
     # Keys
@@ -419,8 +119,6 @@ class RunCache:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def _path(self, key: str) -> Path:
-        """Filesystem location of a run entry (file-backed layouts;
-        pinned by the compat tests and used by maintenance walks)."""
         return self.root / self.stamp / f"{key}.pkl"
 
     def _plane_path(self, key: str) -> Path:
@@ -437,22 +135,20 @@ class RunCache:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def _load(self, kind: str, key: str):
-        """Fetch-and-unpickle. A truncated or corrupted entry must read
-        as a miss, never take the run down; ``pickle.loads`` on garbage
-        bytes can raise nearly any exception type, not just
+    @staticmethod
+    def _load(path: Path):
+        """Read-and-unpickle. A missing, truncated or corrupted entry
+        must read as a miss, never take the run down; ``pickle.loads``
+        on garbage bytes can raise nearly any exception type, not just
         PickleError — so the catch stays this broad deliberately."""
-        data = self.backend.get(kind, key)
-        if data is None:
-            return None
         try:
-            return pickle.loads(data)
+            return pickle.loads(path.read_bytes())
         except Exception:
             return None
 
     def get(self, spec):
         """Cached RunResult for ``spec``, or None."""
-        return self._load("runs", self.key(spec))
+        return self._load(self._path(self.key(spec)))
 
     def put(self, spec, result, overwrite: bool = False) -> None:
         """Persist ``result`` (which must not carry ``raw`` state).
@@ -464,8 +160,8 @@ class RunCache:
         if result.raw is not None:
             raise ValueError("refusing to persist a RunResult with raw "
                              "simulation state; strip it first")
-        data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        self.backend.put("runs", self.key(spec), data, overwrite=overwrite)
+        self._write_atomic(self._path(self.key(spec)), result,
+                           overwrite=overwrite)
 
     def get_plane(self, key: str):
         """Cached :class:`CompressionPlane` for ``key``, or None.
@@ -474,12 +170,31 @@ class RunCache:
         :func:`repro.memory.plane.plane_key`); combined with the
         stamp directory they invalidate on any source change.
         """
-        return self._load("planes", key)
+        return self._load(self._plane_path(key))
 
     def put_plane(self, key: str, plane) -> None:
         """Persist one compression plane under the current stamp."""
-        data = pickle.dumps(plane, protocol=pickle.HIGHEST_PROTOCOL)
-        self.backend.put("planes", key, data)
+        self._write_atomic(self._plane_path(key), plane)
+
+    @staticmethod
+    def _write_atomic(path: Path, obj, overwrite: bool = False) -> None:
+        """Pickle ``obj`` to a temp file beside ``path`` and rename it
+        into place, so readers never observe a partial entry."""
+        if not overwrite and path.exists():
+            return
+        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -549,7 +264,6 @@ class RunCache:
         return {
             "root": str(self.root),
             "stamp": self.stamp,
-            "backend": self.backend.name,
             "entries": current,
             "stale_entries": stale,
             "total_bytes": total_bytes,
@@ -578,7 +292,24 @@ class RunCache:
         cost a re-simulation — so it is skipped and reported as a young
         entry by :meth:`info`.
         """
-        return self.backend.sweep(max_age)
+        if max_age is None:
+            max_age = default_tmp_age()
+        if not self.root.exists():
+            return 0
+        removed = 0
+        now = time.time()
+        for path in self.root.rglob("*.tmp"):
+            try:
+                stat = path.stat()
+                if not path.is_file():
+                    continue
+                if now - stat.st_mtime < max_age:
+                    continue  # young: likely an in-flight atomic write
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
 
     def clear(self) -> int:
         """Delete every cached entry and trace artifact (all stamps);

@@ -50,7 +50,7 @@ import traceback as traceback_mod
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.harness import runner
 from repro.harness.runner import RunResult, RunSpec
@@ -370,8 +370,6 @@ class ExperimentEngine:
         specs: Iterable[RunSpec],
         strict: bool = True,
         label: str | None = None,
-        on_result: Callable[[RunSpec, RunResult], None] | None = None,
-        on_failure: Callable[[RunFailure], None] | None = None,
     ) -> list[RunResult] | BatchResult:
         """Execute ``specs``; the result list is aligned with the input
         order (duplicates resolve to the same result object).
@@ -383,13 +381,6 @@ class ExperimentEngine:
         a :class:`BatchResult` carrying the partial results (``None``
         at failed positions) and the failure report. ``label`` names
         the batch (e.g. the figure id) in failure reports.
-
-        ``on_result`` is invoked once per *unique* spec the moment its
-        result resolves (cache hit or worker landing — the same moment
-        it is checkpointed), and ``on_failure`` the moment a spec
-        exhausts its retry budget; the sweep service streams per-spec
-        progress from these. Callbacks run on the calling thread and
-        must not raise.
         """
         ordered = list(specs)
         unique: list[RunSpec] = []
@@ -401,22 +392,16 @@ class ExperimentEngine:
 
         resolved: dict[RunSpec, RunResult] = {}
         if self.jobs <= 1:
-            failures = self._run_serial(unique, resolved,
-                                        on_result=on_result,
-                                        on_failure=on_failure)
+            failures = self._run_serial(unique, resolved)
         else:
             pending = []
             for spec in unique:
                 hit = runner.cached_result(spec)
                 if hit is not None:
                     resolved[spec] = hit
-                    if on_result is not None:
-                        on_result(spec, hit)
                 else:
                     pending.append(spec)
-            failures = self._run_pool(pending, resolved,
-                                      on_result=on_result,
-                                      on_failure=on_failure)
+            failures = self._run_pool(pending, resolved)
 
         if failures and strict:
             raise ExperimentFailure(failures, resolved, label=label)
@@ -427,9 +412,7 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------------
     def _run_serial(
-        self, specs: Sequence[RunSpec], resolved: dict[RunSpec, RunResult],
-        on_result: Callable | None = None,
-        on_failure: Callable | None = None,
+        self, specs: Sequence[RunSpec], resolved: dict[RunSpec, RunResult]
     ) -> list[RunFailure]:
         """Inline execution with the same retry/failure contract as the
         pool (timeouts excepted: a hung in-process run cannot be
@@ -441,22 +424,17 @@ class ExperimentEngine:
                 try:
                     maybe_inject_fault(spec, attempt)
                     resolved[spec] = runner.run_spec(spec)
-                    if on_result is not None:
-                        on_result(spec, resolved[spec])
                     break
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
                     if attempt > self.retries:
-                        failure = RunFailure(
+                        failures.append(RunFailure(
                             spec=spec, kind="error", attempts=attempt,
                             exception=repr(exc),
                             traceback=traceback_mod.format_exc(),
                             worker_pid=os.getpid(),
-                        )
-                        failures.append(failure)
-                        if on_failure is not None:
-                            on_failure(failure)
+                        ))
                         break
                     time.sleep(_backoff_delay(attempt))
                     attempt += 1
@@ -464,9 +442,7 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------------
     def _run_pool(
-        self, specs: Sequence[RunSpec], resolved: dict[RunSpec, RunResult],
-        on_result: Callable | None = None,
-        on_failure: Callable | None = None,
+        self, specs: Sequence[RunSpec], resolved: dict[RunSpec, RunResult]
     ) -> list[RunFailure]:
         """Per-spec futures with retry, pool recovery and timeouts.
 
@@ -494,13 +470,10 @@ class ExperimentEngine:
         def retry_or_fail(task: _Task, kind: str, exception: str,
                           tb: str = "", pid: int | None = None) -> None:
             if task.attempt > self.retries:
-                failure = RunFailure(
+                failures.append(RunFailure(
                     spec=task.spec, kind=kind, attempts=task.attempt,
                     exception=exception, traceback=tb, worker_pid=pid,
-                )
-                failures.append(failure)
-                if on_failure is not None:
-                    on_failure(failure)
+                ))
                 return
             eligible = time.monotonic() + _backoff_delay(task.attempt)
             retry_at.append(
@@ -565,8 +538,6 @@ class ExperimentEngine:
                     # Checkpoint as results land, not at batch end.
                     runner.record_result(task.spec, outcome)
                     resolved[task.spec] = outcome
-                    if on_result is not None:
-                        on_result(task.spec, outcome)
 
             if broken:
                 # Remaining in-flight futures died with the pool too.

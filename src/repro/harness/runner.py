@@ -160,18 +160,6 @@ def clear_caches() -> None:
     run_cache_store.reset_cache_handle()
 
 
-#: Real simulator invocations performed by this process (cache hits
-#: excluded). The sweep service's dedup guarantees — a coalesced or
-#: cache-served job costs zero new simulations — are asserted on deltas
-#: of this counter by the service tests and the CI smoke lane.
-_sim_invocations = 0
-
-
-def simulation_count() -> int:
-    """How many times this process actually ran the simulator."""
-    return _sim_invocations
-
-
 def planes_enabled() -> bool:
     """Whether precomputed compression planes are in use (default yes;
     ``REPRO_PLANES=0`` forces the scalar per-access path everywhere)."""
@@ -658,8 +646,6 @@ def run_spec(
             if hit is not None:
                 return hit
 
-    global _sim_invocations
-    _sim_invocations += 1
     if spec.scenario is not None:
         result = _simulate_scenario(spec, trace=trace, chrome=chrome)
     else:

@@ -1,28 +1,19 @@
-"""CacheBackend conformance: one contract, three implementations.
+"""RunCache's local-directory store: the on-disk contract.
 
-Every backend (local-dir, shared-FS, HTTP-through-the-sweep-server) is
-run through the same suite: per-kind round-trips, overwrite semantics,
-corrupt-entry-as-miss at the RunCache layer, and concurrent same-key
-writers. The HTTP leg drives a real server over real sockets, so the
-``/v1/cache`` endpoints are covered by the identical assertions.
+Round-trips, overwrite semantics, corrupt-entry-as-miss, concurrent
+same-key writers, the historical ``<root>/<stamp>/<key>.pkl`` layout with
+its pickle bytes, and the age-gated ``.tmp`` sweep.
 """
 
+import os
 import pickle
 import threading
+import time
 from dataclasses import dataclass
 
 import pytest
 
-from repro.harness import runner
-from repro.harness.cache import (
-    CACHE_KINDS,
-    HTTPCacheBackend,
-    LocalDirBackend,
-    RunCache,
-    SharedFSBackend,
-    backend_from_env,
-    valid_cache_key,
-)
+from repro.harness.cache import RunCache
 
 
 @dataclass(frozen=True)
@@ -42,108 +33,47 @@ class _Result:
     raw: object = None
 
 
-class _NullEngine:
-    """Engine stub for the HTTP leg's server: the cache endpoints never
-    touch it, but the JobStore wants something closeable."""
-
-    def run_many(self, specs, strict=True, label=None,
-                 on_result=None, on_failure=None):
-        return None
-
-    def close(self) -> None:
-        pass
-
-
-@pytest.fixture(params=["local", "shared-fs", "http"])
-def backend(request, tmp_path, monkeypatch):
-    if request.param == "local":
-        yield LocalDirBackend(tmp_path / "cache", "stampA")
-        return
-    if request.param == "shared-fs":
-        yield SharedFSBackend(tmp_path / "cache", "stampA")
-        return
-    # HTTP: a real sweep server whose process-global cache lives in
-    # this test's tmp dir (reset the memoized handle both ways).
-    from repro.service.jobs import JobStore
-    from repro.service.server import ServiceConfig, SweepServer
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "server-cache"))
-    monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    runner.clear_caches()
-    store = JobStore(engine=_NullEngine())
-    server = SweepServer(store, ServiceConfig(host="127.0.0.1", port=0))
-    host, port = server.start_background()
-    try:
-        yield HTTPCacheBackend(f"http://{host}:{port}")
-    finally:
-        server.stop()
-        store.close()
-        runner.clear_caches()
+@pytest.fixture(params=["local"])
+def cache(request, tmp_path):
+    return RunCache(root=tmp_path / "cache", stamp="stampA")
 
 
 class TestConformance:
-    @pytest.mark.parametrize("kind,key", [
-        ("runs", "a" * 64),
-        ("planes", "b" * 64),
-        ("traces", "MM-CABA-BDI.json"),
-    ])
-    def test_round_trip_per_kind(self, backend, kind, key):
-        assert backend.get(kind, key) is None
-        assert not backend.has(kind, key)
-        backend.put(kind, key, b"payload-bytes")
-        assert backend.get(kind, key) == b"payload-bytes"
-        assert backend.has(kind, key)
-        assert key in backend.list(kind)
+    def test_put_keeps_existing_unless_overwrite(self, cache):
+        spec = _Spec("k1")
+        cache.put(spec, _Result("first"))
+        cache.put(spec, _Result("second"))
+        assert cache.get(spec).payload == "first"
+        cache.put(spec, _Result("third"), overwrite=True)
+        assert cache.get(spec).payload == "third"
 
-    def test_kinds_are_independent_namespaces(self, backend):
-        backend.put("runs", "deadbeef", b"a run")
-        assert backend.get("planes", "deadbeef") is None
-        assert backend.get("traces", "deadbeef") is None
-        assert backend.list("planes") == []
-
-    def test_put_keeps_existing_unless_overwrite(self, backend):
-        backend.put("runs", "k1", b"first")
-        backend.put("runs", "k1", b"second")
-        assert backend.get("runs", "k1") == b"first"
-        backend.put("runs", "k1", b"third", overwrite=True)
-        assert backend.get("runs", "k1") == b"third"
-
-    def test_list_returns_keys_not_paths(self, backend):
-        for key in ("k1", "k2", "k3"):
-            backend.put("runs", key, b"x")
-        assert backend.list("runs") == ["k1", "k2", "k3"]
-
-    def test_corrupt_entry_reads_as_miss_through_runcache(
-            self, backend, tmp_path):
-        """Garbage bytes in the store must surface as a miss from
-        RunCache.get — for every backend, not just file ones."""
-        cache = RunCache(root=tmp_path / "unused", stamp="stampA",
-                         backend=backend)
+    def test_corrupt_entry_reads_as_miss_through_runcache(self, cache):
+        """Garbage bytes in the store must surface as a miss."""
         spec = _Spec("corrupt")
-        backend.put("runs", cache.key(spec), b"\x80not a pickle")
+        path = cache._path(cache.key(spec))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\x80not a pickle")
         assert cache.get(spec) is None
 
-    def test_runcache_round_trip_over_backend(self, backend, tmp_path):
-        cache = RunCache(root=tmp_path / "unused", stamp="stampA",
-                         backend=backend)
+    def test_runcache_round_trip_over_backend(self, cache):
         spec = _Spec("rt")
         cache.put(spec, _Result("hello"))
         assert cache.get(spec).payload == "hello"
         cache.put_plane("feedf00d", {"plane": 1})
         assert cache.get_plane("feedf00d") == {"plane": 1}
 
-    def test_concurrent_writers_same_key_keep_entry_valid(self, backend):
+    def test_concurrent_writers_same_key_keep_entry_valid(self, cache):
         """N racing writers (atomic replace / last-writer-wins): the
         surviving entry must be one of the complete payloads, never an
         interleaving."""
-        payloads = [f"writer-{i}".encode() * 64 for i in range(4)]
+        spec = _Spec("contested")
+        payloads = [f"writer-{i}" * 64 for i in range(4)]
         errors = []
 
-        def write(data: bytes) -> None:
+        def write(data: str) -> None:
             try:
                 for _ in range(10):
-                    backend.put("runs", "contested", data, overwrite=True)
+                    cache.put(spec, _Result(data), overwrite=True)
             except Exception as exc:  # pragma: no cover - fail loudly
                 errors.append(exc)
 
@@ -154,107 +84,38 @@ class TestConformance:
         for thread in threads:
             thread.join()
         assert not errors
-        assert backend.get("runs", "contested") in payloads
+        assert cache.get(spec).payload in payloads
 
 
 class TestLocalLayout:
-    """The default path must stay byte-identical to the historical
-    on-disk format — REPRO_CACHE_BACKEND unset changes nothing."""
+    """Existing cache directories must keep reading: the paths and the
+    pickle bytes are the on-disk format."""
 
-    def test_default_backend_is_local_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
+    def test_layout_and_bytes_unchanged(self, tmp_path):
         cache = RunCache(root=tmp_path, stamp="stampA")
-        assert type(cache.backend) is LocalDirBackend
-        assert cache.info()["backend"] == "local"
-
-    def test_layout_and_bytes_unchanged(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_BACKEND", raising=False)
-        cache = RunCache(root=tmp_path, stamp="stampA")
-        spec = _Spec("layout")
-        result = _Result("payload")
+        spec, result = _Spec("layout"), _Result("payload")
         cache.put(spec, result)
-        path = cache._path(cache.key(spec))
-        assert path == tmp_path / "stampA" / f"{cache.key(spec)}.pkl"
-        assert path.read_bytes() == pickle.dumps(
+        run = tmp_path / "stampA" / f"{cache.key(spec)}.pkl"
+        assert run.read_bytes() == pickle.dumps(
             result, protocol=pickle.HIGHEST_PROTOCOL)
         cache.put_plane("cafe", {"p": 2})
-        assert cache._plane_path("cafe").exists()
-
-    def test_shared_fs_layout_matches_local(self, tmp_path):
-        local = RunCache(root=tmp_path / "a", stamp="s",
-                         backend=LocalDirBackend(tmp_path / "a", "s"))
-        shared = RunCache(root=tmp_path / "b", stamp="s",
-                          backend=SharedFSBackend(tmp_path / "b", "s"))
-        spec = _Spec("same")
-        local.put(spec, _Result("x"))
-        shared.put(spec, _Result("x"))
-        rel_local = local._path(local.key(spec)).relative_to(tmp_path / "a")
-        rel_shared = shared._path(shared.key(spec)).relative_to(
-            tmp_path / "b")
-        assert rel_local == rel_shared
-        assert local._path(local.key(spec)).read_bytes() == \
-            shared._path(shared.key(spec)).read_bytes()
+        plane = tmp_path / "stampA" / "planes" / "cafe.pkl"
+        assert plane.read_bytes() == pickle.dumps(
+            {"p": 2}, protocol=pickle.HIGHEST_PROTOCOL)
+        assert cache.get_plane("cafe") == {"p": 2}
+        assert cache.trace_dir() == tmp_path / "stampA" / "traces"
 
     def test_sweep_removes_only_old_tmp(self, tmp_path):
-        import os
-        import time
-
-        backend = SharedFSBackend(tmp_path, "s")
-        backend.put("runs", "keep", b"data")
+        cache = RunCache(root=tmp_path, stamp="s")
+        spec = _Spec("keep")
+        cache.put(spec, _Result("data"))
         stale = tmp_path / "s" / "orphan.tmp"
         stale.write_bytes(b"half a write")
         ancient = time.time() - 7200
         os.utime(stale, (ancient, ancient))
         young = tmp_path / "s" / "inflight.tmp"
         young.write_bytes(b"mid write")
-        assert backend.sweep(max_age=3600) == 1
+        assert cache.sweep_tmp(max_age=3600) == 1
         assert not stale.exists()
         assert young.exists()
-        assert backend.get("runs", "keep") == b"data"
-
-
-class TestBackendSelection:
-    def test_env_selects_shared_fs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "shared-fs")
-        backend = backend_from_env(tmp_path, "s")
-        assert type(backend) is SharedFSBackend
-        assert backend.durable
-
-    def test_env_selects_http(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "http://127.0.0.1:9")
-        backend = backend_from_env(tmp_path, "s")
-        assert isinstance(backend, HTTPCacheBackend)
-        assert (backend.host, backend.port) == ("127.0.0.1", 9)
-
-    def test_unknown_backend_is_an_error(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "carrier-pigeon")
-        with pytest.raises(ValueError):
-            backend_from_env(tmp_path, "s")
-
-    def test_unreachable_http_reads_as_miss_writes_raise(self):
-        from repro.harness.cache import CacheBackendError
-
-        backend = HTTPCacheBackend("http://127.0.0.1:9", timeout=0.2)
-        assert backend.get("runs", "k") is None
-        assert not backend.has("runs", "k")
-        assert backend.list("runs") == []
-        with pytest.raises(CacheBackendError):
-            backend.put("runs", "k", b"data")
-
-
-class TestKeyValidation:
-    @pytest.mark.parametrize("kind,key,ok", [
-        ("runs", "a" * 64, True),
-        ("traces", "MM-CABA.chrome.json", True),
-        ("runs", "../escape", False),
-        ("runs", "a/b", False),
-        ("runs", "", False),
-        ("runs", ".hidden", False),
-        ("bogus", "aaaa", False),
-        ("runs", "a" * 300, False),
-    ])
-    def test_valid_cache_key(self, kind, key, ok):
-        assert valid_cache_key(kind, key) is ok
-
-    def test_all_kinds_enumerated(self):
-        assert CACHE_KINDS == ("runs", "planes", "traces")
+        assert cache.get(spec).payload == "data"

@@ -3,18 +3,37 @@
 ``repro cache info`` must work on whatever it finds on disk: cache
 directories written before the planes/traces layout existed, leftover
 temp files from killed workers, and plain garbage a user dropped in the
-directory. It must also report trace artifacts, and ``put`` must honour
-its overwrite contract (traced recomputes upgrade untraced entries).
+directory. It must also report trace artifacts, ``put`` must honour
+its overwrite contract (traced recomputes upgrade untraced entries), and
+run and plane entries with the same key must not collide.
 """
 
 import os
 import pickle
 import time
+from dataclasses import dataclass
 
 import pytest
 
 from repro.cli import main
 from repro.harness.cache import RunCache, compute_stamp
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """Duck-typed stand-in for RunSpec (the cache only calls
+    ``canonical``)."""
+
+    name: str
+
+    def canonical(self) -> str:
+        return f"spec:{self.name}"
+
+
+@dataclass
+class _Result:
+    payload: str
+    raw: object = None
 
 
 @pytest.fixture
@@ -166,11 +185,14 @@ class TestSweepTmp:
         assert info["tmp_age_threshold"] == pytest.approx(3600.0)
 
     def test_tmp_age_env_knob(self, cache, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_TMP_AGE", "0")
+        """``0`` sweeps even a fresh temp file; ``nan`` must fall back
+        to the default hour, not turn the young-file guard off."""
         stamp_dir = cache.root / cache.stamp
         stamp_dir.mkdir(parents=True)
-        (stamp_dir / "tmpq.tmp").write_bytes(b"x")
-        assert cache.sweep_tmp() == 1
+        for value, swept in (("0", 1), ("nan", 0)):
+            monkeypatch.setenv("REPRO_CACHE_TMP_AGE", value)
+            (stamp_dir / "tmpq.tmp").write_bytes(b"x")
+            assert cache.sweep_tmp() == swept, value
 
     def test_sweep_on_missing_root_is_zero(self, tmp_path):
         assert RunCache(root=tmp_path / "nope", stamp="s").sweep_tmp() == 0
@@ -238,24 +260,28 @@ class TestVersionStamp:
 
 
 class TestPutOverwrite:
-    class _Spec:
-        def canonical(self):
-            return "spec"
-
-    class _Result:
-        raw = None
-
-        def __init__(self, tag):
-            self.tag = tag
-
     def test_default_put_keeps_existing_entry(self, cache):
-        spec = self._Spec()
-        cache.put(spec, self._Result("first"))
-        cache.put(spec, self._Result("second"))
-        assert cache.get(spec).tag == "first"
+        spec = _Spec("spec")
+        cache.put(spec, _Result("first"))
+        cache.put(spec, _Result("second"))
+        assert cache.get(spec).payload == "first"
 
     def test_overwrite_replaces_entry(self, cache):
-        spec = self._Spec()
-        cache.put(spec, self._Result("first"))
-        cache.put(spec, self._Result("upgraded"), overwrite=True)
-        assert cache.get(spec).tag == "upgraded"
+        spec = _Spec("spec")
+        cache.put(spec, _Result("first"))
+        cache.put(spec, _Result("upgraded"), overwrite=True)
+        assert cache.get(spec).payload == "upgraded"
+
+
+class TestLayout:
+    """Run and plane entries live in separate directories under one
+    stamp (the byte layout is pinned in ``test_cache_backends``)."""
+
+    def test_run_and_plane_with_same_key_do_not_collide(self, cache):
+        spec = _Spec("shared")
+        key = cache.key(spec)
+        cache.put(spec, _Result("run"))
+        assert cache.get_plane(key) is None
+        cache.put_plane(key, {"plane": 1})
+        assert cache.get(spec).payload == "run"
+        assert cache.get_plane(key) == {"plane": 1}
