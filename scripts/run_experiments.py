@@ -103,6 +103,15 @@ def main() -> int:
                              "harness (repro check --quick) before any "
                              "experiment; abort if it fails")
     args = parser.parse_args()
+    config = CONFIGS[args.config]()
+    matrix = experiment_matrix(config)
+    wanted = set(args.only.split(",")) if args.only else None
+    if wanted is not None:
+        unknown = wanted - {name for name, _ in matrix}
+        if unknown:
+            parser.error(f"unknown experiment id(s) in --only: "
+                         f"{', '.join(sorted(unknown))} (valid: "
+                         f"{', '.join(name for name, _ in matrix)})")
 
     if args.verify:
         from repro.verify import run_checks
@@ -117,15 +126,13 @@ def main() -> int:
 
     engine = parallel.configure(jobs=args.jobs, retries=args.retries,
                                 timeout=args.timeout)
-    config = CONFIGS[args.config]()
-    wanted = set(args.only.split(",")) if args.only else None
     dump = {"config": args.config, "jobs": engine.jobs}
     failed: dict[str, parallel.ExperimentFailure] = {}
 
     # The worker pool must come down on every exit path — an exception
     # or Ctrl-C mid-experiment must not leave orphaned workers behind.
     try:
-        for name, thunk in experiment_matrix(config):
+        for name, thunk in matrix:
             if wanted is not None and name not in wanted:
                 continue
             start = time.time()

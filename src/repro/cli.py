@@ -13,8 +13,6 @@ Commands:
     check                differential correctness harness: round-trip
                          fuzzing, cross-backend agreement, simulator
                          conservation invariants
-    bench report         render the checked-in BENCH_*.json benchmark
-                         records (before/after trajectory) as tables
 
 The CLI is a thin layer over the public API (``repro.run_app``,
 ``repro.harness.figures``), so everything it prints is reproducible from
@@ -221,15 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("-v", "--verbose", action="store_true",
                          help="list passing checks too")
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="render the checked-in benchmark records as text tables",
-    )
-    bench_p.add_argument("action", choices=("report",))
-    bench_p.add_argument("--files", nargs="+", default=None, metavar="JSON",
-                         help="benchmark record files (default: "
-                              "BENCH_runner.json and BENCH_compression.json "
-                              "in the current directory)")
     return parser
 
 
@@ -552,35 +541,6 @@ def _cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args) -> int:
-    import json
-    import os
-
-    from repro.harness.report import render_bench_report
-
-    paths = args.files
-    if paths is None:
-        paths = [p for p in ("BENCH_runner.json", "BENCH_compression.json")
-                 if os.path.exists(p)]
-        if not paths:
-            print("error: no BENCH_*.json files in the current directory "
-                  "(use --files)", file=sys.stderr)
-            return 1
-    first = True
-    for path in paths:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 1
-        if not first:
-            print()
-        print(render_bench_report(data, os.path.basename(path)))
-        first = False
-    return 0
-
-
 _COMMANDS = {
     "list-apps": lambda args: _cmd_list_apps(),
     "run": _cmd_run,
@@ -590,7 +550,6 @@ _COMMANDS = {
     "compress": _cmd_compress,
     "cache": _cmd_cache,
     "check": _cmd_check,
-    "bench": _cmd_bench,
 }
 
 

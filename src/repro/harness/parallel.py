@@ -33,18 +33,16 @@ Knobs (also documented in README.md):
   (default 1 retry, i.e. up to two attempts).
 * ``REPRO_RUN_TIMEOUT`` — per-spec wall-clock seconds before a running
   worker is considered hung and cancelled (0/unset disables; pool mode
-  only — a serial run cannot be interrupted).
-* ``REPRO_RETRY_BACKOFF`` — base backoff delay in seconds
-  (default 0.1; attempt ``n`` waits ``base * 2**(n-1)``, capped at 5s).
+  only — a serial run cannot be interrupted). Infinite, NaN or
+  larger-than-``threading.TIMEOUT_MAX`` values also disable it.
 * ``REPRO_FAULT_SPEC`` — deterministic fault injection for tests, e.g.
   ``PVC@CABA-BDI:raise:1;MM:hang:*`` (see :func:`maybe_inject_fault`).
-* ``REPRO_FAULT_HANG`` — sleep length of an injected hang (default
-  300s, so any realistic ``REPRO_RUN_TIMEOUT`` fires first).
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 import traceback as traceback_mod
 from collections import deque
@@ -55,8 +53,14 @@ from typing import Iterable, Sequence
 from repro.harness import runner
 from repro.harness.runner import RunResult, RunSpec
 
-#: Exponential-backoff cap so a long retry ladder stays bounded.
+#: Retry ``n`` (1-based) waits ``_BACKOFF_BASE * 2**(n-1)`` seconds,
+#: capped at ``_BACKOFF_CAP`` so a long retry ladder stays bounded.
+_BACKOFF_BASE = 0.1
 _BACKOFF_CAP = 5.0
+
+#: Sleep length of an injected ``hang`` fault; any test timeout fires
+#: first.
+_FAULT_HANG_S = 60.0
 
 
 def default_jobs() -> int:
@@ -89,13 +93,7 @@ def default_timeout() -> float | None:
 
 def _backoff_delay(attempt: int) -> float:
     """Delay before retry number ``attempt`` (1-based)."""
-    try:
-        base = float(os.environ.get("REPRO_RETRY_BACKOFF", "0.1"))
-    except ValueError:
-        base = 0.1
-    if base <= 0:
-        return 0.0
-    return min(_BACKOFF_CAP, base * (2.0 ** (attempt - 1)))
+    return min(_BACKOFF_CAP, _BACKOFF_BASE * (2.0 ** (attempt - 1)))
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +244,7 @@ def maybe_inject_fault(spec: RunSpec, attempt: int) -> None:
     if mode == "kill":
         os._exit(86)
     if mode == "hang":
-        try:
-            seconds = float(os.environ.get("REPRO_FAULT_HANG", "300"))
-        except ValueError:
-            seconds = 300.0
-        time.sleep(seconds)
+        time.sleep(_FAULT_HANG_S)
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +300,9 @@ class ExperimentEngine:
             (default 1 retry).
         timeout: Per-spec wall-clock seconds before a running worker is
             treated as hung. ``None`` reads ``REPRO_RUN_TIMEOUT``;
-            ``0`` disables explicitly. Pool mode only.
+            ``0`` disables explicitly, as does any value ``wait``
+            cannot take (NaN, inf, above ``threading.TIMEOUT_MAX``).
+            Pool mode only.
     """
 
     def __init__(self, jobs: int | None = None,
@@ -320,7 +316,7 @@ class ExperimentEngine:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if timeout is None:
             timeout = default_timeout()
-        elif timeout <= 0:
+        if timeout is not None and not 0 < timeout < threading.TIMEOUT_MAX:
             timeout = None
         self.timeout = timeout
         self._pool: ProcessPoolExecutor | None = None

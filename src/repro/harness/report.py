@@ -7,9 +7,6 @@ and series the paper reports, alongside the timing data.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
-
 from repro.harness.figures import FigureResult
 
 
@@ -53,93 +50,6 @@ def render_table(result: FigureResult, max_rows: int | None = None) -> str:
 def print_figure(result: FigureResult, max_rows: int | None = None) -> None:
     print()
     print(render_table(result, max_rows=max_rows))
-
-
-def _flatten_numeric(record: dict, prefix: str = "") -> dict[str, float]:
-    """Dotted-path view of a bench record's numeric leaves."""
-    out: dict[str, float] = {}
-    for key, value in record.items():
-        path = f"{prefix}.{key}" if prefix else key
-        if isinstance(value, dict):
-            out.update(_flatten_numeric(value, path))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[path] = value
-    return out
-
-
-def render_bench_report(data: dict, title: str) -> str:
-    """Render one ``BENCH_*.json`` trajectory as an aligned text table.
-
-    A *record* is any top-level entry carrying a ``python`` stamp (the
-    benchmark script writes one per ``--label``: before/after for the
-    runner file, baseline/latest for the compression file). Each numeric
-    leaf becomes a row with one column per record, in file order, plus a
-    derived trend column: wall-clock rows (``*seconds``) get the
-    first-to-last speedup, so the before/after trajectory reads directly
-    as "how much faster did this path get". Sections with more than one
-    wall-clock row additionally get a ``<section> (geomean)`` summary
-    row — the per-section trajectory at a glance, robust to one point
-    moving against the trend.
-    """
-    labels = [
-        key for key, value in data.items()
-        if isinstance(value, dict) and "python" in value
-    ]
-    if not labels:
-        return f"== {title} == (no benchmark records)"
-    flat = {
-        label: _flatten_numeric(
-            {k: v for k, v in data[label].items() if k != "python"}
-        )
-        for label in labels
-    }
-    metrics: list[str] = []
-    for label in labels:
-        for key in flat[label]:
-            if key not in metrics:
-                metrics.append(key)
-
-    header = ["metric", *labels, "trend"]
-    body = []
-    section_trends: dict[str, list[float]] = {}
-    for metric in metrics:
-        row = [metric]
-        values = []
-        for label in labels:
-            value = flat[label].get(metric)
-            row.append("" if value is None else _fmt(value))
-            if value is not None:
-                values.append(value)
-        trend = ""
-        if metric.endswith("seconds") and len(values) >= 2 and values[-1]:
-            ratio = values[0] / values[-1]
-            trend = f"{ratio:.2f}x"
-            section = metric.split(".", 1)[0]
-            section_trends.setdefault(section, []).append(ratio)
-        row.append(trend)
-        body.append(row)
-    for section, ratios in section_trends.items():
-        if len(ratios) < 2:
-            continue
-        gm = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-        body.append(
-            [f"{section} (geomean)", *[""] * len(labels), f"{gm:.2f}x"]
-        )
-
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in body))
-        for i in range(len(header))
-    ]
-    lines = [
-        f"== {title} ==",
-        "  ".join(header[i].ljust(widths[i]) for i in range(len(header))),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in body:
-        lines.append(
-            "  ".join(row[i].ljust(widths[i]) for i in range(len(row))).rstrip()
-        )
-    return "\n".join(lines)
 
 
 def render_bars(

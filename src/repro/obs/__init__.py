@@ -15,8 +15,8 @@ per traced run bundles
 Tracing is off by default and gated behind ``REPRO_TRACE=1`` (or the
 ``trace=True`` runner argument / ``repro trace`` CLI subcommand). With
 tracing off the instrumented components pay only a handful of ``is not
-None`` checks — the runner benchmark guard in
-``scripts/bench_hot_paths.py`` holds this under 3%. Observation never
+None`` checks, a cost included in every untraced (``--trace 0``)
+metric of ``perfbench/run.py``. Observation never
 feeds back into simulation, so traced and untraced runs produce
 bit-identical statistics (enforced by ``tests/obs``).
 """

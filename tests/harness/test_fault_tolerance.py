@@ -55,9 +55,8 @@ def _metrics(run):
 def _isolated(tmp_path, monkeypatch):
     """Private cache dir, zero backoff, and no inherited fault knobs."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-    for var in ("REPRO_FAULT_SPEC", "REPRO_FAULT_HANG",
-                "REPRO_RUN_TIMEOUT", "REPRO_RETRIES"):
+    monkeypatch.setattr(parallel, "_BACKOFF_BASE", 0.0)
+    for var in ("REPRO_FAULT_SPEC", "REPRO_RUN_TIMEOUT", "REPRO_RETRIES"):
         monkeypatch.delenv(var, raising=False)
     clear_caches()
     yield
@@ -207,7 +206,6 @@ class TestTimeout:
         clean = [run_spec(s, use_cache=False) for s in specs]
         clear_caches()
         monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:hang:1")
-        monkeypatch.setenv("REPRO_FAULT_HANG", "60")
         with ExperimentEngine(jobs=2, retries=1, timeout=1.5) as engine:
             out = engine.run_many(specs)
             assert engine.pool_respawns >= 1
@@ -216,7 +214,6 @@ class TestTimeout:
     def test_persistent_hang_reports_timeout(self, monkeypatch):
         specs = _specs()
         monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:hang:*")
-        monkeypatch.setenv("REPRO_FAULT_HANG", "60")
         with ExperimentEngine(jobs=2, retries=0, timeout=1.5) as engine:
             batch = engine.run_many(specs, strict=False)
         (failure,) = batch.failures
@@ -228,8 +225,12 @@ class TestTimeout:
     def test_env_timeout_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_TIMEOUT", "2.5")
         assert ExperimentEngine(jobs=2).timeout == 2.5
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "0")
-        assert ExperimentEngine(jobs=2).timeout is None
+        # 0, and values ``wait`` cannot take (they overflow or spin),
+        # disable the timeout.
+        for value in ("0", "inf", "1e10"):
+            monkeypatch.setenv("REPRO_RUN_TIMEOUT", value)
+            assert ExperimentEngine(jobs=2).timeout is None
+        assert ExperimentEngine(jobs=2, timeout=float("nan")).timeout is None
         # An explicit constructor argument wins over the environment.
         assert ExperimentEngine(jobs=2, timeout=1.0).timeout == 1.0
 
@@ -246,7 +247,6 @@ class TestCombinedFaults:
             "REPRO_FAULT_SPEC",
             f"{FAULTED_APP}:raise:1;CONS:hang:1",
         )
-        monkeypatch.setenv("REPRO_FAULT_HANG", "60")
         with ExperimentEngine(jobs=2, retries=1, timeout=1.5) as engine:
             out = engine.run_many(specs)
         assert [_metrics(a) for a in out] == [_metrics(b) for b in clean]

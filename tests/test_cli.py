@@ -214,57 +214,3 @@ class TestCheckSoa:
         assert "soa" in out
         assert "passed" in out
 
-
-class TestBench:
-    RECORD = {
-        "before": {
-            "python": "3.11",
-            "sim": {"PVC": {"seconds": 4.0, "cycles": 100}},
-        },
-        "after": {
-            "python": "3.11",
-            "sim": {"PVC": {"seconds": 2.0, "cycles": 100}},
-        },
-        "speedup": {"PVC": 2.0},
-    }
-
-    def test_report_renders_trajectory(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_runner.json"
-        path.write_text(json.dumps(self.RECORD))
-        assert main(["bench", "report", "--files", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "before" in out and "after" in out
-        assert "sim.PVC.seconds" in out
-        # seconds rows get a first-to-last trend column.
-        assert "2.00x" in out
-        # counts do not.
-        assert "sim.PVC.cycles" in out
-
-    def test_report_defaults_to_checked_in_records(self, capsys,
-                                                   monkeypatch):
-        from pathlib import Path
-
-        monkeypatch.chdir(Path(__file__).parent.parent)
-        assert main(["bench", "report"]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_runner.json" in out
-        assert "cycle_loop" in out or "sim." in out
-
-    def test_report_without_records_fails_cleanly(self, tmp_path, capsys,
-                                                  monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "report"]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_report_rejects_malformed_json(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["bench", "report", "--files", str(path)]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_bench_command_is_dispatchable(self):
-        from repro.cli import _COMMANDS
-
-        assert "bench" in _COMMANDS

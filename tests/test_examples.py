@@ -81,3 +81,22 @@ class TestResultsGate:
             }}
         }
         assert module.validate(broken) != 0
+
+
+class TestExperimentsDriver:
+    """``scripts/run_experiments.py`` argument handling."""
+
+    @pytest.mark.parametrize("only", ["fig99", "fig5,fig99"])
+    def test_unknown_only_id_is_a_usage_error(self, only, monkeypatch,
+                                              capsys):
+        import runpy
+
+        module = runpy.run_path(str(REPO / "scripts" / "run_experiments.py"))
+        monkeypatch.setattr(
+            "sys.argv", ["run_experiments.py", "--only", only])
+        with pytest.raises(SystemExit) as exc:
+            module["main"]()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "fig99" in err
+        assert "fig7" in err.split("valid:", 1)[1]
