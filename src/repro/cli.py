@@ -205,9 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(e.g. PVC@Base MM@CABA-BDI); requesting a "
                               "point outside the certified matrix fails "
                               "with UncertifiedSamplingPointError")
-    check_p.add_argument("--skip-soa", action="store_true",
-                         help="skip the SoA-vs-reference simulator "
-                              "differential")
     check_p.add_argument("--skip-scenarios", action="store_true",
                          help="skip the capacity-mode and prefetch/"
                               "memoization scenario invariants")
@@ -530,7 +527,6 @@ def _cmd_check(args) -> int:
         fuzz=not args.skip_fuzz,
         differential=not args.skip_differential,
         invariants=not args.skip_invariants,
-        soa=not args.skip_soa,
         sampling=sampling,
         scenarios=not args.skip_scenarios,
         differential_apps=differential_apps,

@@ -46,8 +46,8 @@ LOW = 1
 class ActiveAssistWarp:
     """One live AWT entry: a triggered assist-warp instance."""
 
-    #: Assist warps are never mirrored into the SoA arrays; the shared
-    #: issue paths (``SM._hold_registers``) test this before syncing.
+    #: Assist warps have no screen-code slot; the shared issue paths
+    #: (``SM._hold_registers``) test this before calling ``touch``.
     soa = None
 
     __slots__ = (
@@ -350,8 +350,7 @@ class CabaController(AssistController):
             # (Section 4.2.1).
             if not entry.owner.finished:
                 entry.owner.assist_block += 1
-                if entry.owner.soa is not None:
-                    touch(entry.owner)
+                touch(entry.owner)
                 aw.blocking = True
             self._high[entry.owner.sched].append(aw)
         else:
@@ -503,6 +502,7 @@ class CabaController(AssistController):
     def _unblock(self, aw: ActiveAssistWarp) -> None:
         if aw.blocking:
             aw.parent.assist_block -= 1
+            # A sampling skip can finish (and retire) a gated parent.
             if aw.parent.soa is not None:
                 touch(aw.parent)
             aw.blocking = False

@@ -91,7 +91,7 @@ class MemoParams:
 
 
 class _ActiveMemo:
-    #: Assist warps are never mirrored into the SoA arrays (see
+    #: Assist warps have no screen-code slot (see
     #: repro.gpu.warp.touch).
     soa = None
 
@@ -156,8 +156,7 @@ class MemoizationController(AssistController):
                              signature, region_len)
         assist.blocking = True
         warp.assist_block += 1
-        if warp.soa is not None:
-            touch(warp)
+        touch(warp)
         self._high[warp.sched].append(assist)
         self.stats.lookups += 1
 
@@ -246,8 +245,7 @@ class MemoizationController(AssistController):
             if warp.iteration >= warp.program.iterations:
                 warp.finished = True
                 finished = True
-        if warp.soa is not None:
-            touch(warp)
+        touch(warp)
         if finished:
             # Route through the SM so block-completion bookkeeping
             # (warp counts, block retirement) stays consistent.
@@ -256,6 +254,7 @@ class MemoizationController(AssistController):
     def _unblock(self, assist: _ActiveMemo) -> None:
         if assist.blocking:
             assist.parent.assist_block -= 1
+            # A sampling skip can finish (and retire) a gated parent.
             if assist.parent.soa is not None:
                 touch(assist.parent)
             assist.blocking = False

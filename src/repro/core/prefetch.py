@@ -85,7 +85,7 @@ class _Stream:
 
 
 class _ActivePrefetch:
-    #: Assist warps are never mirrored into the SoA arrays (see
+    #: Assist warps have no screen-code slot (see
     #: repro.gpu.warp.touch).
     soa = None
 

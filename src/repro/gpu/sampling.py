@@ -5,7 +5,7 @@ cycle of every SM runs in detail. This module trades a bounded amount of
 accuracy for asymptotic speed by alternating:
 
 * **detailed intervals** — ``warmup + measure`` cycles of full
-  execution (SoA or reference path, stats/ledger charging, real memory
+  execution (the issue path, stats/ledger charging, real memory
   timing), exactly as the exact simulator would run them; then
 * **skipped intervals** — ``skip`` cycles whose issue slots and stall
   mix are *extrapolated* from the rates observed during the most recent
@@ -40,13 +40,11 @@ byte counters stay consistent with their reserved bus cycles.
 
 Error model (documented bound: **≤2 %** on IPC / bandwidth utilization /
 compression-figure metrics at the default 10 % detail, enforced by
-``repro check``'s sampling differential and the ``cycle_loop_sampled``
-bench gate): error enters through (a) rate drift within a skipped
-window, bounded by re-measuring every period; (b) the warmup window
-being too short to re-reach steady state after a skip; (c) warmed
-traffic being replayed in program order at the skip boundary rather
-than interleaved in time. Don't use
-sampling for runs shorter than a few sampling periods, for figures that
+``repro check``'s sampling differential): error enters through (a) rate
+drift within a skipped window, bounded by re-measuring every period;
+(b) the warmup window being too short to re-reach steady state after a
+skip; (c) warmed traffic being replayed in program order at the skip
+boundary rather than interleaved in time. Don't use sampling for runs shorter than a few sampling periods, for figures that
 depend on absolute event counts of rare events, or when auditing
 invariants against exact-mode goldens.
 
@@ -92,11 +90,11 @@ class SampleConfig:
     """Knobs of one sampling period (all in cycles).
 
     The defaults run 10 % of cycles in detail (500 warmup + 1000
-    measure per 13500 skipped) — the operating point the
-    ``cycle_loop_sampled`` bench gate is calibrated for. Longer windows
-    at the same detail fraction average over more of the post-skip
-    queueing transient (fewer skip boundaries per run), which is worth
-    more accuracy than sampling more often.
+    measure per 13500 skipped) — the operating point ``repro check``'s
+    sampling differential (:mod:`repro.verify.sampling`) certifies.
+    Longer windows at the same detail fraction average over more of the
+    post-skip queueing transient (fewer skip boundaries per run), which
+    is worth more accuracy than sampling more often.
     """
 
     warmup: int = 500
@@ -536,8 +534,7 @@ class SamplingController:
             stats.register_reads += rreads
             stats.register_writes += rwrites
             total += instrs
-            if warp.soa is not None:
-                touch(warp)
+            touch(warp)
         for warp in finishers:
             sm._on_warp_finished(warp)
         return total

@@ -23,9 +23,9 @@ from repro.gpu.kernel import Kernel
 from repro.gpu.occupancy import Occupancy, compute_occupancy
 from repro.gpu.sampling import SampleConfig, SamplingController
 from repro.gpu.sm import SM
-from repro.gpu.soa import SoAState, soa_enabled
+from repro.gpu.soa import SoAState
 from repro.gpu.stats import SimStats
-from repro.gpu.warp import BlockContext, SoAWarpContext, WarpContext
+from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.image import MemoryImage
 
@@ -86,9 +86,13 @@ class Simulator:
             obs: A ``repro.obs.RunObservation`` to attach to every
                 component, or None (the default) for the untraced path.
             fast_forward: Disable to execute every cycle instead of
-                jumping uniform-stall gaps (testing/audit only; results
-                are identical for designs without a CABA controller,
-                whose utilization monitor samples executed cycles).
+                jumping uniform-stall gaps (results are identical for
+                designs without a CABA controller, whose utilization
+                monitor samples executed cycles). Kept for the checks
+                that pin the jump as exact:
+                ``tests/gpu/test_simulator.py::TestFastForwardIdentity``
+                and the random-program on/off test in
+                ``tests/gpu/test_simulator_fuzz.py``.
             sample: Interval-sampling knobs (repro.gpu.sampling), or
                 None (the default) for exact, byte-identical
                 simulation. The simulator never reads the environment
@@ -117,6 +121,11 @@ class Simulator:
         self._event_buckets: dict[int, list[Callable[[], None]]] = {}
         self._cycle = 0
 
+        # Live screen codes of every resident warp slot machine-wide.
+        self._soa = SoAState(
+            config.n_sms, config.schedulers_per_sm,
+            self.occupancy.blocks_per_sm * kernel.warps_per_block,
+        )
         self.sms = [
             SM(
                 sm_id=i,
@@ -124,6 +133,7 @@ class Simulator:
                 memory=self.memory,
                 schedule=self.schedule,
                 on_block_retired=self._on_block_retired,
+                soa=self._soa,
             )
             for i in range(config.n_sms)
         ]
@@ -142,18 +152,6 @@ class Simulator:
         self._ff_enabled = fast_forward
         self._sample = sample
         self._has_caba = caba_factory is not None
-
-        # Live screen codes (REPRO_SOA, default on). Must exist before
-        # the initial blocks are dispatched: warps are constructed as
-        # SoA-backed from the start.
-        self._soa = None
-        cap = self.occupancy.blocks_per_sm * kernel.warps_per_block
-        if cap > 0 and soa_enabled():
-            self._soa = SoAState(
-                config.n_sms, config.schedulers_per_sm, cap, kernel.program
-            )
-            for sm in self.sms:
-                sm.attach_soa(self._soa)
 
         self._pending_blocks: deque[int] = deque(range(kernel.n_blocks))
         self._blocks_retired = 0
@@ -190,14 +188,9 @@ class Simulator:
         soa = self._soa
         for w in range(self.kernel.warps_per_block):
             index = self.kernel.warp_linear_index(block_id, w)
-            if soa is None:
-                warp = WarpContext(index, block, program, 0)
-            else:
-                warp = SoAWarpContext(
-                    soa, soa.alloc(sm.sm_id, program), index, block,
-                    program, 0,
-                )
-            block.warps.append(warp)
+            block.warps.append(WarpContext(
+                soa, soa.alloc(sm.sm_id), index, block, program, 0
+            ))
         sm.add_block(block)
 
     def _on_block_retired(self, sm: SM) -> None:
@@ -246,11 +239,7 @@ class Simulator:
         cycles = self._event_cycles
         buckets = self._event_buckets
         heappop = heapq.heappop
-        sms = self.sms
-        if self._soa is not None:
-            ticks = [sm.tick_soa for sm in sms]
-        else:
-            ticks = [sm.tick for sm in sms]
+        ticks = [sm.tick for sm in self.sms]
         ff = self._ff_enabled
         while not self.done:
             cycle = self._cycle
@@ -304,14 +293,13 @@ class Simulator:
         """
         wake = float(self._event_cycles[0]) if self._event_cycles else _INF
         cycle = self._cycle
-        soa = self._soa
-        if soa is not None and not self._has_caba:
+        if not self._has_caba:
             # Without a CABA controller every SM's next_wake is exactly
             # its last tick's wake hint, mirrored into the SoA wake
-            # list at the end of tick_soa — one batched min replaces
+            # list at the end of SM.tick — one batched min replaces
             # the per-SM next_wake calls.
             if wake > cycle:
-                hint = min(soa.wake)
+                hint = min(self._soa.wake)
                 if hint < wake:
                     wake = hint
         else:

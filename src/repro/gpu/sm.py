@@ -20,6 +20,7 @@ from typing import Callable
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind
+from repro.gpu.soa import SoAState
 from repro.gpu.stats import STATE_ONLY_SLOTS, Slot, SmStats, UNIT_SLOTS
 from repro.gpu.warp import BlockContext, WarpContext, touch
 from repro.memory.hierarchy import MEM_SRC_DRAM, MEM_SRC_L1, MemorySystem
@@ -63,10 +64,9 @@ _CAT_IDLE = int(StallCat.IDLE)
 #: Refined category -> Figure-1 slot (indexable by the plain ints above).
 _CAT_SLOT = SLOT_OF_CAT
 
-#: Figure-1 slot -> stall-memo tier for the screened path: 0 = not
-#: memoizable (an instruction issued), 1 = valid while the scheduler's
-#: warp state is unchanged, 2 = additionally requires unchanged
-#: execution-unit/MSHR state.
+#: Figure-1 slot -> stall-memo tier: 0 = not memoizable (an instruction
+#: issued), 1 = valid while the scheduler's warp state is unchanged,
+#: 2 = additionally requires unchanged execution-unit/MSHR state.
 _MEMO_KIND = tuple(
     1 if slot in STATE_ONLY_SLOTS else (2 if slot in UNIT_SLOTS else 0)
     for slot in Slot
@@ -85,7 +85,11 @@ class SM:
         memory: MemorySystem,
         schedule: Callable[[int, Callable[[], None]], None],
         on_block_retired: Callable[["SM"], None],
+        soa: SoAState,
     ) -> None:
+        """``soa`` holds the screen codes of this SM's warp slots (and
+        of every other SM's, when shared machine-wide); warps added
+        through :meth:`add_block` must own slots of it."""
         self.sm_id = sm_id
         self.config = config
         self.memory = memory
@@ -132,9 +136,9 @@ class SM:
         self._pend_wid: list[int] = [NO_WARP] * n
         self._pend_n: list[int] = [0] * n
 
-        #: Screen codes (repro.gpu.soa); None = reference path.
-        self._soa = None
-        self._gid0 = 0
+        #: Screen codes (repro.gpu.soa) and this SM's first scheduler id.
+        self._soa = soa
+        self._gid0 = sm_id * n
         #: Per-scheduler stall memos, rebuilt by every scanned slot:
         #: (seq, cat, warp_id, kind, lsu_free, sfu_free, heavy_free,
         #:  mshr_epoch, expiry_cycle, scan_wake_hint); mshr_epoch -1
@@ -151,12 +155,6 @@ class SM:
         before the first tick so attribution is complete)."""
         self._ledger = obs.ledger
 
-    def attach_soa(self, soa) -> None:
-        """Adopt the screened issue path (``tick_soa``); must be
-        called before any block is dispatched."""
-        self._soa = soa
-        self._gid0 = self.sm_id * self.config.schedulers_per_sm
-
     # ------------------------------------------------------------------
     # Block / warp management
     # ------------------------------------------------------------------
@@ -169,11 +167,7 @@ class SM:
             warp.age = self._age_counter
             self._age_counter += 1
             self.sched_warps[warp.sched].append(warp)
-        soa = self._soa
-        if soa is not None:
-            gid0 = self._gid0
-            for warp in block.warps:
-                soa.bind(warp.slot, gid0 + warp.sched)
+            self._soa.bind(warp.slot, self._gid0 + warp.sched)
 
     def _retire_block(self, block: BlockContext) -> None:
         if block.retired:
@@ -186,15 +180,13 @@ class SM:
             self.sched_warps[s] = [w for w in warps if w not in retired]
             if self._current[s] in retired:
                 self._current[s] = None
-        soa = self._soa
-        if soa is not None:
-            # Free the slots before on_block_retired may dispatch a
-            # replacement block into them. detach() first: late
-            # register-release events on these warps must not write
-            # into a reassigned slot.
-            for warp in block.warps:
-                warp.detach()
-                soa.release(warp.slot)
+        # Free the slots before on_block_retired may dispatch a
+        # replacement block into them. detach() first: late
+        # register-release events on these warps must not write into a
+        # reassigned slot.
+        for warp in block.warps:
+            warp.detach()
+            self._soa.release(warp.slot)
         self.on_block_retired(self)
 
     def _check_block_drain(self, warp: WarpContext) -> None:
@@ -202,53 +194,25 @@ class SM:
         if block.all_finished and not block.retired and block.drained:
             self._retire_block(block)
 
-    @property
-    def resident_warps(self) -> int:
-        return sum(len(w) for w in self.sched_warps)
-
     # ------------------------------------------------------------------
     # Main per-cycle step
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> int:
-        """Run one cycle; returns the number of instructions issued."""
-        self.now = cycle
-        self._wake_hint = _INF
-        caba = self.caba
-        if caba is not None:
-            caba.tick(cycle)
-        issued = 0
-        slots = self.stats.slots
-        last = self._last_slots
-        ledger = self._ledger
-        n_sched = self.config.schedulers_per_sm
-        for s in range(n_sched):
-            cat = self._issue_slot(s, cycle)
-            if ledger is not None:
-                cat = self._charge(ledger, s, cat)
-            slot = _CAT_SLOT[cat]
-            slots[slot] += 1
-            last[s] = slot
-            if slot is Slot.ACTIVE:
-                issued += 1
-        if caba is not None:
-            caba.observe(issued, n_sched)
-        return issued
+        """Run one cycle; returns the number of instructions issued.
 
-    def tick_soa(self, cycle: int) -> int:
-        """``tick`` for the screened path: byte-identical observable
-        behaviour, but a scheduler slot is classified without a warp
-        scan wherever a memoized outcome is provably still valid, and
-        scans that do run pre-screen their warps against the live
+        A scheduler slot is classified without a warp scan wherever a
+        memoized outcome is provably still valid; scans that do run
+        (:meth:`_issue_slot`) pre-screen their warps against the live
         screen codes instead of attempting issue per warp.
 
         A memo is valid while the scheduler's seq counter is unchanged
         (tier 1: scoreboard/idle outcomes) and, for unit-gated stalls
         (tier 2), while the LSU/SFU/heavy-ALU reservations and the SM's
         MSHR epoch are also unchanged and no reserved unit has freed up
-        (``expiry``). Assist warps still get their reference-order
-        chance at every slot — ``issue_high``/``issue_low`` rotate
-        their queues and consume unit state even on stall cycles, so
-        they are re-run for real, never replayed.
+        (``expiry``). Assist warps still get their scan-order chance at
+        every slot — ``issue_high``/``issue_low`` rotate their queues
+        and consume unit state even on stall cycles, so they are re-run
+        for real, never replayed.
         """
         self.now = cycle
         self._wake_hint = _INF
@@ -321,7 +285,7 @@ class SM:
                 slots[slot] += 1
                 last[s] = slot
                 continue
-            cat = self._issue_slot_soa(s, cycle, codes)
+            cat = self._issue_slot(s, cycle, codes)
             if ledger is not None:
                 cat = self._charge(ledger, s, cat)
             slot = _CAT_SLOT[cat]
@@ -367,11 +331,20 @@ class SM:
         soa.wake[self.sm_id] = self._wake_hint
         return issued
 
-    def _issue_slot_soa(self, s: int, cycle: int, screen: list[int]) -> int:
-        """``_issue_slot`` with the per-warp scoreboard checks replaced
-        by the live screen codes: ``< SCREEN_BLOCKED`` is a candidate
-        (the code is its instruction class), ``< 32`` is
-        scoreboard-blocked, the rest are finished/barrier/assist-gated.
+    # ------------------------------------------------------------------
+    # Issue-slot logic
+    # ------------------------------------------------------------------
+    def _issue_slot(self, s: int, cycle: int, screen: list[int]) -> int:
+        """Classify scheduler ``s``'s slot per Figure 1, issuing the
+        instruction that takes it if any: a high-priority assist warp,
+        else the greedy current warp (GTO) or the first issuable parent
+        warp in scan order, else a low-priority assist warp, else the
+        strongest stall seen (memory > compute > dependence > idle).
+
+        Warps are screened by their live screen codes
+        (:mod:`repro.gpu.soa`): ``< SCREEN_BLOCKED`` is a candidate (the
+        code is its instruction class), ``< 32`` is scoreboard-blocked,
+        the rest are finished/barrier/assist-gated.
 
         Unit reservations cannot change across a scan's *failed*
         attempts, so the structural gates every issue path checks first
@@ -408,9 +381,10 @@ class SM:
         mshr_full = memory._mshr_used[self.sm_id] >= self.config.l1_mshrs
         inflight = memory._inflight[self.sm_id]
         current = self._current[s] if self._greedy else None
-        # A stale greedy current whose block has retired is detached
-        # from the arrays (its slot may have been reassigned); it is
-        # finished, so the reference scan would skip it too.
+        # GTO: stay greedy on the current warp until it stalls. A warp
+        # whose final issue retired its block stays current but is
+        # detached (its slot may have been reassigned); it is finished,
+        # so it is skipped like any finished warp.
         if current is not None and current.soa is not None:
             code = screen[current.slot]
             if code < 16:
@@ -554,6 +528,8 @@ class SM:
         if caba is not None and caba.issue_low(s, cycle):
             self._attr_warp = ASSIST_WARP
             return _CAT_ASSIST
+        # Priority order matches the coarse Figure-1 classification
+        # (memory > compute > dependence).
         if saw & _SAW_MEM:
             return _CAT_MSHR_FULL if saw & _SAW_MSHR else _CAT_LSU
         if saw & _SAW_ALU:
@@ -631,79 +607,6 @@ class SM:
         return self._wake_hint
 
     # ------------------------------------------------------------------
-    # Issue-slot logic
-    # ------------------------------------------------------------------
-    def _issue_slot(self, s: int, cycle: int) -> int:
-        caba = self.caba
-        if caba is not None and caba.issue_high(s, cycle):
-            self._attr_warp = ASSIST_WARP
-            return _CAT_ASSIST
-
-        saw = 0
-        current = self._current[s] if self._greedy else None
-        # can_consider() is inlined as attribute checks below: this is
-        # the hottest loop in the simulator and the method-call overhead
-        # dominated it under profile.
-        if current is not None and not (
-            current.finished or current.at_barrier or current.assist_block
-        ):
-            # GTO: stay greedy on the current warp until it stalls.
-            status = self._try_issue(current, cycle)
-            if status == _OK:
-                self._attr_warp = current.global_index
-                return _CAT_ISSUE
-            saw |= 1 << status
-        warps = self.sched_warps[s]
-        n = len(warps)
-        if self._greedy:
-            for warp in warps:
-                if (
-                    warp is current
-                    or warp.finished
-                    or warp.at_barrier
-                    or warp.assist_block
-                ):
-                    continue
-                status = self._try_issue(warp, cycle)
-                if status == _OK:
-                    self._current[s] = warp
-                    self._attr_warp = warp.global_index
-                    return _CAT_ISSUE
-                saw |= 1 << status
-        else:
-            start = self._rr[s] % max(1, n)
-            for k in range(n):
-                warp = warps[(start + k) % n]
-                if (
-                    warp is current
-                    or warp.finished
-                    or warp.at_barrier
-                    or warp.assist_block
-                ):
-                    continue
-                status = self._try_issue(warp, cycle)
-                if status == _OK:
-                    self._current[s] = warp
-                    self._attr_warp = warp.global_index
-                    # LRR: next cycle starts after the warp that issued.
-                    self._rr[s] = (start + k + 1) % max(1, n)
-                    return _CAT_ISSUE
-                saw |= 1 << status
-
-        if caba is not None and caba.issue_low(s, cycle):
-            self._attr_warp = ASSIST_WARP
-            return _CAT_ASSIST
-        # Priority order matches the coarse Figure-1 classification
-        # (memory > compute > dependence), so SmStats.slots is unchanged.
-        if saw & _SAW_MEM:
-            return _CAT_MSHR_FULL if saw & _SAW_MSHR else _CAT_LSU
-        if saw & _SAW_ALU:
-            return _CAT_COMPUTE
-        if saw & _SAW_DEP:
-            return _CAT_SCOREBOARD
-        return _CAT_IDLE
-
-    # ------------------------------------------------------------------
     # Traced-path refinement (never reached with tracing off)
     # ------------------------------------------------------------------
     def _charge(self, ledger, s: int, cat: int) -> int:
@@ -720,7 +623,7 @@ class SM:
             # property of the SM, not of one warp.
             wid = NO_WARP
         self._last_cats[s] = (cat, wid)
-        # Inlined _charge_slot fast path (see tick_soa): consecutive
+        # Inlined _charge_slot fast path (see tick): consecutive
         # identical charges dominate, and this runs once per scheduler
         # per traced cycle.
         if (
@@ -902,8 +805,7 @@ class SM:
         if self.caba is not None:
             self.caba.on_global_load(warp, lines, cycle)
         warp.pending_mask |= instr.dst_mask
-        if warp.soa is not None:
-            touch(warp)
+        touch(warp)
         warp.outstanding_mem += 1
         if self._ledger is not None:
             # Deepest level any of this warp's fills travelled to; used
@@ -920,8 +822,7 @@ class SM:
             remaining -= 1
             if remaining == 0:
                 warp.pending_mask &= ~instr.dst_mask
-                if warp.soa is not None:
-                    touch(warp)
+                touch(warp)
                 warp.outstanding_mem -= 1
                 self._check_block_drain(warp)
 
@@ -999,8 +900,7 @@ class SM:
         self.stats.warps_finished += 1
         if warp.at_barrier:
             warp.at_barrier = False
-            if warp.soa is not None:
-                touch(warp)
+            touch(warp)
         block = warp.block
         if block.note_warp_finished():
             block.all_finished = True

@@ -23,23 +23,19 @@ attempt per warp:
 
 Everything is plain Python lists: at the per-slot granularity of the
 mutation sites, list stores beat any vectorized recompute, and the
-module runs wherever the reference scan does.
-
-Enabled via ``REPRO_SOA`` (default on); ``REPRO_SOA=0`` selects the
-reference scan. The flag is read per simulation, so tests can flip
-modes per run.
+simulator needs no numpy.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.gpu.isa import MemSpace, OpKind
 
 
 def soa_enabled() -> bool:
-    """Whether new simulations should use the screened issue path."""
-    return os.environ.get("REPRO_SOA", "1") != "0"
+    """Always True: the screened issue path is the simulator's only
+    issue path. Kept so run-provenance records that report the
+    simulator path keep their field."""
+    return True
 
 
 #: Screen codes (one per warp slot). A candidate's code is its
@@ -71,11 +67,11 @@ class SoAState:
     absorbs stray touches.
     """
 
-    def __init__(self, n_sms: int, n_sched: int, cap: int, program) -> None:
+    def __init__(self, n_sms: int, n_sched: int, cap: int) -> None:
         self.cap = cap
         n_slots = n_sms * cap
         self.n_gids = n_sms * n_sched
-        #: Per-SM wake hint, written at the end of every tick_soa —
+        #: Per-SM wake hint, written at the end of every ``SM.tick`` —
         #: exactly what ``SM.next_wake`` returns for a SM without a
         #: CABA controller, so the simulator's fast-forward can take
         #: one min over the list instead of calling into every SM.
@@ -90,44 +86,54 @@ class SoAState:
             list(range(cap * (i + 1) - 1, cap * i - 1, -1))
             for i in range(n_sms)
         ]
-
-        body = program.body
-        #: Registers the instruction at each pc waits on: the issue
-        #: scan's scoreboard check is ``pending & (src | dst)``.
-        self.need_lut: list[int] = [
-            instr.src_mask | instr.dst_mask for instr in body
-        ] or [0]
-        # Imported here: sm.py imports this module (through warp.py).
-        from repro.gpu.sm import HEAVY_ALU_LATENCY
-
-        def klass(instr) -> int:
-            kind = instr.kind
-            if kind is OpKind.LOAD and instr.space is MemSpace.GLOBAL:
-                return KLASS_GLOAD
-            if kind is OpKind.LOAD or kind is OpKind.STORE:
-                return KLASS_MEM
-            if kind is OpKind.SFU:
-                return KLASS_SFU
-            if kind is OpKind.ALU and instr.latency >= HEAVY_ALU_LATENCY:
-                return KLASS_HEAVY
-            return KLASS_ANY
-
-        #: Instruction class at each pc (candidate screen codes).
-        self.klass_lut: list[int] = [klass(instr) for instr in body] or [0]
         #: Live screen code of each slot: ``klass_lut[pc]``, plus
         #: SCREEN_BLOCKED when ``pending & need_lut[pc]``, plus
-        #: SCREEN_INACTIVE when finished/at a barrier/assist-gated. An
-        #: unbound slot holds the code of a freshly dispatched warp.
-        self.code: list[int] = [self.klass_lut[0]] * n_slots
-        self._program = program
+        #: SCREEN_INACTIVE when finished/at a barrier/assist-gated
+        #: (lookup tables of the warp's program, see :meth:`luts`).
+        #: Written by the warp's constructor and by every ``touch``.
+        self.code: list[int] = [0] * n_slots
+        # id(program) -> (program, klass_lut, need_lut); the program is
+        # held so its id cannot be reused while the entry lives.
+        self._luts: dict[int, tuple] = {}
+
+    def luts(self, program) -> tuple[list[int], list[int]]:
+        """The per-pc ``(klass_lut, need_lut)`` tables of ``program``,
+        built on first use. Warps keep a reference to their program's
+        pair, so recomputing a screen code costs two list reads."""
+        entry = self._luts.get(id(program))
+        if entry is None:
+            # Imported here: sm.py imports this module (through warp.py).
+            from repro.gpu.sm import HEAVY_ALU_LATENCY
+
+            def klass(instr) -> int:
+                kind = instr.kind
+                if kind is OpKind.LOAD and instr.space is MemSpace.GLOBAL:
+                    return KLASS_GLOAD
+                if kind is OpKind.LOAD or kind is OpKind.STORE:
+                    return KLASS_MEM
+                if kind is OpKind.SFU:
+                    return KLASS_SFU
+                if kind is OpKind.ALU and instr.latency >= HEAVY_ALU_LATENCY:
+                    return KLASS_HEAVY
+                return KLASS_ANY
+
+            body = program.body
+            entry = (
+                program,
+                # Instruction class at each pc (candidate screen codes).
+                [klass(instr) for instr in body] or [0],
+                # Registers the instruction at each pc waits on: the
+                # issue scan's scoreboard check is ``pending & (src | dst)``.
+                [instr.src_mask | instr.dst_mask for instr in body] or [0],
+            )
+            self._luts[id(program)] = entry
+        return entry[1], entry[2]
 
     # ------------------------------------------------------------------
     # Slot lifecycle
     # ------------------------------------------------------------------
-    def alloc(self, sm_id: int, program) -> int:
+    def alloc(self, sm_id: int) -> int:
         """Claim a slot for a new resident warp of ``sm_id``."""
-        if program is not self._program:  # pragma: no cover - one kernel
-            raise AssertionError("SoAState is specialized to one program")
         return self._free[sm_id].pop()
 
     def bind(self, slot: int, gid: int) -> None:
@@ -140,5 +146,4 @@ class SoAState:
         """Return a retired warp's slot to the free pool."""
         self.seq[self.gid_of[slot]] += 1
         self.gid_of[slot] = self.n_gids
-        self.code[slot] = self.klass_lut[0]
         self._free[slot // self.cap].append(slot)

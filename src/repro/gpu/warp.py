@@ -3,6 +3,8 @@
 A :class:`WarpContext` is the scheduler-visible state of one warp: its
 position in the program, its scoreboard (a bitmask of registers with
 outstanding writes), barrier state and outstanding-memory accounting.
+Every warp owns a slot of a :class:`repro.gpu.soa.SoAState`, whose
+screen code :func:`touch` keeps current.
 Assist warps get their own lightweight scoreboard inside the CABA
 framework; parent warps additionally carry an ``assist_block`` counter —
 a high-priority (blocking) assist warp stalls its parent until it
@@ -11,21 +13,24 @@ completes (Section 4.2.1: "stalls the progress of its parent warp").
 
 from __future__ import annotations
 
-from repro.gpu.isa import Instr, Program
+from repro.gpu.isa import Program
 from repro.gpu.soa import SCREEN_BLOCKED, SCREEN_INACTIVE
 
 
 class WarpContext:
-    """Dynamic state of one resident warp."""
+    """Dynamic state of one resident warp.
 
-    #: SoA mirror handle. ``None`` on the reference path (and on assist
-    #: warps); :class:`SoAWarpContext` overrides it with a real slot.
-    #: Mutation sites test ``warp.soa is not None`` before calling
-    #: :func:`touch`, so the reference path pays one class-attribute
-    #: read per state-changing event and nothing else.
-    soa = None
+    The scheduler-facing fields are plain attributes; the warp's screen
+    code in ``soa.code[slot]`` is kept current by :func:`touch` calls at
+    the mutation sites, plus :meth:`advance` for the hottest write (the
+    program counter moving past an issued instruction).
+    """
 
     __slots__ = (
+        "soa",
+        "slot",
+        "klass_lut",
+        "need_lut",
         "global_index",
         "block",
         "program",
@@ -45,8 +50,15 @@ class WarpContext:
     )
 
     def __init__(
-        self, global_index: int, block: "BlockContext", program: Program, age: int
+        self, soa, slot: int, global_index: int, block: "BlockContext",
+        program: Program, age: int,
     ) -> None:
+        #: Screen-code state and this warp's slot in it; ``soa`` is
+        #: None once :meth:`detach` ran.
+        self.soa = soa
+        self.slot = slot
+        self.klass_lut, self.need_lut = soa.luts(program)
+        soa.code[slot] = self.klass_lut[0]
         self.global_index = global_index
         self.block = block
         self.program = program
@@ -77,25 +89,25 @@ class WarpContext:
         self.mem_source = 0
 
     # ------------------------------------------------------------------
-    @property
-    def current_instr(self) -> Instr:
-        return self.program.body[self.pc]
-
-    def can_consider(self) -> bool:
-        """Whether the scheduler should look at this warp at all."""
-        return not (self.finished or self.at_barrier or self.assist_block > 0)
-
     def advance(self) -> bool:
         """Move past the just-issued instruction; True when the warp is
         executing its final instruction of the final iteration."""
         self.pc += 1
+        finished = False
         if self.pc >= len(self.program.body):
             self.pc = 0
             self.iteration += 1
             if self.iteration >= self.program.iterations:
-                self.finished = True
-                return True
-        return False
+                self.finished = finished = True
+        touch(self)
+        return finished
+
+    def detach(self) -> None:
+        """Disconnect from the screen codes (called when the slot is
+        released). Late register-release events on retired warps keep
+        mutating the plain attributes, but must not write into a slot
+        that may already belong to a new warp."""
+        self.soa = None
 
     @property
     def drained(self) -> bool:
@@ -108,9 +120,9 @@ def touch(warp) -> None:
     scheduler's memoized scan results.
 
     Every site that mutates a tracked field (``pc``, ``pending_mask``,
-    ``finished``, ``at_barrier``, ``assist_block``) calls this — guarded
-    by ``warp.soa is not None`` so the reference path and detached
-    warps skip it with a single attribute read. The fields stay plain
+    ``finished``, ``at_barrier``, ``assist_block``) calls this. Sites
+    that assist warps (which have no slot) or detached warps can reach
+    guard the call with ``warp.soa is not None``. The fields stay plain
     slot attributes: an earlier property-based write-through doubled
     the cost of every hot-path *read* (the issue scan reads
     ``pending_mask``/``pc`` millions of times per run), whereas
@@ -126,46 +138,13 @@ def touch(warp) -> None:
     soa = warp.soa
     slot = warp.slot
     pc = warp.pc
-    code = soa.klass_lut[pc]
-    if warp.pending_mask & soa.need_lut[pc]:
+    code = warp.klass_lut[pc]
+    if warp.pending_mask & warp.need_lut[pc]:
         code += SCREEN_BLOCKED
     if warp.finished or warp.at_barrier or warp.assist_block:
         code += SCREEN_INACTIVE
     soa.code[slot] = code
     soa.seq[soa.gid_of[slot]] += 1
-
-
-class SoAWarpContext(WarpContext):
-    """A warp whose screen code lives in a
-    :class:`repro.gpu.soa.SoAState` slot.
-
-    The scheduler-facing contract is identical to :class:`WarpContext`
-    — same plain attributes, same costs on the read side. The code is
-    kept current by :func:`touch` calls at the mutation sites, plus the
-    :meth:`advance` override below for the hottest write (the program
-    counter moving past an issued instruction).
-    """
-
-    __slots__ = ("soa", "slot")
-
-    def __init__(self, soa, slot: int, global_index: int,
-                 block: "BlockContext", program: Program, age: int) -> None:
-        self.soa = soa
-        self.slot = slot
-        super().__init__(global_index, block, program, age)
-
-    def advance(self) -> bool:
-        finished = super().advance()
-        if self.soa is not None:
-            touch(self)
-        return finished
-
-    def detach(self) -> None:
-        """Disconnect from the screen codes (called when the slot is
-        released). Late register-release events on retired warps keep
-        mutating the plain attributes, but must not write into a slot
-        that may already belong to a new warp."""
-        self.soa = None
 
 
 class BlockContext:
@@ -191,8 +170,7 @@ class BlockContext:
     def arrive_at_barrier(self, warp: WarpContext) -> bool:
         """Register a barrier arrival; True when the barrier releases."""
         warp.at_barrier = True
-        if warp.soa is not None:
-            touch(warp)
+        touch(warp)
         self.barrier_arrivals += 1
         # Finished warps never reach the barrier again; they count as
         # permanently arrived (CUDA semantics: exited threads do not
@@ -203,8 +181,7 @@ class BlockContext:
             for member in self.warps:
                 if member.at_barrier:
                     member.at_barrier = False
-                    if member.soa is not None:
-                        touch(member)
+                    touch(member)
             return True
         return False
 

@@ -162,7 +162,11 @@ def clear_caches() -> None:
 
 def planes_enabled() -> bool:
     """Whether precomputed compression planes are in use (default yes;
-    ``REPRO_PLANES=0`` forces the scalar per-access path everywhere)."""
+    ``REPRO_PLANES=0`` forces the scalar per-access path everywhere).
+
+    The switch stays for the checks that pin planes against the scalar
+    path: :mod:`repro.verify.differential` and
+    ``tests/harness/test_planes.py``."""
     return os.environ.get("REPRO_PLANES", "1") != "0"
 
 

@@ -1,6 +1,6 @@
 """Differential correctness harness (``repro check``).
 
-Three independent verification passes over the repository's correctness
+Independent verification passes over the repository's correctness
 surface:
 
 * :mod:`repro.verify.fuzz` — seeded adversarial round-trip fuzzing of
@@ -11,8 +11,6 @@ surface:
 * :mod:`repro.verify.invariants` — conservation laws replayed on traced
   simulation runs (issue slots, MSHRs, flits, DRAM bursts, compressed
   cache budgets),
-* :mod:`repro.verify.soa` — byte-identical agreement of the screened
-  (``REPRO_SOA``) and reference simulator issue paths on replayed runs,
 * :mod:`repro.verify.sampling` — bounded-error agreement (≤2 % on IPC /
   bandwidth / compression ratio) of interval-sampled runs against exact
   runs on the calibrated matrix, plus bit-exact parent-instruction
@@ -46,7 +44,6 @@ from repro.verify.sampling import (
     require_certified,
     sampling_differential,
 )
-from repro.verify.soa import soa_differential
 
 __all__ = [
     "ALL_ALGORITHMS",
@@ -65,7 +62,6 @@ __all__ = [
     "require_certified",
     "run_checks",
     "sampling_differential",
-    "soa_differential",
 ]
 
 
@@ -77,7 +73,6 @@ def run_checks(
     fuzz: bool = True,
     differential: bool = True,
     invariants: bool = True,
-    soa: bool = True,
     sampling: bool = True,
     scenarios: bool = True,
     differential_apps: Sequence[str] | None = None,
@@ -94,7 +89,7 @@ def run_checks(
         apps: App image set for the differential and invariant passes
             (defaults per pass: Fig-11 spanning set / golden trio).
         algorithms: Algorithm subset (default: all five).
-        fuzz / differential / invariants / soa / sampling / scenarios:
+        fuzz / differential / invariants / sampling / scenarios:
             Enable individual passes. The sampling differential and the
             scenario pass ignore ``apps``/``algorithms``: the sampling
             certification matrix is pinned (see
@@ -129,13 +124,6 @@ def run_checks(
         report.extend(check_invariants(
             apps=tuple(apps) if apps else INVARIANT_APPS,
             algorithms=algorithm_set,
-        ))
-    if soa:
-        from repro.verify.soa import DEFAULT_APPS as SOA_APPS
-
-        report.extend(soa_differential(
-            apps=tuple(apps) if apps else SOA_APPS,
-            algorithm=algorithm_set[0],
         ))
     if sampling:
         if sampling_points:

@@ -12,6 +12,7 @@ from repro.core.subroutines import SubroutineLibrary
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.sm import SM
+from repro.gpu.soa import SoAState
 from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.image import MemoryImage
@@ -36,9 +37,12 @@ class CabaHarness:
         self.events = []
         self.seq = 0
         self.retired = []
+        self.soa = SoAState(1, self.config.schedulers_per_sm,
+                            self.config.warps_per_sm)
         self.sm = SM(0, self.config, self.memory,
                      schedule=self._schedule,
-                     on_block_retired=self.retired.append)
+                     on_block_retired=self.retired.append,
+                     soa=self.soa)
         self.caba = CabaController(
             self.sm, params or CabaParams(), SubroutineLibrary(), "bdi"
         )
@@ -53,7 +57,8 @@ class CabaHarness:
     def add_warps(self, programs):
         block = BlockContext(0)
         for i, program in enumerate(programs):
-            block.warps.append(WarpContext(i, block, program, age=i))
+            block.warps.append(WarpContext(self.soa, self.soa.alloc(0), i,
+                                           block, program, age=i))
         self.sm.add_block(block)
         return block.warps
 

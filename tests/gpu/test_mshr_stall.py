@@ -11,7 +11,6 @@ probing the memory system. A partial send — the pre-check passes, then
 is retried in full on the next cycle.
 """
 
-import heapq
 from dataclasses import replace
 
 import pytest
@@ -20,13 +19,12 @@ from repro import design as designs
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind, reg_mask
 from repro.gpu.sm import SM
-from repro.gpu.soa import SoAState
-from repro.gpu.warp import BlockContext, SoAWarpContext, WarpContext
 from repro.harness.runner import clear_caches, run_app
 from repro.memory.hierarchy import MemorySystem
 from repro.workloads.tracegen import TraceScale
 
 from tests.gpu.test_sm import SmHarness, alu_i, prog
+from tests.gpu.test_soa_equivalence import forced_rescan
 
 
 class ProbeLog:
@@ -80,18 +78,20 @@ class ProbeLog:
             self.wasted.append((sm_id, warp.global_index, stalled))
 
 
-@pytest.mark.parametrize("soa", ["0", "1"])
+@pytest.mark.parametrize("memo", ["0", "1"])
 def test_stalled_load_reprobed_only_after_release_or_line_in_flight(
-    monkeypatch, soa
+    monkeypatch, memo
 ):
     """MM/Base on the small machine fills its MSHRs constantly; every
     re-probe of a stalled load must find an MSHR free or the blocking
-    line in flight — otherwise the probe was a foregone failure."""
-    monkeypatch.setenv("REPRO_SOA", soa)
+    line in flight — otherwise the probe was a foregone failure. With
+    ``memo="0"`` every memoized stall is dropped before each cycle,
+    so every slot runs the scan's own MSHR-stall skip."""
     log = ProbeLog(monkeypatch)
-    clear_caches()
-    run_app("MM", designs.base(), GPUConfig.small(),
-            scale=TraceScale(work=0.25, waves=0.25), use_cache=False)
+    with forced_rescan(enabled=memo == "0"):
+        clear_caches()
+        run_app("MM", designs.base(), GPUConfig.small(),
+                scale=TraceScale(work=0.25, waves=0.25), use_cache=False)
     assert log.failures > 0, "no MSHR stall exercised"
     assert log.wasted == []
 
@@ -107,59 +107,37 @@ def _multi_line_load():
     ])
 
 
-def _two_mshr_harness(soa: bool):
-    """One warp whose four-line load overflows a two-MSHR L1."""
-    h = SmHarness(config=replace(GPUConfig.small(), l1_mshrs=2))
-    program = _multi_line_load()
-    block = BlockContext(0)
-    if soa:
-        state = SoAState(1, h.config.schedulers_per_sm, 4, program)
-        h.sm.attach_soa(state)
-        warp = SoAWarpContext(state, state.alloc(0, program), 0, block,
-                              program, age=0)
-    else:
-        warp = WarpContext(0, block, program, age=0)
-    block.warps.append(warp)
-    h.sm.add_block(block)
-    return h, warp
-
-
-def _tick(h, soa: bool) -> None:
-    """``SmHarness.run(1)``, on the screened path when ``soa``."""
-    while h.events and h.events[0][0] <= h.cycle:
-        heapq.heappop(h.events)[2]()
-    (h.sm.tick_soa if soa else h.sm.tick)(h.cycle)
-    h.cycle += 1
-
-
-@pytest.mark.parametrize("soa", [False, True])
+@pytest.mark.parametrize("memo", [False, True])
 def test_partial_send_stays_unarmed_and_retries_next_cycle(
-    monkeypatch, soa
+    monkeypatch, memo
 ):
-    h, warp = _two_mshr_harness(soa)
+    """One warp whose four-line load overflows a two-MSHR L1. With
+    ``memo=False`` every memoized stall is dropped before each
+    cycle, so the scan itself must reach the same outcomes."""
+    h = SmHarness(config=replace(GPUConfig.small(), l1_mshrs=2))
+    (warp,) = h.add_block([_multi_line_load()]).warps
     log = ProbeLog(monkeypatch)
-
-    # Cycle 0: the pre-check passes (MSHRs free), two lines are sent,
-    # then the third finds no MSHR. Nothing is armed and the stall is
-    # not memoized.
-    _tick(h, soa)
-    assert h.memory.stats.mshr_allocs == 2
-    assert h.memory.stats.mshr_stalls == 1
-    assert h.sm.stats.loads == 0
-    assert warp.mshr_stall_line is None
-    if soa:
+    with forced_rescan(enabled=not memo):
+        # Cycle 0: the pre-check passes (MSHRs free), two lines are
+        # sent, then the third finds no MSHR. Nothing is armed and the
+        # stall is not memoized.
+        h.run(1)
+        assert h.memory.stats.mshr_allocs == 2
+        assert h.memory.stats.mshr_stalls == 1
+        assert h.sm.stats.loads == 0
+        assert warp.mshr_stall_line is None
         assert h.sm._memos[warp.sched] is None
 
-    # Cycle 1: retried in full; the pre-check now fails on the first
-    # line not in flight and arms the skip on it.
-    probes = log.probes
-    _tick(h, soa)
-    assert log.probes > probes
-    assert warp.mshr_stall_line == LOAD_LINES[2]
+        # Cycle 1: retried in full; the pre-check now fails on the first
+        # line not in flight and arms the skip on it.
+        probes = log.probes
+        h.run(1)
+        assert log.probes > probes
+        assert warp.mshr_stall_line == LOAD_LINES[2]
 
-    # Cycle 2: nothing was released, so the retry probes nothing.
-    probes = log.probes
-    _tick(h, soa)
-    assert log.probes == probes
-    assert h.sm.stats.loads == 0
-    assert log.wasted == []
+        # Cycle 2: nothing was released, so the retry probes nothing.
+        probes = log.probes
+        h.run(1)
+        assert log.probes == probes
+        assert h.sm.stats.loads == 0
+        assert log.wasted == []

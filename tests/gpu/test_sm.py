@@ -8,6 +8,7 @@ from repro import design as designs
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.sm import SM
+from repro.gpu.soa import SoAState
 from repro.gpu.stats import Slot
 from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
@@ -28,12 +29,15 @@ class SmHarness:
         self.events = []
         self.seq = 0
         self.retired = []
+        self.soa = SoAState(1, self.config.schedulers_per_sm,
+                            self.config.warps_per_sm)
         self.sm = SM(
             sm_id=0,
             config=self.config,
             memory=self.memory,
             schedule=self._schedule,
             on_block_retired=self.retired.append,
+            soa=self.soa,
         )
         self.cycle = 0
 
@@ -45,7 +49,8 @@ class SmHarness:
     def add_block(self, programs):
         block = BlockContext(len(self.retired))
         for i, program in enumerate(programs):
-            block.warps.append(WarpContext(i, block, program, age=i))
+            block.warps.append(WarpContext(self.soa, self.soa.alloc(0), i,
+                                           block, program, age=i))
         self.sm.add_block(block)
         return block
 

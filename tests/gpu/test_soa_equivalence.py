@@ -1,24 +1,25 @@
-"""SoA-vs-reference equivalence suite.
+"""Memo-layer equivalence suite for the screened issue path.
 
-``REPRO_SOA`` selects between the screened issue path (live per-slot
-screen codes, memoized scans) and the reference scan. The two are
-contractually byte-identical: same cycle counts, same per-SM slot
-accounting, same memory traffic, same figures. This suite pins that
-contract three ways:
+``SM.tick`` classifies a scheduler's slot without a warp scan wherever
+a memoized outcome is provably still valid (see ``SM.tick`` for the
+validity rules); only the remaining slots run ``SM._issue_slot``'s scan
+over the live screen codes. The memo layer's reference is the same path
+with every memo invalidated before each cycle (``forced_rescan``): then
+every slot is classified by a real scan. The memo layer must be
+invisible. This suite pins that three ways:
 
-* the reference mode must reproduce ``tests/fixtures/golden_stats.json``
-  byte-exactly (the fixture pins the default mode, so transitivity
-  gives SoA == reference over the full 3-app x 5-algorithm matrix);
-* both modes are compared head to head on representative workload runs,
-  down to the per-SM slot counters;
-* hypothesis-fuzzed kernels are run in both modes and compared.
+* the reference mode reproduces ``tests/fixtures/golden_stats.json``
+  byte-exactly over the full app x algorithm matrix (the fixture pins
+  the memoized default, so reference == golden == memoized);
+* both modes are compared head to head on traced workload runs, down to
+  the per-SM slot counters and every stall-ledger charge;
+* hypothesis-fuzzed kernels, Base and CABA-BDI, are run in both modes
+  and compared byte for byte.
 
-It also checks that a stale memoized slot outcome falls back to a real
-scan, that the screen codes are never stale, and that the screened path
-runs without numpy.
-
-CI runs the whole test suite once per mode (``REPRO_SOA=0`` leg); this
-file is the targeted cross-mode check that works within a single leg.
+It also checks that a partly stale set of memos (some schedulers
+replaying, others rescanning in the same cycle) falls back correctly,
+that the screen codes are never stale, and that the simulator runs
+without numpy.
 """
 
 import json
@@ -59,28 +60,49 @@ from tests.harness.test_golden_stats import (
 
 
 @contextmanager
-def soa_mode(flag: str):
-    """Force ``REPRO_SOA`` for the simulations inside the block."""
-    prior = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = flag
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = prior
+def forced_rescan(enabled=True, stale_seq_every=None):
+    """Within the block, drop every scheduler's memoized slot outcome
+    before each ``SM.tick``, so every slot is classified by a real scan
+    whatever the memo validity rules say. With ``stale_seq_every=k``
+    the memos are kept but made stale instead, on the schedulers whose
+    global id is a multiple of ``k``: their seq counter is bumped,
+    exactly what an event callback flipping a scoreboard bit between
+    two ticks does. Yields a one-element list counting the memos
+    dropped or made stale. With ``enabled`` false the block runs
+    unpatched."""
+    invalidated = [0]
+    if not enabled:
+        yield invalidated
+        return
+    real_tick = SM.tick
+
+    def tick(self, cycle):
+        memos = self._memos
+        seq = self._soa.seq
+        for s, memo in enumerate(memos):
+            if memo is None:
+                continue
+            if stale_seq_every is None:
+                memos[s] = None
+                invalidated[0] += 1
+                continue
+            g = self._gid0 + s
+            if g % stale_seq_every == 0 and memo[0] == seq[g]:
+                seq[g] += 1
+                invalidated[0] += 1
+        return real_tick(self, cycle)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SM, "tick", tick)
+        yield invalidated
 
 
 def _fingerprint(result):
-    """Cross-mode comparable summary of a raw simulation result."""
+    """Byte-exact summary of a raw simulation result."""
     return {
         "cycles": result.cycles,
-        "parent_instructions": result.stats.parent_instructions,
-        "assist_instructions": result.stats.assist_instructions,
-        "slots": [list(sm.slots) for sm in result.stats.sms],
-        "dram_reads": result.memory.stats.dram_reads,
-        "dram_writes": result.memory.stats.dram_writes,
+        "stats": repr(result.stats),
+        "traffic": repr(result.memory.stats),
     }
 
 
@@ -90,26 +112,23 @@ def _fingerprint(result):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("app", APPS)
 def test_reference_mode_matches_golden(app, algorithm):
-    """The pure-Python scan reproduces the pinned stats byte-exactly.
-
-    The fixture is (re)generated under the default mode — SoA — so this
-    closes the loop: reference == golden == SoA for every
-    (app, algorithm) cell.
-    """
+    """With no memo ever replayed, the scan alone reproduces the pinned
+    stats byte-exactly for every (app, algorithm) cell."""
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         pytest.skip("fixture is being regenerated")
     golden = json.loads(Path(FIXTURE).read_text())
     key = f"{app}/{algorithm}"
     assert key in golden, f"fixture has no entry for {key}"
-    with soa_mode("0"):
+    with forced_rescan() as invalidated:
         clear_caches()
         run = run_app(app, _design_for(algorithm), GPUConfig.small(),
                       scale=SCALE, use_cache=False)
+    assert invalidated[0] > 0, "no memo was ever valid"
     assert _snapshot(run) == golden[key]
 
 
 # ----------------------------------------------------------------------
-# Head-to-head on representative workloads (per-SM granularity)
+# Head-to-head on representative workloads (per-SM and ledger detail)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("app,algorithm", [
     ("PVC", "bdi"),        # memory-bound, assist warps + decompression
@@ -117,33 +136,36 @@ def test_reference_mode_matches_golden(app, algorithm):
     ("CONS", "bestofall"), # store-heavy, composed algorithm
 ])
 def test_modes_agree_head_to_head(app, algorithm):
+    """Traced runs: a replayed memo also replays the stall category and
+    warp it charges to the ledger, which the untraced golden stats do
+    not see."""
     scale = TraceScale(work=0.25, waves=0.25)
     prints = {}
-    for flag in ("0", "1"):
-        with soa_mode(flag):
+    for memo in (False, True):
+        with forced_rescan(enabled=not memo):
             clear_caches()
-            run = run_app(app, _design_for(algorithm), GPUConfig.small(),
-                          scale=scale, use_cache=False, keep_raw=True)
-        prints[flag] = _fingerprint(run.raw)
-        prints[flag]["stats_repr"] = repr(run.raw.stats)
-    assert prints["0"] == prints["1"]
+            raw = run_app(app, _design_for(algorithm), GPUConfig.small(),
+                          scale=scale, use_cache=False, keep_raw=True,
+                          trace=True).raw
+        ledger = raw.obs.ledger
+        prints[memo] = _fingerprint(raw)
+        prints[memo]["ledger"] = (
+            [list(counts) for counts in ledger.sm_counts],
+            [sorted((wid, list(row)) for wid, row in per_sm.items())
+             for per_sm in ledger.warp_counts],
+        )
+    assert prints[False] == prints[True]
 
 
 # ----------------------------------------------------------------------
 # Stale-memo fallback
 # ----------------------------------------------------------------------
-def test_stale_seq_counter_falls_back_to_reference_scan(monkeypatch):
+def test_stale_seq_counter_falls_back_to_reference_scan():
     """A memoized slot outcome whose scheduler seq counter has moved on
     must be discarded in favour of a real scan, with byte-identical
-    results.
-
-    The per-scheduler seq counters are the memo's correctness valve:
-    any mutation of screen-visible state invalidates the scheduler's
-    memoized stall and the next slot re-scans its warps. Force the
-    stale path directly — before every tick, bump the counter of every
-    even scheduler that holds a still-valid memo — and pin that the run
-    is indistinguishable from a clean screened run (and hence from the
-    reference mode, by the head-to-head test above)."""
+    results. Only the even schedulers' memos are made stale, so in the
+    same cycle some schedulers replay a memo while their neighbours on
+    the same SM rescan."""
     scale = TraceScale(work=0.25, waves=0.25)
     design = _design_for("bdi")
 
@@ -152,30 +174,36 @@ def test_stale_seq_counter_falls_back_to_reference_scan(monkeypatch):
         return run_app("PVC", design, GPUConfig.small(), scale=scale,
                        use_cache=False, keep_raw=True).raw
 
-    with soa_mode("1"):
-        clean = _fingerprint(run_once())
-
-    real_tick = SM.tick_soa
-    invalidated = [0]
-
-    def stale_tick(self, cycle):
-        seq = self._soa.seq
-        for s, memo in enumerate(self._memos):
-            g = self._gid0 + s
-            if g % 2 == 0 and memo is not None and memo[0] == seq[g]:
-                # Exactly what an event callback flipping a scoreboard
-                # bit between two ticks would do to the counter.
-                seq[g] += 1
-                invalidated[0] += 1
-        return real_tick(self, cycle)
-
-    monkeypatch.setattr(SM, "tick_soa", stale_tick)
-    with soa_mode("1"):
+    clean = _fingerprint(run_once())
+    with forced_rescan(stale_seq_every=2) as invalidated:
         stale = _fingerprint(run_once())
-    monkeypatch.undo()
-
     assert invalidated[0] > 0, "stale path never exercised"
     assert stale == clean
+
+
+# ----------------------------------------------------------------------
+# Fuzzed kernels in both modes
+# ----------------------------------------------------------------------
+def _agree_across_modes(kinds, iterations, design):
+    memoized = _fingerprint(run_program(kinds, iterations, design))
+    with forced_rescan() as invalidated:
+        rescanned = run_program(kinds, iterations, design)
+    assert invalidated[0] > 0, "no memo was ever valid"
+    assert _fingerprint(rescanned) == memoized
+
+
+@settings(max_examples=10, deadline=None)
+@given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
+def test_fuzzed_programs_agree_across_modes(kinds, iterations):
+    _agree_across_modes(kinds, iterations, designs.base())
+
+
+@settings(max_examples=6, deadline=None)
+@given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
+def test_fuzzed_caba_runs_agree_across_modes(kinds, iterations):
+    """Assist warps take slots on both the memoized and the scanned
+    path, and their state changes on parents must invalidate memos."""
+    _agree_across_modes(kinds, iterations, designs.caba("bdi"))
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +225,7 @@ def _assert_codes_live(sim):
     for slot, warp in resident.items():
         pc = warp.pc
         instr = warp.program.body[pc]
-        expect = soa.klass_lut[pc]
+        expect = warp.klass_lut[pc]
         if warp.pending_mask & (instr.src_mask | instr.dst_mask):
             expect += soa_mod.SCREEN_BLOCKED
         if warp.finished or warp.at_barrier or warp.assist_block:
@@ -219,11 +247,9 @@ def test_screen_codes_stay_live(app, algorithm):
     factory, regs = _make_caba_factory(
         design, config, CabaParams(), plane=image.plane
     )
-    with soa_mode("1"):
-        sim = Simulator(config, build_kernel(profile, config, scale),
-                        design, image, caba_factory=factory,
-                        assist_regs_per_thread=regs)
-    assert sim._soa is not None
+    sim = Simulator(config, build_kernel(profile, config, scale),
+                    design, image, caba_factory=factory,
+                    assist_regs_per_thread=regs)
     rng = random.Random(f"{app}/{algorithm}")
     checks = 0
     while not sim.done:
@@ -252,15 +278,14 @@ profile = get_app("MM")
 sim = Simulator(config, build_kernel(profile, config, scale),
                 designs.base(),
                 build_image(profile, designs.base(), config, scale))
-assert sim._soa is not None, "screened path disabled"
 print(sim.run().stats.cycles)
 """
 
 
 def test_screened_path_runs_without_numpy():
     """The screen codes are plain lists: with numpy unimportable the
-    screened path still runs, and simulates the same cycles."""
-    env = dict(os.environ, REPRO_SOA="1")
+    simulator still runs, and simulates the same cycles."""
+    env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
@@ -269,70 +294,8 @@ def test_screened_path_runs_without_numpy():
         [sys.executable, "-c", _NO_NUMPY_RUN], env=env, check=True,
         capture_output=True, text=True, timeout=600,
     )
-    with soa_mode("1"):
-        clear_caches()
-        run = run_app("MM", designs.base(), GPUConfig.small(),
-                      scale=TraceScale(work=0.25, waves=0.25),
-                      use_cache=False, keep_raw=True)
+    clear_caches()
+    run = run_app("MM", designs.base(), GPUConfig.small(),
+                  scale=TraceScale(work=0.25, waves=0.25),
+                  use_cache=False, keep_raw=True)
     assert int(out.stdout.split()[-1]) == run.raw.stats.cycles
-
-
-# ----------------------------------------------------------------------
-# Fuzzed kernels in both modes
-# ----------------------------------------------------------------------
-@settings(max_examples=10, deadline=None)
-@given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
-def test_fuzzed_programs_agree_across_modes(kinds, iterations):
-    with soa_mode("0"):
-        reference = run_program(kinds, iterations, designs.base())
-    with soa_mode("1"):
-        vectorized = run_program(kinds, iterations, designs.base())
-    assert _fingerprint(vectorized) == _fingerprint(reference)
-
-
-@settings(max_examples=6, deadline=None)
-@given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
-def test_fuzzed_caba_runs_agree_across_modes(kinds, iterations):
-    """Assist-warp machinery (never screened) must not disturb the
-    parent warps' screen codes."""
-    from repro.core.controller import CabaController
-    from repro.core.params import CabaParams
-    from repro.core.subroutines import SubroutineLibrary
-    from repro.gpu.kernel import Kernel
-    from repro.gpu.isa import Program
-    from repro.gpu.simulator import Simulator
-    from repro.memory.image import MemoryImage
-    from tests.gpu.test_simulator_fuzz import _instr
-
-    def run_once():
-        config = GPUConfig.small()
-        body = tuple(_instr(kind, salt=i) for i, kind in enumerate(kinds))
-        kernel = Kernel(
-            name="fuzz-caba",
-            program=Program(body=body, iterations=iterations),
-            n_blocks=3,
-            warps_per_block=2,
-            regs_per_thread=16,
-        )
-        from repro.compression import make_algorithm
-        algo = make_algorithm("bdi", config.line_size)
-        image = MemoryImage(
-            lambda line: bytes(config.line_size), algo, config.line_size
-        )
-        library = SubroutineLibrary(line_size=config.line_size)
-
-        def factory(sm):
-            return CabaController(sm, CabaParams(), library, "bdi")
-
-        sim = Simulator(
-            config, kernel, designs.caba("bdi"), image,
-            caba_factory=factory,
-            assist_regs_per_thread=library.register_demand("bdi"),
-        )
-        return sim.run()
-
-    with soa_mode("0"):
-        reference = run_once()
-    with soa_mode("1"):
-        vectorized = run_once()
-    assert _fingerprint(vectorized) == _fingerprint(reference)

@@ -1,7 +1,8 @@
 """Unit tests for warp and block contexts."""
 
 from repro.gpu.isa import Program, alu, sync
-from repro.gpu.warp import BlockContext, WarpContext
+from repro.gpu.soa import SCREEN_INACTIVE, SoAState
+from repro.gpu.warp import BlockContext, WarpContext, touch
 
 
 def make_warp(iterations=2, body=None, block=None):
@@ -10,9 +11,18 @@ def make_warp(iterations=2, body=None, block=None):
         body=tuple(body) if body else (alu(), alu(dst=2, src=1)),
         iterations=iterations,
     )
-    warp = WarpContext(0, block, program, age=0)
+    soa = SoAState(1, 1, 1)
+    warp = WarpContext(soa, soa.alloc(0), 0, block, program, age=0)
     block.warps.append(warp)
     return warp
+
+
+def considered(warp):
+    """Whether the issue scan looks at ``warp`` at all: its live screen
+    code (recomputed after the direct field writes below) lacks the
+    SCREEN_INACTIVE bit."""
+    touch(warp)
+    return not warp.soa.code[warp.slot] & SCREEN_INACTIVE
 
 
 class TestAdvance:
@@ -27,6 +37,13 @@ class TestAdvance:
         assert warp.advance()  # final instruction of final iteration
         assert warp.finished
 
+    def test_advance_keeps_screen_code_live(self):
+        warp = make_warp(iterations=1)
+        warp.advance()
+        assert warp.soa.code[warp.slot] == warp.klass_lut[1]
+        warp.advance()
+        assert warp.soa.code[warp.slot] & SCREEN_INACTIVE
+
     def test_drained_requires_no_outstanding(self):
         warp = make_warp(iterations=1)
         warp.advance()
@@ -40,24 +57,24 @@ class TestAdvance:
 
 class TestConsideration:
     def test_fresh_warp_considered(self):
-        assert make_warp().can_consider()
+        assert considered(make_warp())
 
     def test_finished_not_considered(self):
         warp = make_warp()
         warp.finished = True
-        assert not warp.can_consider()
+        assert not considered(warp)
 
     def test_barrier_not_considered(self):
         warp = make_warp()
         warp.at_barrier = True
-        assert not warp.can_consider()
+        assert not considered(warp)
 
     def test_assist_blocked_not_considered(self):
         warp = make_warp()
         warp.assist_block = 1
-        assert not warp.can_consider()
+        assert not considered(warp)
         warp.assist_block = 0
-        assert warp.can_consider()
+        assert considered(warp)
 
 
 class TestBarrier:

@@ -19,10 +19,6 @@ The matrix covers four run families, keyed as:
   of 25 % of the footprint, pinning spill placement and host traffic,
 * ``scenario:KIND/{assist,base}`` — prefetch/memoization scenario runs
   with and without the assist-warp controller.
-
-A subset of keys is additionally replayed with ``REPRO_SOA=0`` against
-the *same* fixture entries: the vectorized and pure-Python cores must
-agree byte-exactly, so one fixture serves both backends.
 """
 
 import json
@@ -65,16 +61,6 @@ SCENARIO_KEYS = (
 ALL_KEYS = tuple(
     f"{app}/{algorithm}" for app in APPS for algorithm in ALGORITHMS
 ) + CAPACITY_KEYS + SCENARIO_KEYS
-
-#: Keys replayed under ``REPRO_SOA=0`` against the same fixture entries
-#: (one representative per run family).
-PURE_BACKEND_KEYS = (
-    "ATTN/cpack",
-    "ST3D/bestofall",
-    "capacity:PVC/bdi",
-    "scenario:prefetch/assist",
-    "scenario:memoization/assist",
-)
 
 
 def _design_for(algorithm):
@@ -170,17 +156,6 @@ def test_golden_stats(key):
     golden = _load_golden()
     assert key in golden, f"fixture has no entry for {key}; regenerate"
     assert snapshot == golden[key]
-
-
-@pytest.mark.parametrize("key", PURE_BACKEND_KEYS)
-def test_golden_stats_pure_backend(key, monkeypatch):
-    """The pure-Python core reproduces the same fixture byte-exactly."""
-    if os.environ.get("REPRO_REGEN_GOLDEN"):
-        pytest.skip("regenerating")
-    monkeypatch.setenv("REPRO_SOA", "0")
-    golden = _load_golden()
-    assert key in golden, f"fixture has no entry for {key}; regenerate"
-    assert _snapshot(_run_for_key(key)) == golden[key]
 
 
 def test_fixture_covers_full_matrix():

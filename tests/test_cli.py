@@ -128,18 +128,16 @@ class TestTrace:
 class TestCheck:
     def test_fuzz_only_quick_passes(self, capsys):
         assert main(["check", "--quick", "--skip-differential",
-                     "--skip-invariants", "--skip-soa", "--lines", "8"]) == 0
+                     "--skip-invariants", "--lines", "8"]) == 0
         out = capsys.readouterr().out
         assert "roundtrip" in out
         assert "all" in out and "passed" in out
 
     def test_lines_knob_scales_units(self, capsys):
         assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--skip-soa",
                      "--algorithms", "bdi", "--lines", "5"]) == 0
         first = capsys.readouterr().out
         assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--skip-soa",
                      "--algorithms", "bdi", "--lines", "10"]) == 0
         second = capsys.readouterr().out
         units = lambda text: int(text.split("checks, ")[1].split(" units")[0])
@@ -147,13 +145,11 @@ class TestCheck:
 
     def test_seed_knob_accepted(self, capsys):
         assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--skip-soa",
                      "--algorithms", "bdi", "--lines", "4",
                      "--seed", "99"]) == 0
 
     def test_apps_knob_limits_differential(self, capsys):
         assert main(["check", "--skip-fuzz", "--skip-invariants",
-                     "--skip-soa",
                      "--apps", "PVC", "--lines", "4"]) == 0
         out = capsys.readouterr().out
         assert "differential" in out
@@ -161,7 +157,6 @@ class TestCheck:
 
     def test_unknown_app_fails_cleanly(self, capsys):
         assert main(["check", "--skip-fuzz", "--skip-invariants",
-                     "--skip-soa",
                      "--apps", "quake3"]) == 2
         assert "error" in capsys.readouterr().err
 
@@ -187,7 +182,6 @@ class TestCheck:
 
         monkeypatch.setattr(fuzz_mod, "make_algorithm", fake_make)
         assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--skip-soa",
                      "--algorithms", "bdi", "--lines", "4"]) == 1
         out = capsys.readouterr().out
         assert "FAILED" in out
@@ -195,7 +189,6 @@ class TestCheck:
 
     def test_verbose_lists_passing_checks(self, capsys):
         assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--skip-soa",
                      "--algorithms", "bdi", "--lines", "4", "-v"]) == 0
         assert "pass roundtrip.bdi" in capsys.readouterr().out
 
@@ -204,13 +197,4 @@ class TestCheck:
 
         assert "check" in _COMMANDS
 
-
-class TestCheckSoa:
-    def test_soa_pass_alone(self, capsys):
-        assert main(["check", "--skip-fuzz", "--skip-differential",
-                     "--skip-invariants", "--apps", "PVC",
-                     "--algorithms", "bdi"]) == 0
-        out = capsys.readouterr().out
-        assert "soa" in out
-        assert "passed" in out
 
