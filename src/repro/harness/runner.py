@@ -53,7 +53,10 @@ from repro.memory.image import LineInfo, MemoryImage
 from repro.memory.plane import CompressionPlane
 from repro.obs import RunObservation, trace_enabled
 from repro.workloads.apps import AppProfile, get_app
-from repro.workloads.data_patterns import make_line_generator
+from repro.workloads.data_patterns import (
+    make_block_generator,
+    make_line_generator,
+)
 from repro.workloads.tracegen import TraceScale, build_kernel, footprint_extents
 
 
@@ -144,10 +147,6 @@ _run_cache: dict[RunSpec, RunResult] = {}
 #: Compression planes by content address, shared across every design of
 #: a sweep (Base/CABA-BDI/... all reuse the same per-algorithm plane).
 _plane_cache: dict[str, CompressionPlane] = {}
-#: Byte-caching line generators by image identity; building planes for
-#: several algorithms over the same image generates the bytes once.
-_line_bytes_memo: dict[tuple, Callable[[int], bytes]] = {}
-_LINE_BYTES_MEMO_CAP = 4
 
 
 def clear_caches() -> None:
@@ -156,7 +155,6 @@ def clear_caches() -> None:
     _line_info_caches.clear()
     _run_cache.clear()
     _plane_cache.clear()
-    _line_bytes_memo.clear()
     run_cache_store.reset_cache_handle()
 
 
@@ -180,34 +178,6 @@ def _compression_enabled(app: AppProfile, design: DesignPoint) -> bool:
     """Section 4.3.1: static profiling disables compression for
     applications that would not benefit (no compressible bandwidth)."""
     return design.compression_enabled and app.compressible
-
-
-def _cached_line_bytes(
-    app: AppProfile, line_size: int
-) -> Callable[[int], bytes]:
-    """A line-byte generator that memoizes generated bytes.
-
-    Keyed by the generator's full identity, so plane builds for several
-    algorithms over one image run the (pure-Python, relatively slow)
-    byte generation only once. Bounded to a few images to cap memory.
-    """
-    key = (repr(sorted(app.data.items())), app.seed, line_size)
-    fn = _line_bytes_memo.pop(key, None)
-    if fn is None:
-        raw = make_line_generator(app.data, line_size=line_size, seed=app.seed)
-        store: dict[int, bytes] = {}
-
-        def fn(line: int, _raw=raw, _store=store) -> bytes:
-            data = _store.get(line)
-            if data is None:
-                data = _raw(line)
-                _store[line] = data
-            return data
-
-        while len(_line_bytes_memo) >= _LINE_BYTES_MEMO_CAP:
-            _line_bytes_memo.pop(next(iter(_line_bytes_memo)))
-    _line_bytes_memo[key] = fn  # (re-)insert at the end: LRU order
-    return fn
 
 
 def _plane_for(
@@ -245,11 +215,14 @@ def _plane_for(
         )
     else:
         built = plane_mod.build_plane(
-            _cached_line_bytes(app, line_size),
+            make_line_generator(app.data, line_size=line_size, seed=app.seed),
             extents,
             make_algorithm(algorithm_name, line_size),
             burst_bytes=burst_bytes,
             key=key,
+            line_block=make_block_generator(
+                app.data, line_size=line_size, seed=app.seed
+            ),
         )
     _plane_cache[key] = built
     if disk is not None:

@@ -102,19 +102,31 @@ def build_plane(
     burst_bytes: int = 32,
     key: str = "",
     chunk: int = 4096,
+    line_block: Callable[[int, int], object] | None = None,
 ) -> CompressionPlane:
     """Batch-compress a whole memory image into a plane.
 
     ``extents`` enumerates ``(base_line, n_lines)`` regions (from
     :func:`repro.workloads.tracegen.footprint_extents`). Lines are
     generated and compressed in ``chunk``-sized blocks to bound peak
-    memory while keeping the batch kernels on large inputs.
+    memory while keeping the batch kernels on large inputs. Each block
+    comes from ``line_block`` when given (the batch generator of
+    :func:`repro.workloads.data_patterns.make_block_generator`), else
+    from one ``line_bytes`` call per line.
     """
+    line_size = algorithm.line_size
     table: dict[int, tuple[int, int, str]] = {}
     for base, count in extents:
         for start in range(0, count, chunk):
             stop = min(start + chunk, count)
-            block = [line_bytes(base + i) for i in range(start, stop)]
+            if line_block is None:
+                block = [line_bytes(base + i) for i in range(start, stop)]
+            else:
+                raw = line_block(base + start, stop - start).tobytes()
+                block = [
+                    raw[i:i + line_size]
+                    for i in range(0, len(raw), line_size)
+                ]
             sizes = algorithm.size_table(block)
             for offset, (size, encoding) in enumerate(sizes):
                 table[base + start + offset] = (

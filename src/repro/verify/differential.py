@@ -13,6 +13,11 @@ must agree byte-for-byte or runs become backend-dependent:
 
 Each path is reduced to the same ``(size, bursts, encoding)`` triple per
 line of a real application image and compared for equality.
+
+Planes are built from the batch line generator
+(:func:`repro.workloads.data_patterns.make_block_generator`) when numpy
+is on, so each image is also generated both ways, and a byte difference
+fails every algorithm of that app as "batch vs scalar line bytes".
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from repro.compression.base import bursts_for
 from repro.harness.runner import plane_for_app
 from repro.verify.report import CheckResult
 from repro.workloads.apps import get_app
-from repro.workloads.data_patterns import make_line_generator
+from repro.workloads.data_patterns import (
+    make_block_generator,
+    make_line_generator,
+)
 
 #: Apps whose images the differential suite compresses by default —
 #: chosen to span the mixtures of Figure 11 (BDI-friendly, FPC-friendly,
@@ -54,6 +62,24 @@ def _first_diff(
     return f"length mismatch: {len(a)} != {len(b)}"
 
 
+def _image_diff(line_block, image: list[bytes]) -> str | None:
+    """Where the batch generator's image differs from the scalar one."""
+    if line_block is None:
+        return None
+    block = line_block(0, len(image))
+    for index, data in enumerate(image):
+        got = block[index].tobytes()
+        if got != data:
+            offset = next(
+                i for i, (a, b) in enumerate(zip(got, data)) if a != b
+            )
+            return (
+                f"batch vs scalar line bytes: line {index}, byte {offset}: "
+                f"{got[offset]:#04x} != {data[offset]:#04x}"
+            )
+    return None
+
+
 def differential_check(
     apps: Sequence[str] = DEFAULT_APPS,
     algorithms: Sequence[str] = ("bdi", "fpc", "cpack", "fvc", "bestofall"),
@@ -69,9 +95,15 @@ def differential_check(
             profile.data, line_size=line_size, seed=profile.seed
         )
         image = [line_bytes(i) for i in range(lines)]
+        image_failure = _image_diff(
+            make_block_generator(
+                profile.data, line_size=line_size, seed=profile.seed
+            ),
+            image,
+        )
         for algorithm_name in algorithms:
             algorithm = make_algorithm(algorithm_name, line_size)
-            failure = None
+            failure = image_failure
 
             scalar = [
                 (c.size_bytes, bursts_for(c.size_bytes, burst_bytes),
@@ -85,7 +117,7 @@ def differential_check(
                     for size, encoding in table
                 ]
 
-            if batch_mod.np is not None:
+            if failure is None and batch_mod.np is not None:
                 vectorized = to_triples(algorithm.size_table(image))
                 if vectorized != scalar:
                     failure = "numpy batch vs scalar: " + _first_diff(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import design as designs
+from repro.compression import batch
 from repro.gpu.config import GPUConfig
 from repro.harness import figures, runner
 from repro.harness.cache import RunCache
@@ -219,4 +220,22 @@ def test_plane_matches_scalar_sizes(monkeypatch, algorithm):
         assert plane.table[line_addr][:1] + plane.table[line_addr][2:] == (
             compressed.size_bytes, compressed.encoding,
         )
+    clear_caches()
+
+
+@pytest.mark.skipif(batch.np is None, reason="numpy backend off")
+@pytest.mark.parametrize("algorithm", ["bdi", "cpack"])
+def test_scalar_generator_builds_the_same_plane(monkeypatch, algorithm):
+    """Planes built from the batch line generator equal planes built one
+    scalar line at a time (numpy off)."""
+    monkeypatch.setenv("REPRO_PLANES", "1")
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    clear_caches()
+    vectorized = plane_for_app("MUM", algorithm, 300)
+    clear_caches()
+    monkeypatch.setattr(batch, "np", None)
+    scalar = plane_for_app("MUM", algorithm, 300)
+    assert scalar is not vectorized
+    assert scalar.table == vectorized.table
+    assert scalar.assist_cycles == vectorized.assist_cycles
     clear_caches()

@@ -54,6 +54,33 @@ class TestCatchesPlantedBugs:
         assert not result.passed
         assert "vs scalar" in result.detail
 
+    def test_diverging_line_generator_is_caught(self, monkeypatch):
+        from repro.compression import batch
+
+        if batch.np is None:
+            pytest.skip("numpy backend off: no batch line generator")
+        real_make = diff_mod.make_block_generator
+
+        def flipped(*args, **kwargs):
+            line_block = real_make(*args, **kwargs)
+
+            def corrupt(base, count):
+                block = line_block(base, count)
+                block[3, 5] ^= 1
+                return block
+
+            return corrupt
+
+        monkeypatch.setattr(diff_mod, "make_block_generator", flipped)
+        results = differential_check(
+            apps=("PVC",), algorithms=("bdi", "fpc"), lines=64,
+        )
+        assert [r.passed for r in results] == [False, False]
+        for result in results:
+            assert result.detail.startswith(
+                "batch vs scalar line bytes: line 3, byte 5:"
+            )
+
     def test_corrupted_plane_is_caught(self, monkeypatch):
         real_plane_for_app = diff_mod.plane_for_app
 

@@ -1,5 +1,7 @@
 """Unit and property tests for synthetic data generation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +9,17 @@ from repro.compression import (
     BdiCompressor,
     CPackCompressor,
     FpcCompressor,
+    batch,
 )
-from repro.workloads.data_patterns import PATTERNS, make_line_generator
+from repro.workloads.data_patterns import (
+    PATTERNS,
+    make_block_generator,
+    make_line_generator,
+)
+
+needs_numpy = pytest.mark.skipif(
+    batch.np is None, reason="numpy backend off (REPRO_NUMPY=0 or missing)"
+)
 
 
 class TestDeterminism:
@@ -111,6 +122,75 @@ class TestValidation:
     def test_negative_weight(self):
         with pytest.raises(ValueError):
             make_line_generator({"zeros": -1.0, "random": 2.0}, 128)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make", [make_line_generator, make_block_generator]
+    )
+    def test_non_finite_weight_names_the_pattern(self, make, weight):
+        # A NaN bound fails every ``draw <= bound`` test, so every line
+        # would silently take the last pattern.
+        with pytest.raises(ValueError, match="'random'.*non-finite"):
+            make({"zeros": 1.0, "random": weight}, 128)
+
+    def test_overflowing_weight_sum(self):
+        with pytest.raises(ValueError):
+            make_line_generator({"zeros": 1e308, "random": 1e308}, 128)
+
+
+class TestBlockGenerator:
+    """The batch generator is pinned byte for byte to the scalar one."""
+
+    def test_none_without_numpy(self, monkeypatch):
+        monkeypatch.setattr(batch, "np", None)
+        assert make_block_generator({"zeros": 1.0}, 128) is None
+
+    @needs_numpy
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_each_pattern_matches_scalar(self, pattern):
+        for seed in (0, -7, 1 << 44):
+            scalar = make_line_generator({pattern: 1.0}, 128, seed=seed)
+            block = make_block_generator({pattern: 1.0}, 128, seed=seed)
+            expected = b"".join(scalar(line) for line in range(200))
+            assert block(0, 200).tobytes() == expected
+
+    @needs_numpy
+    def test_shape_and_empty_block(self):
+        block = make_block_generator({"text": 1.0, "zeros": 1.0}, 64)
+        assert block(10, 7).shape == (7, 64)
+        assert block(10, 0).shape == (0, 64)
+
+    @needs_numpy
+    def test_line_size_must_be_whole_words(self):
+        with pytest.raises(ValueError):
+            make_block_generator({"zeros": 1.0}, 36)
+
+
+@needs_numpy
+@settings(max_examples=60, deadline=None)
+@given(
+    mixture=st.dictionaries(
+        st.sampled_from(sorted(PATTERNS)),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+        min_size=1,
+    ).filter(lambda m: sum(m.values()) > 0),
+    seed=st.one_of(
+        st.just(0),
+        st.integers(min_value=-(1 << 62), max_value=-1),
+        st.integers(min_value=1 << 44, max_value=1 << 80),
+    ),
+    base=st.one_of(
+        st.integers(min_value=0, max_value=1 << 16),
+        st.integers(min_value=1 << 32, max_value=1 << 48),
+    ),
+    count=st.integers(min_value=0, max_value=48),
+    size=st.sampled_from([32, 64, 128]),
+)
+def test_block_generator_matches_scalar(mixture, seed, base, count, size):
+    scalar = make_line_generator(mixture, size, seed=seed)
+    block = make_block_generator(mixture, size, seed=seed)
+    expected = b"".join(scalar(base + i) for i in range(count))
+    assert block(base, count).tobytes() == expected
 
 
 @settings(max_examples=40, deadline=None)
