@@ -6,6 +6,10 @@ subset runs on the fast scaled machine so the whole suite finishes in
 minutes; set ``REPRO_BENCH_FULL=1`` to run every application on the
 medium machine (as used for EXPERIMENTS.md).
 
+Every test asserts through one table: the claims of its experiment id
+in ``repro.verify.parity``, the same table ``repro check --parity``
+applies to a saved sweep.
+
 Simulations fan out over worker processes when ``--jobs N`` (or
 ``REPRO_JOBS=N``) is given; ``--jobs 1`` is the exact serial path.
 Completed runs persist in the on-disk run cache, so repeated benchmark
@@ -20,6 +24,8 @@ import pytest
 
 from repro.gpu.config import GPUConfig
 from repro.harness import parallel
+from repro.harness.report import print_figure
+from repro.verify import parity
 from repro.workloads.apps import COMPRESSION_APPS, FIGURE1_APPS
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
@@ -75,3 +81,10 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run a figure harness exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+def assert_claims(exp_id, result):
+    """Print ``result`` and assert every parity claim of ``exp_id``."""
+    print_figure(result)
+    failed = parity.failures(exp_id, result.to_entry())
+    assert not failed, failed

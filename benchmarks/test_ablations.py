@@ -1,37 +1,16 @@
 """Design-choice ablations for the CABA compression mechanism."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness.extensions import ablation_study
-from repro.harness.report import print_figure
+from repro.harness.extensions import ablation_study, md_cache_sweep
 
 
 def test_ablations(benchmark, bench_config):
     result = run_once(benchmark, ablation_study, config=bench_config)
-    print_figure(result)
-
-    rows = {row["variant"]: row for row in result.rows}
-    default = rows["default"]["geomean_speedup"]
-    # Every variant stays a win over the baseline (the mechanism is
-    # robust to its knobs), and the default configuration is competitive.
-    for row in result.rows:
-        assert row["geomean_speedup"] > 1.0, row["variant"]
-    best = max(row["geomean_speedup"] for row in result.rows)
-    assert default > 0.9 * best
-    # A larger store buffer compresses at least as many stores.
-    assert (
-        rows["store_buffer_64"]["compressed_store_fraction"]
-        >= rows["store_buffer_4"]["compressed_store_fraction"] - 0.05
-    )
+    assert_claims("ablations", result)
 
 
 def test_md_cache_size_sweep(benchmark, bench_config):
-    from repro.harness.extensions import md_cache_sweep
-
     result = run_once(benchmark, md_cache_sweep, config=bench_config,
                       apps=("PVC", "SS"), sizes_kb=(1, 4, 8))
-    print_figure(result)
-    rows = sorted(result.rows, key=lambda r: r["size_kb"])
-    # Hit rate is monotone-ish in capacity and good at the paper's 8 KB.
-    assert rows[-1]["avg_hit_rate"] >= rows[0]["avg_hit_rate"] - 0.02
-    assert rows[-1]["avg_hit_rate"] > 0.8
+    assert_claims("mdsweep", result)

@@ -1,20 +1,10 @@
 """Section 7.1 extension: memoization with assist warps."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
 from repro.harness.extensions import memoization_study
-from repro.harness.report import print_figure
 
 
 def test_memoization(benchmark, bench_config):
     result = run_once(benchmark, memoization_study, config=bench_config)
-    print_figure(result)
-
-    rows = {row["redundancy"]: row for row in result.rows}
-    # Benefit grows with input redundancy; high redundancy is a clear win.
-    speedups = [row["speedup"] for row in result.rows]
-    assert speedups == sorted(speedups)
-    assert result.summary["max_speedup"] > 1.2
-    # The LUT hit rate tracks the injected redundancy.
-    high = max(rows)
-    assert rows[high]["lut_hit_rate"] > 0.7
+    assert_claims("memo", result)

@@ -1,9 +1,8 @@
 """Figure 1: breakdown of total issue cycles vs. off-chip bandwidth."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.gpu.stats import SLOT_LABELS, Slot
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_fig1_cycle_breakdown(benchmark, bench_config, figure1_apps):
@@ -13,18 +12,4 @@ def test_fig1_cycle_breakdown(benchmark, bench_config, figure1_apps):
         config=bench_config,
         apps=figure1_apps,
     )
-    print_figure(result)
-
-    # Memory-bound apps: memory + dependence stalls dominate at 1x and
-    # shrink when bandwidth doubles (the paper's motivating observation).
-    at_1x = result.summary.get("mem+dep_stalls@1.0x")
-    at_2x = result.summary.get("mem+dep_stalls@2.0x")
-    at_half = result.summary.get("mem+dep_stalls@0.5x")
-    assert at_1x is not None and at_1x > 0.35
-    assert at_2x < at_1x < at_half
-
-    # Compute-bound apps spend issue slots on compute stalls or useful
-    # work, with a small memory component.
-    for row in result.rows:
-        if row["category"] == "compute" and row["bw"] == 1.0:
-            assert row[SLOT_LABELS[Slot.MEMORY_STALL]] < 0.3
+    assert_claims("fig1", result)

@@ -1,15 +1,10 @@
 """Figure 2: statically unallocated register-file fraction."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_fig2_unallocated_registers(benchmark):
     result = run_once(benchmark, figures.fig2_unallocated_registers)
-    print_figure(result)
-
-    # Paper: 24% of the register file is unallocated on average.
-    avg = result.summary["average_unallocated"]
-    assert 0.15 <= avg <= 0.35
-    assert len(result.rows) == 27
+    assert_claims("fig2", result)

@@ -1,15 +1,10 @@
 """Figure 5: the worked BDI example (64-byte PVC line -> 17 bytes)."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_fig5_bdi_example(benchmark):
     result = run_once(benchmark, figures.fig5_bdi_example)
-    print_figure(result)
-    row = result.rows[0]
-    assert row["encoding"] == "B8D1"
-    assert row["compressed_bytes"] == 17
-    assert row["saved_bytes"] == 47
-    assert row["round_trip"]
+    assert_claims("fig5", result)

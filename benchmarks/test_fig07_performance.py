@@ -1,8 +1,8 @@
 """Figure 7: normalized performance of the five compression designs."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_fig7_performance(benchmark, bench_config, compression_apps):
@@ -12,19 +12,4 @@ def test_fig7_performance(benchmark, bench_config, compression_apps):
         config=bench_config,
         apps=compression_apps,
     )
-    print_figure(result)
-
-    caba = result.summary["geomean_CABA-BDI"]
-    ideal = result.summary["geomean_Ideal-BDI"]
-    hw = result.summary["geomean_HW-BDI"]
-    hw_mem = result.summary["geomean_HW-BDI-Mem"]
-
-    # Paper: CABA-BDI +41.7% avg, within 2.8% of Ideal-BDI, 9.9% over
-    # HW-BDI-Mem, ~1.6% under HW-BDI.
-    assert caba > 1.15
-    assert caba > hw_mem
-    assert caba >= 0.85 * ideal
-    assert abs(caba - hw) / hw < 0.15
-    # Nothing regresses below baseline.
-    for row in result.rows:
-        assert row["CABA-BDI"] > 0.95, row["app"]
+    assert_claims("fig7", result)

@@ -1,8 +1,8 @@
 """Figure 8: DRAM bandwidth utilization of the five designs."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_fig8_bandwidth(benchmark, bench_config, compression_apps):
@@ -12,12 +12,4 @@ def test_fig8_bandwidth(benchmark, bench_config, compression_apps):
         config=bench_config,
         apps=compression_apps,
     )
-    print_figure(result)
-
-    base = result.summary["avg_Base"]
-    caba = result.summary["avg_CABA-BDI"]
-    # Paper: utilization drops (53.6% -> 35.6% at paper scale).
-    assert caba < base
-    # Per-app: compression never increases utilization materially.
-    for row in result.rows:
-        assert row["CABA-BDI"] <= row["Base"] + 0.05, row["app"]
+    assert_claims("fig8", result)

@@ -1,8 +1,8 @@
 """Figure 9: normalized energy of the five designs."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_fig9_energy(benchmark, bench_config, compression_apps):
@@ -12,16 +12,4 @@ def test_fig9_energy(benchmark, bench_config, compression_apps):
         config=bench_config,
         apps=compression_apps,
     )
-    print_figure(result)
-
-    caba = result.summary["avg_CABA-BDI"]
-    ideal = result.summary["avg_Ideal-BDI"]
-    hw = result.summary["avg_HW-BDI"]
-
-    # Paper: CABA saves 22.2% system energy, landing within ~4% of the
-    # dedicated-hardware and ideal designs.
-    assert caba < 0.95  # clear energy saving vs Base (=1.0)
-    assert caba >= ideal - 0.02
-    assert abs(caba - hw) < 0.1
-    # DRAM energy drops substantially (paper: 29.5% DRAM power).
-    assert result.summary["avg_dram_energy_reduction"] > 0.15
+    assert_claims("fig9", result)

@@ -1,8 +1,8 @@
 """Figure 10: CABA speedup with FPC, BDI, C-Pack and BestOfAll."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_fig10_algorithms(benchmark, bench_config, compression_apps):
@@ -12,16 +12,4 @@ def test_fig10_algorithms(benchmark, bench_config, compression_apps):
         config=bench_config,
         apps=compression_apps,
     )
-    print_figure(result)
-
-    fpc = result.summary["geomean_CABA-FPC"]
-    bdi = result.summary["geomean_CABA-BDI"]
-    cpack = result.summary["geomean_CABA-CPack"]
-
-    # Paper: every algorithm improves performance (FPC +20.7%,
-    # C-Pack +35.2%, BDI +41.7%), with BDI the best single algorithm.
-    assert fpc > 1.02
-    assert cpack > 1.02
-    assert bdi > 1.10
-    assert bdi > fpc
-    assert bdi > cpack or abs(bdi - cpack) < 0.05
+    assert_claims("fig10", result)

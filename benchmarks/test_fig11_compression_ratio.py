@@ -1,8 +1,8 @@
 """Figure 11: compression ratio of each algorithm on each app's data."""
 
-from conftest import FULL, run_once
+from conftest import FULL, assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 from repro.workloads.apps import COMPRESSION_APPS
 
 
@@ -13,19 +13,4 @@ def test_fig11_compression_ratio(benchmark):
         apps=COMPRESSION_APPS,
         sample_lines=500 if FULL else 200,
     )
-    print_figure(result)
-
-    by_app = {row["app"]: row for row in result.rows}
-    # Paper: MM, PVC, PVR compress better with BDI ...
-    for app in ("MM", "PVC", "PVR"):
-        assert by_app[app]["BDI"] > by_app[app]["FPC"], app
-    # ... while LPS, JPEG, MUM, nw favour FPC or C-Pack.
-    for app in ("LPS", "JPEG", "MUM", "nw"):
-        best_other = max(by_app[app]["FPC"], by_app[app]["CPACK"])
-        assert best_other > by_app[app]["BDI"] * 0.98, app
-    # BestOfAll is the upper envelope for every application.
-    for row in result.rows:
-        assert row["BESTOFALL"] >= max(
-            row["BDI"], row["FPC"], row["CPACK"]) - 1e-9
-    # Paper: BDI delivers ~2.1x average bandwidth reduction.
-    assert result.summary["avg_bdi"] > 1.5
+    assert_claims("fig11", result)

@@ -1,8 +1,8 @@
 """Figure 12: CABA sensitivity to peak off-chip bandwidth."""
 
-from conftest import FULL, run_once
+from conftest import FULL, assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_fig12_bw_sensitivity(benchmark, bench_config, compression_apps):
@@ -13,14 +13,4 @@ def test_fig12_bw_sensitivity(benchmark, bench_config, compression_apps):
         config=bench_config,
         apps=apps,
     )
-    print_figure(result)
-
-    s = result.summary
-    # CABA beats its matching baseline at every bandwidth point.
-    assert s["geomean_1/2x-CABA"] > s["geomean_1/2x-Base"]
-    assert s["geomean_1x-CABA"] > s["geomean_1x-Base"]
-    assert s["geomean_2x-CABA"] > s["geomean_2x-Base"]
-    # More bandwidth helps the baseline (memory-bound pool).
-    assert s["geomean_2x-Base"] > s["geomean_1x-Base"] > s["geomean_1/2x-Base"]
-    # Paper: 1x-CABA approaches the effect of doubling the bandwidth.
-    assert s["geomean_1x-CABA"] > 0.7 * s["geomean_2x-Base"]
+    assert_claims("fig12", result)

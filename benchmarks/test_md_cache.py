@@ -1,8 +1,8 @@
 """Section 4.3.2: metadata-cache hit rate (paper: 85% average)."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_md_cache_hit_rate(benchmark, bench_config, compression_apps):
@@ -12,9 +12,4 @@ def test_md_cache_hit_rate(benchmark, bench_config, compression_apps):
         config=bench_config,
         apps=compression_apps,
     )
-    print_figure(result)
-
-    avg = result.summary["average_hit_rate"]
-    assert avg > 0.75  # paper: 85% average
-    # "More than 99% for many applications": at least one app near-perfect.
-    assert any(row["md_hit_rate"] > 0.95 for row in result.rows)
+    assert_claims("mdcache", result)

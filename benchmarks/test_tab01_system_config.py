@@ -1,18 +1,10 @@
 """Table 1: parameters of the simulated system."""
 
-from conftest import run_once
+from conftest import assert_claims, run_once
 
-from repro.harness import figures, print_figure
+from repro.harness import figures
 
 
 def test_tab1_system_config(benchmark):
     result = run_once(benchmark, figures.tab1_system_config)
-    print_figure(result)
-    values = {row["parameter"]: row["value"] for row in result.rows}
-    assert values["SMs"] == 15
-    assert values["warps/SM"] == 48
-    assert values["registers/SM"] == 32768
-    assert values["memory channels"] == 6
-    assert values["banks/channel"] == 16
-    assert values["peak bandwidth (GB/s)"] == 177.4
-    assert values["tCL/tRP/tRC/tRAS"] == "12/12/40/28"
+    assert_claims("tab1", result)

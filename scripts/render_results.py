@@ -12,45 +12,8 @@ import argparse
 import json
 import sys
 
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
-
-
-def render_markdown(entry: dict) -> str:
-    columns = entry["columns"]
-    lines = [f"### {entry['title']}", ""]
-    lines.append("| " + " | ".join(columns) + " |")
-    lines.append("|" + "---|" * len(columns))
-    for row in entry["rows"]:
-        lines.append(
-            "| " + " | ".join(_fmt(row.get(c, "")) for c in columns) + " |"
-        )
-    if entry.get("summary"):
-        lines.append("")
-        for key, value in entry["summary"].items():
-            lines.append(f"- `{key}` = {_fmt(value)}")
-    return "\n".join(lines)
-
-
-def render_bar(entry: dict, column: str, width: int = 40) -> str:
-    rows = [r for r in entry["rows"] if column in r]
-    if not rows:
-        return f"(no column {column!r} in {entry['title']})"
-    label_key = entry["columns"][0]
-    peak = max(float(r[column]) for r in rows) or 1.0
-    lines = [f"{entry['title']} — {column}"]
-    for row in rows:
-        value = float(row[column])
-        lines.append(
-            f"  {str(row[label_key]):>10s} "
-            f"{'#' * int(round(width * value / peak)):<{width}s} {value:.3f}"
-        )
-    return "\n".join(lines)
+from repro.harness.figures import FigureResult
+from repro.harness.report import render_bars, render_markdown
 
 
 def main(argv=None) -> int:
@@ -72,17 +35,18 @@ def main(argv=None) -> int:
             continue
         if wanted is not None and key not in wanted:
             continue
-        print(render_markdown(entry))
+        print(render_markdown(FigureResult.from_entry(key, entry)))
         print()
 
     if args.bars:
         for pair in args.bars.split(","):
             exp_id, _, column = pair.partition(":")
             entry = dump.get(exp_id)
-            if not isinstance(entry, dict):
+            if not isinstance(entry, dict) or "rows" not in entry:
                 print(f"(unknown experiment {exp_id!r})", file=sys.stderr)
                 continue
-            print(render_bar(entry, column))
+            print(render_bars(FigureResult.from_entry(exp_id, entry), column,
+                              label_column=entry["columns"][0]))
             print()
     return 0
 

@@ -5,14 +5,15 @@ Commands:
     run APP              simulate one application under one design
     trace APP            traced run: stall attribution + metric export
     compare APP          compare all five Figure-7 designs on one app
-    figure ID            regenerate one paper figure/table
+    figure ID            regenerate one paper figure/table or study
     compress FILE|-      compress raw bytes line by line and report ratios
     cache info|clear|sweep
                          inspect, empty, or sweep leftover temp files
                          from the persistent run cache
     check                differential correctness harness: round-trip
                          fuzzing, cross-backend agreement, simulator
-                         conservation invariants
+                         conservation invariants; ``--parity DUMP``
+                         checks the paper's claims on a saved sweep
 
 The CLI is a thin layer over the public API (``repro.run_app``,
 ``repro.harness.figures``), so everything it prints is reproducible from
@@ -26,17 +27,10 @@ import sys
 
 from repro import design as designs
 from repro.compression import ALGORITHMS, make_algorithm
-from repro.gpu.config import GPUConfig
-from repro.harness import figures
-from repro.harness.report import render_table
+from repro.harness.figures import CONFIGS, EXPERIMENTS
+from repro.harness.parallel import jobs_arg, retries_arg
 from repro.harness.runner import run_app
 from repro.workloads.apps import APPLICATIONS, get_app
-
-CONFIGS = {
-    "small": GPUConfig.small,
-    "medium": GPUConfig.medium,
-    "full": GPUConfig,
-}
 
 DESIGNS = {
     "base": lambda algo: designs.base(),
@@ -47,38 +41,7 @@ DESIGNS = {
     "ideal": designs.ideal,
 }
 
-def _extensions():
-    from repro.harness import extensions
-
-    return extensions
-
-
-FIGURES = {
-    "fig1": lambda cfg: figures.fig1_cycle_breakdown(cfg),
-    "fig2": lambda cfg: figures.fig2_unallocated_registers(),
-    "fig5": lambda cfg: figures.fig5_bdi_example(),
-    "fig7": lambda cfg: figures.fig7_performance(cfg),
-    "fig8": lambda cfg: figures.fig8_bandwidth(cfg),
-    "fig9": lambda cfg: figures.fig9_energy(cfg),
-    "fig10": lambda cfg: figures.fig10_algorithms(cfg),
-    "fig11": lambda cfg: figures.fig11_compression_ratio(),
-    "fig12": lambda cfg: figures.fig12_bw_sensitivity(cfg),
-    "fig13": lambda cfg: figures.fig13_cache_compression(cfg),
-    "tab1": lambda cfg: figures.tab1_system_config(),
-    "mdcache": lambda cfg: figures.md_cache_study(cfg),
-    "memo": lambda cfg: _extensions().memoization_study(cfg),
-    "prefetch": lambda cfg: _extensions().prefetch_study(cfg),
-    "capacity": lambda cfg: _extensions().capacity_study(cfg),
-}
-
 SCENARIOS = ("prefetch", "memoization")
-
-
-def _jobs_arg(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,12 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--config", choices=sorted(CONFIGS), default="small")
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
-    fig_p.add_argument("id", choices=sorted(FIGURES))
+    fig_p.add_argument("id", choices=list(EXPERIMENTS))
     fig_p.add_argument("--config", choices=sorted(CONFIGS), default="small")
-    fig_p.add_argument("--jobs", type=_jobs_arg, default=None,
+    fig_p.add_argument("--jobs", type=jobs_arg, default=None,
                        help="simulation worker processes "
                             "(default: REPRO_JOBS or 1)")
-    fig_p.add_argument("--retries", type=int, default=None,
+    fig_p.add_argument("--retries", type=retries_arg, default=None,
                        help="retry budget per failed run "
                             "(default: REPRO_RETRIES or 1)")
     fig_p.add_argument("--timeout", type=float, default=None,
@@ -208,6 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--skip-scenarios", action="store_true",
                          help="skip the capacity-mode and prefetch/"
                               "memoization scenario invariants")
+    check_p.add_argument("--parity", default=None, metavar="DUMP",
+                         help="check the paper's claims on a saved "
+                              "run_experiments.py --out JSON instead; "
+                              "runs no simulation and no other pass")
     check_p.add_argument("--quick", action="store_true",
                          help="CI-sized pass: few lines, one app")
     check_p.add_argument("--all", action="store_true", dest="full",
@@ -397,21 +364,40 @@ def _cmd_compare(args) -> int:
 
 def _cmd_figure(args) -> int:
     from repro.harness import parallel
+    from repro.harness.report import run_experiment
 
     parallel.configure(jobs=args.jobs, retries=args.retries,
                        timeout=args.timeout)
     try:
-        config = CONFIGS[args.config]()
-        result = FIGURES[args.id](config)
-    except parallel.ExperimentFailure as exc:
-        # Completed sibling runs are already checkpointed; report the
-        # losers and exit non-zero so CI notices.
-        print(f"error: {args.id} incomplete\n{exc}", file=sys.stderr)
-        return 1
+        entry, text = run_experiment(args.id, CONFIGS[args.config]())
     finally:
         parallel.shutdown()
-    print(render_table(result))
+    if entry.get("failed"):
+        # Report the losers and exit non-zero so CI notices.
+        print(f"error: {args.id} incomplete\n{text}", file=sys.stderr)
+        return 1
+    print(text)
     return 0
+
+
+def _cmd_parity(path: str, verbose: bool) -> int:
+    import json
+
+    from repro.verify.parity import check_dump
+
+    try:
+        with open(path) as fh:
+            dump = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return 2
+    report = check_dump(dump if isinstance(dump, dict) else {})
+    if not report.results:
+        print(f"error: {path} holds no experiment with parity claims",
+              file=sys.stderr)
+        return 2
+    print(report.render(verbose=verbose))
+    return 0 if report.ok else 1
 
 
 def _cmd_cache(args) -> int:
@@ -482,6 +468,8 @@ def _cmd_compress(args) -> int:
 def _cmd_check(args) -> int:
     from repro.verify import run_checks
 
+    if args.parity is not None:
+        return _cmd_parity(args.parity, args.verbose)
     if args.quick and args.full:
         print("error: --quick and --all are mutually exclusive",
               file=sys.stderr)

@@ -25,6 +25,7 @@ are re-exported here for compatibility.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from repro import design as designs
@@ -234,10 +235,6 @@ def md_cache_sweep(
 
     The paper picks 8 KB as "sufficient for an 85% average hit rate";
     this sweep shows the knee of that curve."""
-    from dataclasses import replace as _replace
-
-    from repro.harness.runner import geomean
-
     config = config if config is not None else GPUConfig.small()
     result = FigureResult(
         figure="mdsweep",
@@ -246,7 +243,7 @@ def md_cache_sweep(
     )
     specs = []
     for size_kb in sizes_kb:
-        cfg = _replace(config, md_cache_size=size_kb * 1024)
+        cfg = replace(config, md_cache_size=size_kb * 1024)
         for app in apps:
             specs.append(RunSpec(app, designs.base(), cfg))
             specs.append(RunSpec(app, designs.caba(), cfg))
@@ -279,10 +276,6 @@ def scheduler_study(
 ) -> FigureResult:
     """Compare the GTO baseline scheduler against loose round-robin,
     with and without CABA compression."""
-    from dataclasses import replace as _replace
-
-    from repro.harness.runner import geomean
-
     config = config if config is not None else GPUConfig.small()
     result = FigureResult(
         figure="sched",
@@ -292,7 +285,7 @@ def scheduler_study(
     policies = ("gto", "lrr")
     specs = []
     for policy in policies:
-        cfg = _replace(config, scheduler=policy)
+        cfg = replace(config, scheduler=policy)
         for app in apps:
             specs.append(RunSpec(app, designs.base(), cfg))
             specs.append(RunSpec(app, designs.caba(), cfg))
@@ -345,8 +338,6 @@ def ablation_study(
         title="CABA design-choice ablations (CABA-BDI)",
         columns=["variant", "geomean_speedup", "compressed_store_fraction"],
     )
-    from repro.harness.runner import geomean
-
     if only is not None:
         variants = [(l, p) for l, p in variants if l in set(only)]
 

@@ -60,6 +60,28 @@ class FigureResult:
                 "timing values are extrapolated, not exact"
             )
 
+    def to_entry(self) -> dict:
+        """The JSON dump entry: what ``repro check --parity`` and
+        ``scripts/render_results.py`` read back."""
+        return {
+            "title": self.title,
+            "columns": self.columns,
+            "rows": self.rows,
+            "summary": self.summary,
+            "notes": self.notes,
+            "sampled": self.sampled,
+        }
+
+    @classmethod
+    def from_entry(cls, figure: str, entry: dict) -> "FigureResult":
+        """Rebuild a result from a dump entry. An entry from before
+        dumps recorded ``sampled`` reads as exact."""
+        result = cls(figure, entry["title"], entry["columns"],
+                     entry["rows"], entry["summary"],
+                     entry.get("notes", ""))
+        result.sampled = entry.get("sampled", "")
+        return result
+
 
 def _default_config(config: GPUConfig | None) -> GPUConfig:
     return config if config is not None else GPUConfig.small()
@@ -183,6 +205,12 @@ def fig5_bdi_example() -> FigureResult:
 # ----------------------------------------------------------------------
 # Figures 7/8/9: the five designs
 # ----------------------------------------------------------------------
+def _five_designs(algorithm: str) -> tuple[DesignPoint, ...]:
+    """Base, HW-BDI-Mem, HW-BDI, CABA-BDI, Ideal-BDI (Figures 7-9)."""
+    return (designs.base(), designs.hw_mem(algorithm), designs.hw(algorithm),
+            designs.caba(algorithm), designs.ideal(algorithm))
+
+
 def _design_study(
     config: GPUConfig,
     apps: Sequence[str],
@@ -212,13 +240,7 @@ def fig7_performance(
 ) -> FigureResult:
     """Normalized performance of the five designs (Figure 7)."""
     config = _default_config(config)
-    points = (
-        designs.base(),
-        designs.hw_mem(algorithm),
-        designs.hw(algorithm),
-        designs.caba(algorithm),
-        designs.ideal(algorithm),
-    )
+    points = _five_designs(algorithm)
     runs = _design_study(config, apps, points, label="fig7")
     names = [p.name for p in points]
     result = FigureResult(
@@ -251,13 +273,7 @@ def fig8_bandwidth(
 ) -> FigureResult:
     """DRAM bandwidth utilization of the five designs (Figure 8)."""
     config = _default_config(config)
-    points = (
-        designs.base(),
-        designs.hw_mem(algorithm),
-        designs.hw(algorithm),
-        designs.caba(algorithm),
-        designs.ideal(algorithm),
-    )
+    points = _five_designs(algorithm)
     runs = _design_study(config, apps, points, label="fig8")
     names = [p.name for p in points]
     result = FigureResult(
@@ -288,13 +304,7 @@ def fig9_energy(
 ) -> FigureResult:
     """Normalized energy of the five designs (Figure 9)."""
     config = _default_config(config)
-    points = (
-        designs.base(),
-        designs.hw_mem(algorithm),
-        designs.hw(algorithm),
-        designs.caba(algorithm),
-        designs.ideal(algorithm),
-    )
+    points = _five_designs(algorithm)
     runs = _design_study(config, apps, points, label="fig9")
     names = [p.name for p in points]
     result = FigureResult(
@@ -599,3 +609,46 @@ def md_cache_study(
         result.summary["average_hit_rate"] = sum(rates) / len(rates)
     result.notes = "Paper: 8KB 4-way MD cache hits 85% on average."
     return result
+
+
+# ----------------------------------------------------------------------
+# The experiment registry
+# ----------------------------------------------------------------------
+#: Machine configurations by ``--config`` name.
+CONFIGS = {
+    "small": GPUConfig.small,
+    "medium": GPUConfig.medium,
+    "full": GPUConfig,
+}
+
+
+def _extensions():
+    # repro.harness.extensions imports this module.
+    from repro.harness import extensions
+
+    return extensions
+
+
+#: Every experiment, in paper order: id -> thunk(config). ``repro
+#: figure`` and ``scripts/run_experiments.py`` read it, and every id
+#: with claims has a generator in :data:`repro.verify.parity.PARITY`.
+EXPERIMENTS = {
+    "tab1": lambda config: tab1_system_config(),
+    "fig1": lambda config: fig1_cycle_breakdown(config),
+    "fig2": lambda config: fig2_unallocated_registers(),
+    "fig5": lambda config: fig5_bdi_example(),
+    "fig7": lambda config: fig7_performance(config),
+    "fig8": lambda config: fig8_bandwidth(config),
+    "fig9": lambda config: fig9_energy(config),
+    "fig10": lambda config: fig10_algorithms(config),
+    "fig11": lambda config: fig11_compression_ratio(),
+    "fig12": lambda config: fig12_bw_sensitivity(config),
+    "fig13": lambda config: fig13_cache_compression(config),
+    "mdcache": lambda config: md_cache_study(config),
+    "memo": lambda config: _extensions().memoization_study(config),
+    "prefetch": lambda config: _extensions().prefetch_study(config),
+    "capacity": lambda config: _extensions().capacity_study(config),
+    "ablations": lambda config: _extensions().ablation_study(config),
+    "scheduler": lambda config: _extensions().scheduler_study(config),
+    "mdsweep": lambda config: _extensions().md_cache_sweep(config),
+}

@@ -41,6 +41,7 @@ Knobs (also documented in README.md):
 
 from __future__ import annotations
 
+import argparse
 import os
 import threading
 import time
@@ -79,6 +80,22 @@ def default_retries() -> int:
         return max(0, int(env))
     except ValueError:
         return 1
+
+
+def jobs_arg(text: str) -> int:
+    """``--jobs`` argument type shared by the front ends: >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def retries_arg(text: str) -> int:
+    """``--retries`` argument type shared by the front ends: >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def default_timeout() -> float | None:

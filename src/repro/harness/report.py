@@ -3,11 +3,17 @@
 The benchmark drivers print each :class:`FigureResult` through these
 helpers so ``pytest benchmarks/ --benchmark-only`` emits the same rows
 and series the paper reports, alongside the timing data.
+:func:`run_experiment` is the one run/render/dump-entry step that
+``repro figure`` and ``scripts/run_experiments.py`` share.
 """
 
 from __future__ import annotations
 
-from repro.harness.figures import FigureResult
+import time
+
+from repro.gpu.config import GPUConfig
+from repro.harness import parallel
+from repro.harness.figures import EXPERIMENTS, FigureResult
 
 
 def _fmt(value) -> str:
@@ -47,6 +53,23 @@ def render_table(result: FigureResult, max_rows: int | None = None) -> str:
     return "\n".join(lines)
 
 
+def render_markdown(result: FigureResult) -> str:
+    """Render a FigureResult as a markdown table plus summary list."""
+    columns = result.columns
+    lines = [f"### {result.title}", ""]
+    lines.append("| " + " | ".join(columns) + " |")
+    lines.append("|" + "---|" * len(columns))
+    for row in result.rows:
+        lines.append(
+            "| " + " | ".join(_fmt(row.get(c, "")) for c in columns) + " |"
+        )
+    if result.summary:
+        lines.append("")
+        for key, value in result.summary.items():
+            lines.append(f"- `{key}` = {_fmt(value)}")
+    return "\n".join(lines)
+
+
 def print_figure(result: FigureResult, max_rows: int | None = None) -> None:
     print()
     print(render_table(result, max_rows=max_rows))
@@ -83,3 +106,26 @@ def render_bars(
             f"  {str(row[label_column]):>10s} {bar:<{width}s} {value:.3f}"
         )
     return "\n".join(lines)
+
+
+def run_experiment(name: str, config: GPUConfig) -> tuple[dict, str]:
+    """Run registry experiment ``name``: (dump entry, printable text).
+
+    The entry is :meth:`FigureResult.to_entry` plus the wall time in
+    ``seconds``. A batch that still has failed runs after its retries
+    does not raise: its entry is ``{"failed": True, "failures": [...],
+    "seconds": ...}`` and the text is the per-spec failure report.
+    """
+    start = time.time()
+    try:
+        result = EXPERIMENTS[name](config)
+    except parallel.ExperimentFailure as exc:
+        # Completed sibling runs are already checkpointed.
+        return {
+            "failed": True,
+            "failures": [f.describe() for f in exc.failures],
+            "seconds": round(time.time() - start, 1),
+        }, str(exc)
+    entry = result.to_entry()
+    entry["seconds"] = round(time.time() - start, 1)
+    return entry, render_table(result)

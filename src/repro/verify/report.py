@@ -10,6 +10,7 @@ code, the report text and the test assertions all read the same data.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -59,17 +60,16 @@ class CheckReport:
     def render(self, verbose: bool = False) -> str:
         """The terminal report.
 
-        Groups results by their first name component (``roundtrip``,
-        ``differential``, ``invariant``), prints one summary line per
+        Groups results by their name up to the first ``.`` or ``:``
+        (``roundtrip``, ``invariant``, ``fig7``), prints one summary line per
         group, and lists every failing check by full name with its
         counterexample. ``verbose`` additionally lists passing checks.
         """
         lines: list[str] = []
         groups: dict[str, list[CheckResult]] = {}
         for result in self.results:
-            groups.setdefault(result.name.split(".", 1)[0], []).append(
-                result
-            )
+            group = re.split(r"[.:]", result.name, maxsplit=1)[0]
+            groups.setdefault(group, []).append(result)
         for group, rows in groups.items():
             passed = sum(1 for r in rows if r.passed)
             units = sum(r.checked for r in rows)

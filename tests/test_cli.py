@@ -61,6 +61,21 @@ class TestFigure:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
+    def test_accepts_every_registry_id(self):
+        from repro.cli import _build_parser
+        from repro.harness.figures import EXPERIMENTS
+
+        assert len(EXPERIMENTS) == 18
+        parser = _build_parser()
+        for exp_id in EXPERIMENTS:
+            assert parser.parse_args(["figure", exp_id]).id == exp_id
+
+    def test_negative_retries_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "tab1", "--retries", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
 
 class TestCompress:
     def test_compress_file(self, tmp_path, capsys):

@@ -48,41 +48,6 @@ def test_examples_import_only_public_api(path):
             ), node.module
 
 
-class TestResultsGate:
-    """The saved experiment matrix must satisfy the paper's shapes."""
-
-    def test_checker_passes_on_shipped_results(self, capsys):
-        import json
-
-        from importlib import util as importlib_util
-
-        spec = importlib_util.spec_from_file_location(
-            "check_results", REPO / "scripts" / "check_results.py"
-        )
-        module = importlib_util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        with open(REPO / "docs" / "results_small.json") as fh:
-            dump = json.load(fh)
-        assert module.validate(dump) == 0
-
-    def test_checker_fails_on_broken_results(self):
-        from importlib import util as importlib_util
-
-        spec = importlib_util.spec_from_file_location(
-            "check_results", REPO / "scripts" / "check_results.py"
-        )
-        module = importlib_util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        broken = {
-            "fig7": {"summary": {
-                "geomean_Base": 1.0, "geomean_HW-BDI-Mem": 0.9,
-                "geomean_HW-BDI": 0.9, "geomean_CABA-BDI": 0.8,
-                "geomean_Ideal-BDI": 0.9,
-            }}
-        }
-        assert module.validate(broken) != 0
-
-
 class TestExperimentsDriver:
     """``scripts/run_experiments.py`` argument handling."""
 
@@ -100,3 +65,28 @@ class TestExperimentsDriver:
         err = capsys.readouterr().err
         assert "fig99" in err
         assert "fig7" in err.split("valid:", 1)[1]
+
+    def test_valid_ids_are_the_registry(self, monkeypatch, capsys):
+        import runpy
+
+        from repro.harness.figures import EXPERIMENTS
+
+        module = runpy.run_path(str(REPO / "scripts" / "run_experiments.py"))
+        monkeypatch.setattr(
+            "sys.argv", ["run_experiments.py", "--only", "fig99"])
+        with pytest.raises(SystemExit):
+            module["main"]()
+        valid = capsys.readouterr().err.split("valid: ", 1)[1]
+        assert valid.rstrip().rstrip(")") == ", ".join(EXPERIMENTS)
+
+    def test_negative_retries_is_a_usage_error(self, monkeypatch, capsys):
+        import runpy
+
+        module = runpy.run_path(str(REPO / "scripts" / "run_experiments.py"))
+        monkeypatch.setattr(
+            "sys.argv",
+            ["run_experiments.py", "--only", "tab1", "--retries", "-1"])
+        with pytest.raises(SystemExit) as exc:
+            module["main"]()
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
