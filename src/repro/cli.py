@@ -156,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--skip-fuzz", action="store_true",
                          help="skip the round-trip fuzzing pass")
     check_p.add_argument("--skip-differential", action="store_true",
-                         help="skip the four-path differential pass")
+                         help="skip the size-path differential pass")
     check_p.add_argument("--skip-invariants", action="store_true",
                          help="skip the simulation replay invariants")
     check_p.add_argument("--skip-sampling", action="store_true",

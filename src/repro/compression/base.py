@@ -126,27 +126,15 @@ class CompressionAlgorithm(ABC):
     # ------------------------------------------------------------------
     # Batch interface
     # ------------------------------------------------------------------
-    def compress_lines(
-        self, lines: Sequence[bytes]
-    ) -> list[CompressedLine]:
-        """Compress a batch of lines.
-
-        Input validation is hoisted out of the per-line loop: lengths
-        are checked once for the whole batch, then the unchecked
-        compression core runs per line.
-        """
-        self._check_batch(lines)
-        compress = self._compress_line
-        return [compress(data) for data in lines]
-
     def size_table(self, lines: Sequence[bytes]) -> list[tuple[int, str]]:
         """``(size_bytes, encoding)`` of every line in ``lines``.
 
         This is the timing-only view the simulator's memory model needs
         (compressed size drives bursts and flits; the bytes themselves
-        do not). Algorithms override :meth:`_size_table` with whole-image
-        kernels — vectorized under numpy, size-only loops in pure
-        Python — that are exactly equivalent to ``compress()``.
+        do not). Algorithms override :meth:`_size_table` with one
+        whole-image kernel each that is exactly equivalent to
+        ``compress()``: vectorized under numpy for BDI, FPC and FVC (the
+        reference below without numpy), a size-only loop for C-Pack.
         """
         self._check_batch(lines)
         return self._size_table(list(lines))

@@ -1,36 +1,27 @@
 """Backend helpers for the batch (whole-image) compression kernels.
 
 The batch kernels in :mod:`repro.compression` compute per-line
-``(size, encoding)`` tables over many cache lines at once. They come in
-two flavours selected here at import time:
+``(size, encoding)`` tables over many cache lines at once. BDI, FPC and
+FVC have one **numpy kernel** each, which reinterprets the concatenated
+lines as a 2-D unsigned word matrix and classifies all words
+vectorized; C-Pack's sequential dictionary keeps a size-only loop.
 
-* a **numpy backend** that reinterprets the concatenated lines as a
-   2-D unsigned word matrix and classifies all words vectorized, and
-* a **pure-Python backend** (always available) that uses the big-int
-  word-splitting trick and size-only inner loops.
-
-numpy is an optional dependency (``pip install repro[fast]``); when it
-is missing — or explicitly disabled with ``REPRO_NUMPY=0`` — every
-batch kernel falls back to the pure path. Both backends are exact: the
+numpy is an optional dependency (``pip install repro[fast]``) and is
+used if and only if it imports. Without it, BDI, FPC and FVC fall back
+to the scalar reference (one ``compress()`` core per line). The
 differential suite (``tests/compression/test_batch_equivalence.py``)
-asserts they match the scalar ``compress()`` reference byte for byte.
+asserts every kernel matches the scalar ``compress()`` byte for byte.
 
-Tests monkeypatch the module-level ``np`` to ``None`` to force the pure
-path regardless of the environment.
+Tests monkeypatch the module-level ``np`` to ``None`` to take the
+no-numpy path regardless of the environment.
 """
 
 from __future__ import annotations
 
-import os
-
-np = None
-if os.environ.get("REPRO_NUMPY", "1") != "0":
-    try:  # pragma: no cover - exercised via both CI legs
-        import numpy as _numpy
-
-        np = _numpy
-    except ImportError:
-        np = None
+try:  # pragma: no cover - exercised via both CI legs
+    import numpy as np
+except ImportError:
+    np = None
 
 
 def word_matrix(lines, word_bytes: int):

@@ -132,23 +132,6 @@ def _try_encode(
     )
 
 
-def _fits(words: Sequence[int], delta_bytes: int) -> bool:
-    """Size-only version of :func:`_try_encode`: fit test, no deltas."""
-    bound = 1 << (8 * delta_bytes - 1)
-    neg_bound = -bound
-    base: int | None = None
-    for word in words:
-        if word < bound:
-            continue
-        if base is None:
-            base = word
-            continue
-        delta = word - base
-        if not neg_bound <= delta < bound:
-            return False
-    return True
-
-
 class BdiCompressor(CompressionAlgorithm):
     """Base-Delta-Immediate compressor over one cache line.
 
@@ -236,36 +219,13 @@ class BdiCompressor(CompressionAlgorithm):
         return None
 
     # ------------------------------------------------------------------
-    # Batch size kernels
+    # Batch size kernel
     # ------------------------------------------------------------------
     def _size_table(self, lines: list[bytes]) -> list[tuple[int, str]]:
-        if batch.np is None or not lines:
-            return [self._size_line(data) for data in lines]
-        return self._size_table_numpy(lines)
-
-    def _size_line(self, data: bytes) -> tuple[int, str]:
-        """Size-only single-line kernel (no delta/state materialization)."""
-        if not any(data):
-            return ZEROS_SIZE, "ZEROS"
-        if data == data[:8] * (self.line_size // 8):
-            return REPEAT_SIZE, "REPEAT"
-        best_size = self.line_size
-        best_name = "uncompressed"
-        splits: dict[int, list[int]] = {}
-        for encoding, size in self._encoding_sizes:
-            if size >= best_size:
-                continue
-            words = splits.get(encoding.base_bytes)
-            if words is None:
-                words = _split_words(data, encoding.base_bytes)
-                splits[encoding.base_bytes] = words
-            if _fits(words, encoding.delta_bytes):
-                best_size = size
-                best_name = encoding.name
-        return best_size, best_name
-
-    def _size_table_numpy(self, lines: list[bytes]) -> list[tuple[int, str]]:
+        """Vectorized whole-image kernel; without numpy, the reference."""
         np = batch.np
+        if np is None or not lines:
+            return super()._size_table(lines)
         n = len(lines)
         line_size = self.line_size
         buf = np.frombuffer(b"".join(lines), dtype=np.uint8)

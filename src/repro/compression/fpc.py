@@ -184,66 +184,13 @@ class FpcCompressor(CompressionAlgorithm):
         return word == b * 0x01010101
 
     # ------------------------------------------------------------------
-    # Batch size kernels
+    # Batch size kernel
     # ------------------------------------------------------------------
     def _size_table(self, lines: list[bytes]) -> list[tuple[int, str]]:
-        if batch.np is not None and lines:
-            return self._size_table_numpy(lines)
-        line_size = self.line_size
-        out: list[tuple[int, str]] = []
-        for data in lines:
-            words = [
-                int.from_bytes(data[i : i + 4], "little")
-                for i in range(0, line_size, 4)
-            ]
-            size = max(1, math.ceil(self._size_bits(words) / 8))
-            if size >= line_size:
-                out.append((line_size, "uncompressed"))
-            else:
-                out.append((size, "fpc"))
-        return out
-
-    def _size_bits(self, words: list[int]) -> int:
-        """Total symbol-stream bits of a line (size-only ``_encode_at``)."""
-        enabled = self._enabled
-        use_zero_run = "zero_run" in enabled
-        bits = 0
-        i = 0
-        n = len(words)
-        while i < n:
-            word = words[i]
-            if use_zero_run and word == 0:
-                run = 1
-                while (
-                    run < MAX_ZERO_RUN and i + run < n and words[i + run] == 0
-                ):
-                    run += 1
-                bits += PREFIX_BITS + ZERO_RUN.payload_bits
-                i += run
-                continue
-            bits += PREFIX_BITS + self._word_payload_bits(word)
-            i += 1
-        return bits
-
-    def _word_payload_bits(self, word: int) -> int:
-        """Payload bits of one non-run word, in ``_encode_at`` order."""
-        enabled = self._enabled
-        if "signed_4bit" in enabled and _fits_signed(word, 4):
-            return 4
-        if "signed_1byte" in enabled and _fits_signed(word, 8):
-            return 8
-        if "signed_halfword" in enabled and _fits_signed(word, 16):
-            return 16
-        if "zero_padded_halfword" in enabled and word & 0xFFFF == 0:
-            return 16
-        if "two_signed_bytes" in enabled and self._two_signed_bytes(word):
-            return 16
-        if "repeated_bytes" in enabled and self._repeated_bytes(word):
-            return 8
-        return 32
-
-    def _size_table_numpy(self, lines: list[bytes]) -> list[tuple[int, str]]:
+        """Vectorized whole-image kernel; without numpy, the reference."""
         np = batch.np
+        if np is None or not lines:
+            return super()._size_table(lines)
         line_size = self.line_size
         enabled = self._enabled
         unsigned = batch.word_matrix(lines, 4)

@@ -122,29 +122,13 @@ class FvcCompressor(CompressionAlgorithm):
         )
 
     # ------------------------------------------------------------------
-    # Batch size kernels
+    # Batch size kernel
     # ------------------------------------------------------------------
     def _size_table(self, lines: list[bytes]) -> list[tuple[int, str]]:
-        if batch.np is None or not lines:
-            return [self._size_line(data) for data in lines]
-        return self._size_table_numpy(lines)
-
-    def _size_line(self, data: bytes) -> tuple[int, str]:
-        line_size = self.line_size
-        index = self._index
-        n_words = line_size // 4
-        hits = 0
-        for offset in range(0, line_size, 4):
-            if int.from_bytes(data[offset:offset + 4], "little") in index:
-                hits += 1
-        bits = n_words + hits * self.index_bits + (n_words - hits) * 32
-        size = max(1, math.ceil(bits / 8))
-        if size >= line_size:
-            return line_size, "uncompressed"
-        return size, "fvc"
-
-    def _size_table_numpy(self, lines: list[bytes]) -> list[tuple[int, str]]:
+        """Vectorized whole-image kernel; without numpy, the reference."""
         np = batch.np
+        if np is None or not lines:
+            return super()._size_table(lines)
         line_size = self.line_size
         words = batch.word_matrix(lines, 4)
         in_table = np.zeros(words.shape, dtype=bool)

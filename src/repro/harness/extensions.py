@@ -31,17 +31,14 @@ from typing import Sequence
 from repro import design as designs
 from repro.core.params import CabaParams
 from repro.gpu.config import GPUConfig
-from repro.harness.figures import ALGORITHM_ORDER, FigureResult
-from repro.harness.parallel import run_specs
+from repro.harness.figures import ALGORITHM_ORDER, FigureResult, run_figure
 from repro.harness.runner import RunSpec, geomean, scenario_spec
 from repro.harness.scenarios import (  # noqa: F401  (re-exported API)
     ScenarioSpec,
     build_latency_bound_kernel,
     build_memo_kernel,
     make_signature_fn,
-    run_kernel,
 )
-from repro.harness.scenarios import run_kernel as _run  # noqa: F401
 from repro.memory.hostlink import CapacityConfig
 from repro.workloads.tracegen import TraceScale
 
@@ -65,13 +62,12 @@ def memoization_study(
                       region_len=region_len)
         for redundancy in redundancies
     ]
-    runs = run_specs(specs, label="memo")
-    base, assisted = runs[0], runs[1:]
     result = FigureResult(
         figure="memo",
         title="Memoization with assist warps (Section 7.1)",
         columns=["redundancy", "speedup", "lut_hit_rate", "skipped_instrs"],
     )
+    base, *assisted = run_figure(result, specs)
     for redundancy, run in zip(redundancies, assisted):
         result.rows.append({
             "redundancy": redundancy,
@@ -102,14 +98,13 @@ def prefetch_study(
         scenario_spec("prefetch", config, distance=distance)
         for distance in distances
     ]
-    runs = run_specs(specs, label="prefetch")
-    base, assisted = runs[0], runs[1:]
-    base_hits = base.scenario["l1_load_hits"]
     result = FigureResult(
         figure="prefetch",
         title="Stride prefetching with assist warps (Section 7.2)",
         columns=["distance", "speedup", "prefetches", "l1_hit_gain"],
     )
+    base, *assisted = run_figure(result, specs)
+    base_hits = base.scenario["l1_load_hits"]
     for distance, run in zip(distances, assisted):
         result.rows.append({
             "distance": distance,
@@ -172,8 +167,6 @@ def capacity_study(
         for algorithm in algorithms:
             specs.append(RunSpec(app, designs.caba(algorithm), config,
                                  scale=scale, capacity=cap(app)))
-    runs = iter(run_specs(specs, label="capacity"))
-
     result = FigureResult(
         figure="capacity",
         title=(
@@ -184,6 +177,7 @@ def capacity_study(
         columns=["app", "algorithm", "effective_capacity", "spill_fraction",
                  "spill_bursts", "host_bus_util", "speedup_vs_base"],
     )
+    runs = iter(run_figure(result, specs))
     per_algo: dict[str, list[float]] = {a: [] for a in algorithms}
     for app in apps:
         base = next(runs)
@@ -247,7 +241,7 @@ def md_cache_sweep(
         for app in apps:
             specs.append(RunSpec(app, designs.base(), cfg))
             specs.append(RunSpec(app, designs.caba(), cfg))
-    runs = iter(run_specs(specs, label="mdsweep"))
+    runs = iter(run_figure(result, specs))
     for size_kb in sizes_kb:
         rates, speedups = [], []
         for app in apps:
@@ -289,7 +283,7 @@ def scheduler_study(
         for app in apps:
             specs.append(RunSpec(app, designs.base(), cfg))
             specs.append(RunSpec(app, designs.caba(), cfg))
-    runs = iter(run_specs(specs, label="scheduler"))
+    runs = iter(run_figure(result, specs, label="scheduler"))
     for policy in policies:
         ipcs, speedups = [], []
         for app in apps:
@@ -354,7 +348,7 @@ def ablation_study(
         for app in apps:
             specs.append(RunSpec(app, designs.base(), config))
             specs.append(RunSpec(app, point, config, params=params))
-    runs = iter(run_specs(specs, label="ablations"))
+    runs = iter(run_figure(result, specs))
     for label, params in variants:
         speedups = []
         compressed = uncompressed = 0

@@ -22,7 +22,6 @@ from repro.design import DesignPoint
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.occupancy import compute_occupancy
-from repro.gpu.sampling import SampleConfig
 from repro.gpu.stats import SLOT_LABELS, Slot
 from repro.harness.parallel import run_specs
 from repro.harness.runner import RunResult, RunSpec, geomean
@@ -45,20 +44,12 @@ class FigureResult:
     rows: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     notes: str = ""
-    #: Non-empty when the sweep ran under ambient ``REPRO_SAMPLE`` —
-    #: interval-sampled timing is approximate (≤2 % on certified
-    #: points; see repro.gpu.sampling), and reports must say so rather
-    #: than pass extrapolated numbers off as exact.
+    #: Non-empty when any run of the figure was interval-sampled —
+    #: sampled timing is approximate (≤2 % on certified points; see
+    #: repro.gpu.sampling), and reports must say so rather than pass
+    #: extrapolated numbers off as exact. Set by :func:`run_figure`,
+    #: so a figure that simulates nothing always reads as exact.
     sampled: str = ""
-
-    def __post_init__(self) -> None:
-        sample = SampleConfig.from_env()
-        if sample is not None:
-            self.sampled = (
-                f"interval-sampled {sample.warmup}:{sample.measure}:"
-                f"{sample.skip} ({sample.detail_fraction:.0%} detail) — "
-                "timing values are extrapolated, not exact"
-            )
 
     def to_entry(self) -> dict:
         """The JSON dump entry: what ``repro check --parity`` and
@@ -81,6 +72,33 @@ class FigureResult:
                      entry.get("notes", ""))
         result.sampled = entry.get("sampled", "")
         return result
+
+
+def sample_label(specs: Sequence[RunSpec]) -> str:
+    """The ``sampled`` label of a figure over ``specs``: empty unless
+    some run is interval-sampled."""
+    for spec in specs:
+        sample = spec.sample
+        if sample is not None:
+            return (
+                f"interval-sampled {sample.warmup}:{sample.measure}:"
+                f"{sample.skip} ({sample.detail_fraction:.0%} detail) — "
+                "timing values are extrapolated, not exact"
+            )
+    return ""
+
+
+def run_figure(
+    result: FigureResult,
+    specs: Sequence[RunSpec],
+    label: str | None = None,
+) -> list[RunResult]:
+    """Run ``specs`` for ``result`` through the shared parallel engine,
+    labelling ``result`` when any of them is interval-sampled.
+    ``label`` (default: the figure id) names the figure in failure
+    reports."""
+    result.sampled = sample_label(specs)
+    return run_specs(specs, label=label or result.figure)
 
 
 def _default_config(config: GPUConfig | None) -> GPUConfig:
@@ -106,10 +124,10 @@ def fig1_cycle_breakdown(
         columns=columns,
     )
     memory_stall_fracs: dict[float, list[float]] = {s: [] for s in bw_scales}
-    runs = iter(run_specs([
+    runs = iter(run_figure(result, [
         RunSpec(name, designs.base(), config.with_bandwidth_scale(scale))
         for name in apps for scale in bw_scales
-    ], label="fig1"))
+    ]))
     for name in apps:
         app = get_app(name)
         for scale in bw_scales:
@@ -212,20 +230,20 @@ def _five_designs(algorithm: str) -> tuple[DesignPoint, ...]:
 
 
 def _design_study(
+    result: FigureResult,
     config: GPUConfig,
     apps: Sequence[str],
     points: Sequence[DesignPoint],
-    label: str | None = None,
 ) -> dict[str, dict[str, RunResult]]:
-    """Run every app under every design; results keyed [app][design].
+    """Run every app under every design for ``result``; results keyed
+    [app][design].
 
     The full (app x design) matrix is enumerated up front and submitted
     through the shared parallel engine, so independent points simulate
-    concurrently when the engine has workers. ``label`` names the
-    calling figure in failure reports."""
-    results = run_specs([
+    concurrently when the engine has workers."""
+    results = run_figure(result, [
         RunSpec(name, point, config) for name in apps for point in points
-    ], label=label)
+    ])
     table: dict[str, dict[str, RunResult]] = {}
     it = iter(results)
     for name in apps:
@@ -241,13 +259,13 @@ def fig7_performance(
     """Normalized performance of the five designs (Figure 7)."""
     config = _default_config(config)
     points = _five_designs(algorithm)
-    runs = _design_study(config, apps, points, label="fig7")
     names = [p.name for p in points]
     result = FigureResult(
         figure="fig7",
         title="Normalized performance of CABA (Figure 7)",
         columns=["app"] + names,
     )
+    runs = _design_study(result, config, apps, points)
     per_design: dict[str, list[float]] = {n: [] for n in names}
     for app in apps:
         base = runs[app]["Base"]
@@ -274,13 +292,13 @@ def fig8_bandwidth(
     """DRAM bandwidth utilization of the five designs (Figure 8)."""
     config = _default_config(config)
     points = _five_designs(algorithm)
-    runs = _design_study(config, apps, points, label="fig8")
     names = [p.name for p in points]
     result = FigureResult(
         figure="fig8",
         title="Memory bandwidth utilization (Figure 8)",
         columns=["app"] + names,
     )
+    runs = _design_study(result, config, apps, points)
     sums = {n: 0.0 for n in names}
     for app in apps:
         row = {"app": app}
@@ -305,13 +323,13 @@ def fig9_energy(
     """Normalized energy of the five designs (Figure 9)."""
     config = _default_config(config)
     points = _five_designs(algorithm)
-    runs = _design_study(config, apps, points, label="fig9")
     names = [p.name for p in points]
     result = FigureResult(
         figure="fig9",
         title="Normalized energy consumption (Figure 9)",
         columns=["app"] + names,
     )
+    runs = _design_study(result, config, apps, points)
     per_design: dict[str, list[float]] = {n: [] for n in names}
     dram_drop = []
     for app in apps:
@@ -371,9 +389,9 @@ def fig10_algorithms(
     )
     per_algo: dict[str, list[float]] = {a: [] for a in algorithms}
     points = [designs.base()] + [designs.caba(a) for a in algorithms]
-    runs = iter(run_specs([
+    runs = iter(run_figure(result, [
         RunSpec(app, point, config) for app in apps for point in points
-    ], label="fig10"))
+    ]))
     for app in apps:
         base = next(runs)
         row = {"app": app}
@@ -485,7 +503,7 @@ def fig12_bw_sensitivity(
             scaled = config.with_bandwidth_scale(scale)
             specs.append(RunSpec(app, designs.base(), scaled))
             specs.append(RunSpec(app, designs.caba(algorithm), scaled))
-    runs = iter(run_specs(specs, label="fig12"))
+    runs = iter(run_figure(result, specs))
     for app in apps:
         ref = next(runs)
         row = {"app": app}
@@ -530,9 +548,9 @@ def fig13_cache_compression(
         columns=["app"] + names,
     )
     per_design: dict[str, list[float]] = {n: [] for n in names}
-    runs = iter(run_specs([
+    runs = iter(run_figure(result, [
         RunSpec(app, point, config) for app in apps for point in points
-    ], label="fig13"))
+    ]))
     for app in apps:
         by_point = [next(runs) for _ in points]
         baseline = by_point[0]
@@ -596,9 +614,9 @@ def md_cache_study(
         columns=["app", "md_hit_rate"],
     )
     rates = []
-    runs = iter(run_specs([
+    runs = iter(run_figure(result, [
         RunSpec(app, designs.caba(algorithm), config) for app in apps
-    ], label="mdcache"))
+    ]))
     for app in apps:
         run = next(runs)
         if run.md_cache_hit_rate is None:

@@ -49,7 +49,7 @@ from repro.harness.scenarios import (
 )
 from repro.memory import plane as plane_mod
 from repro.memory.hostlink import CapacityConfig, CapacityModel, plan_capacity
-from repro.memory.image import LineInfo, MemoryImage
+from repro.memory.image import MemoryImage
 from repro.memory.plane import CompressionPlane
 from repro.obs import RunObservation, trace_enabled
 from repro.workloads.apps import AppProfile, get_app
@@ -142,7 +142,6 @@ class RunResult:
 
 
 # Per-process caches.
-_line_info_caches: dict[tuple, dict[int, LineInfo]] = {}
 _run_cache: dict[RunSpec, RunResult] = {}
 #: Compression planes by content address, shared across every design of
 #: a sweep (Base/CABA-BDI/... all reuse the same per-algorithm plane).
@@ -150,9 +149,8 @@ _plane_cache: dict[str, CompressionPlane] = {}
 
 
 def clear_caches() -> None:
-    """Drop memoized runs, compression size caches and the persistent
-    cache handle (mainly for tests; the on-disk entries survive)."""
-    _line_info_caches.clear()
+    """Drop memoized runs, compression planes and the persistent cache
+    handle (mainly for tests; the on-disk entries survive)."""
     _run_cache.clear()
     _plane_cache.clear()
     run_cache_store.reset_cache_handle()
@@ -273,22 +271,17 @@ def build_image(
     plane = None
     if _compression_enabled(app, design):
         algorithm = make_algorithm(design.algorithm, config.line_size)
-        cache_key = (app.name, design.algorithm, config.line_size)
-        shared = _line_info_caches.setdefault(cache_key, {})
         if scale is not None and planes_enabled():
             extents = footprint_extents(app, config, scale)
             plane = _plane_for(
                 app, design.algorithm, config.line_size,
                 config.burst_bytes, extents,
             )
-    else:
-        shared = None
     return MemoryImage(
         line_bytes,
         algorithm,
         line_size=config.line_size,
         burst_bytes=config.burst_bytes,
-        shared_cache=shared,
         plane=plane,
     )
 

@@ -226,38 +226,6 @@ def build_scenario(
     return kernel, factory, controllers
 
 
-def run_kernel(
-    config: GPUConfig,
-    kernel: Kernel,
-    controller_factory=None,
-    design=None,
-):
-    """Raw single-kernel run, outside the RunSpec engine.
-
-    For unit tests and examples that need the full
-    :class:`~repro.gpu.simulator.SimulationResult` of a hand-built
-    kernel; evaluated scenarios go through RunSpec instead.
-    """
-    from repro import design as designs
-    from repro.gpu.simulator import Simulator
-    from repro.memory.image import MemoryImage
-
-    image = MemoryImage(
-        lambda line, _size=config.line_size: bytes(_size),
-        None,
-        line_size=config.line_size,
-        burst_bytes=config.burst_bytes,
-    )
-    simulator = Simulator(
-        config,
-        kernel,
-        design if design is not None else designs.base(),
-        image,
-        caba_factory=controller_factory,
-    )
-    return simulator.run()
-
-
 def collect_scenario_stats(
     scenario: ScenarioSpec, controllers: list
 ) -> dict:

@@ -13,6 +13,7 @@ was throttled and the line went back uncompressed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.compression.base import CompressionAlgorithm, bursts_for
@@ -33,6 +34,17 @@ class LineInfo:
         return self.encoding != "uncompressed"
 
 
+@lru_cache(maxsize=None)
+def line_info(size_bytes: int, encoding: str) -> LineInfo:
+    """The one shared :class:`LineInfo` of a ``(size, encoding)`` pair.
+
+    A run touches tens of thousands of lines but sees at most one pair
+    per stored size and encoding, so every image's per-line memo holds
+    references to these instead of one record per line.
+    """
+    return LineInfo(size_bytes, encoding)
+
+
 class MemoryImage:
     """Per-line compressed sizes of the simulated global memory.
 
@@ -42,6 +54,9 @@ class MemoryImage:
             uncompressed baseline.
         line_size: Line size in bytes.
         burst_bytes: DRAM burst granularity.
+        plane: Optional precomputed
+            :class:`~repro.memory.plane.CompressionPlane` consulted
+            before falling back to scalar compression.
     """
 
     def __init__(
@@ -50,14 +65,8 @@ class MemoryImage:
         algorithm: CompressionAlgorithm | None,
         line_size: int = 128,
         burst_bytes: int = 32,
-        shared_cache: dict[int, LineInfo] | None = None,
         plane=None,
     ) -> None:
-        """``shared_cache`` lets several runs of the same workload +
-        algorithm share the (immutable) baseline size cache; store
-        overrides always stay private to one run. ``plane`` is an
-        optional precomputed :class:`~repro.memory.plane.CompressionPlane`
-        consulted before falling back to scalar compression."""
         if algorithm is not None and algorithm.line_size != line_size:
             raise ValueError(
                 f"algorithm line size {algorithm.line_size} != {line_size}"
@@ -66,9 +75,7 @@ class MemoryImage:
         self.algorithm = algorithm
         self.line_size = line_size
         self.burst_bytes = burst_bytes
-        self._cache: dict[int, LineInfo] = (
-            shared_cache if shared_cache is not None else {}
-        )
+        self._cache: dict[int, LineInfo] = {}
         self._overrides: dict[int, LineInfo] = {}
         self.plane = plane if algorithm is not None else None
 
@@ -89,7 +96,7 @@ class MemoryImage:
         if cached is not None:
             return cached
         if self.algorithm is None:
-            info = LineInfo(self.line_size, "uncompressed")
+            info = line_info(self.line_size, "uncompressed")
         else:
             # Planes are consulted per lookup (never bulk-copied) so the
             # touched-line set — and with it every aggregate statistic —
@@ -97,7 +104,7 @@ class MemoryImage:
             info = self.plane.info(line) if self.plane is not None else None
             if info is None:
                 compressed = self.algorithm.compress(self._line_bytes(line))
-                info = LineInfo(compressed.size_bytes, compressed.encoding)
+                info = line_info(compressed.size_bytes, compressed.encoding)
         self._cache[line] = info
         return info
 
@@ -126,7 +133,7 @@ class MemoryImage:
         if compressed and self.algorithm is not None:
             info = self._baseline_info(line)
         else:
-            info = LineInfo(self.line_size, "uncompressed")
+            info = line_info(self.line_size, "uncompressed")
         self._overrides[line] = info
         return info
 

@@ -6,8 +6,7 @@ themselves matter only when decompression correctness is under test.
 A :class:`CompressionPlane` exploits that split: the application's whole
 memory image is batch-compressed once per algorithm (through the
 whole-image kernels behind ``CompressionAlgorithm.size_table``) into a
-per-line table of ``(stored_size, bursts, encoding)`` plus the
-assist-warp cycle cost of each encoding seen in the image. The hot path
+per-line table of ``(stored_size, bursts, encoding)``. The hot path
 then does O(1) lookups instead of calling ``compress()`` per access.
 
 Planes are immutable and content-addressed by
@@ -27,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.compression.base import CompressionAlgorithm, bursts_for
 from repro.compression.bestofall import compose_size_tables
-from repro.memory.image import LineInfo
+from repro.memory.image import LineInfo, line_info
 
 #: Bump when plane layout or the batch kernels change in a way the
 #: version stamp of the persistent cache would not capture on its own.
@@ -43,8 +42,6 @@ class CompressionPlane:
         burst_bytes: DRAM burst granularity used for the burst column.
         key: Content-address of the plane (see :func:`plane_key`).
         table: ``line -> (stored_size, bursts, encoding)``.
-        assist_cycles: Assist-warp decompression subroutine length in
-            instructions, per encoding present in the image.
     """
 
     __slots__ = (
@@ -53,7 +50,6 @@ class CompressionPlane:
         "burst_bytes",
         "key",
         "table",
-        "assist_cycles",
     )
 
     def __init__(
@@ -63,28 +59,22 @@ class CompressionPlane:
         burst_bytes: int,
         key: str,
         table: dict[int, tuple[int, int, str]],
-        assist_cycles: dict[str, int],
     ) -> None:
         self.algorithm_name = algorithm_name
         self.line_size = line_size
         self.burst_bytes = burst_bytes
         self.key = key
         self.table = table
-        self.assist_cycles = assist_cycles
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def lookup(self, line: int) -> tuple[int, int, str] | None:
-        """``(stored_size, bursts, encoding)`` of ``line``, if covered."""
-        return self.table.get(line)
 
     def info(self, line: int) -> LineInfo | None:
         """The :class:`LineInfo` of ``line``, or ``None`` if uncovered."""
         entry = self.table.get(line)
         if entry is None:
             return None
-        return LineInfo(entry[0], entry[2])
+        return line_info(entry[0], entry[2])
 
     def bursts(self, line: int) -> int:
         """Burst count of ``line`` (must be covered by the plane)."""
@@ -140,11 +130,6 @@ def build_plane(
         burst_bytes=burst_bytes,
         key=key,
         table=table,
-        assist_cycles=assist_cycle_costs(
-            {entry[2] for entry in table.values()},
-            algorithm.name,
-            algorithm.line_size,
-        ),
     )
 
 
@@ -181,33 +166,7 @@ def compose_best_of_all(
         burst_bytes=burst_bytes,
         key=key,
         table=table,
-        assist_cycles=assist_cycle_costs(
-            {entry[2] for entry in table.values()}, name, line_size
-        ),
     )
-
-
-def assist_cycle_costs(
-    encodings: Iterable[str], algorithm_name: str, line_size: int
-) -> dict[str, int]:
-    """Assist-warp decompression program length per encoding.
-
-    Encodings without a subroutine (or ``"uncompressed"``, which never
-    spawns an assist warp) are simply omitted.
-    """
-    from repro.core.subroutines import SubroutineLibrary
-
-    library = SubroutineLibrary(line_size)
-    costs: dict[str, int] = {}
-    for encoding in encodings:
-        if encoding == "uncompressed":
-            continue
-        try:
-            program = library.decompression(algorithm_name, encoding)
-        except (ValueError, KeyError):
-            continue
-        costs[encoding] = len(program.body)
-    return costs
 
 
 def plane_key(

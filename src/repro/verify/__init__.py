@@ -6,8 +6,8 @@ surface:
 * :mod:`repro.verify.fuzz` — seeded adversarial round-trip fuzzing of
   every compression algorithm, cross-checked against the batch kernels,
 * :mod:`repro.verify.differential` — byte-identical agreement of the
-  four compressed-size computation paths (scalar, numpy batch, pure
-  batch, cached planes) on real application images,
+  compressed-size computation paths (scalar, numpy batch, batch without
+  numpy, cached planes) on real application images,
 * :mod:`repro.verify.invariants` — conservation laws replayed on traced
   simulation runs (issue slots, MSHRs, flits, DRAM bursts, compressed
   cache budgets),

@@ -1,11 +1,12 @@
-"""Differential testing of the four compressed-size computation paths.
+"""Differential testing of the compressed-size computation paths.
 
-The simulator obtains a line's compressed size four ways, all of which
-must agree byte-for-byte or runs become backend-dependent:
+The simulator obtains a line's compressed size several ways, all of
+which must agree byte-for-byte or runs become backend-dependent:
 
 1. scalar ``compress()`` per line (the ``REPRO_PLANES=0`` hot path),
 2. the numpy whole-image batch kernels (when numpy is installed),
-3. the pure-Python whole-image batch kernels (``REPRO_NUMPY=0``),
+3. the batch path without numpy — the scalar reference for BDI, FPC
+   and FVC, C-Pack's size-only loop over the big-int word split,
 4. cached :class:`~repro.memory.plane.CompressionPlane` lookups — for
    ``bestofall`` these are *composed* from the component planes, which
    additionally exercises the tie-breaking rule of
@@ -44,7 +45,7 @@ DEFAULT_APPS: tuple[str, ...] = ("PVC", "MM", "LPS", "MUM")
 
 @contextmanager
 def _forced_pure_backend():
-    """Temporarily disable the numpy batch backend."""
+    """Temporarily take the batch path without numpy."""
     saved = batch_mod.np
     batch_mod.np = None
     try:
@@ -87,7 +88,7 @@ def differential_check(
     line_size: int = 128,
     burst_bytes: int = 32,
 ) -> list[CheckResult]:
-    """Compare all four size paths on every (app, algorithm) pair."""
+    """Compare every size path on every (app, algorithm) pair."""
     results: list[CheckResult] = []
     for app_name in apps:
         profile = get_app(app_name)

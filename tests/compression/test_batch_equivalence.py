@@ -1,10 +1,9 @@
 """Differential tests: batch size tables vs. scalar ``compress()``.
 
-The batch kernels (``size_table`` / ``compress_lines``) must produce
-exactly the scalar reference results for every algorithm, on both the
-pure-Python backend and the numpy backend, across randomized lines from
-real app mixtures, all-zero lines, narrow-delta lines and adversarial
-boundary cases.
+The batch kernels behind ``size_table`` must produce exactly the scalar
+reference results for every algorithm, with numpy and without it,
+across randomized lines from real app mixtures, all-zero lines,
+narrow-delta lines and adversarial boundary cases.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ LINES = _line_families()
 
 @pytest.fixture(params=["pure", "numpy"])
 def backend(request, monkeypatch):
-    """Run the test body under each batch backend."""
+    """Run the test body with numpy and without it."""
     if request.param == "pure":
         monkeypatch.setattr(batch, "np", None)
     elif batch.np is None:
@@ -97,21 +96,19 @@ def test_size_table_matches_scalar(name, backend):
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_compress_lines_matches_scalar(name, backend):
+    """Every batch-sized line is one the scalar path restores exactly."""
     algo = make_algorithm(name, LINE_SIZE)
-    batched = algo.compress_lines(LINES[:32])
-    for data, line in zip(LINES[:32], batched):
+    batched = algo.size_table(LINES[:32])
+    for data, entry in zip(LINES[:32], batched):
         scalar = algo.compress(data)
-        assert (line.size_bytes, line.encoding) == (
-            scalar.size_bytes, scalar.encoding,
-        )
-        assert algo.decompress(line) == data
+        assert entry == (scalar.size_bytes, scalar.encoding)
+        assert algo.decompress(scalar) == data
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_empty_batch(name, backend):
     algo = make_algorithm(name, LINE_SIZE)
     assert algo.size_table([]) == []
-    assert algo.compress_lines([]) == []
 
 
 def test_batch_validation_catches_bad_line():
@@ -119,8 +116,6 @@ def test_batch_validation_catches_bad_line():
     bad = [bytes(LINE_SIZE), bytes(LINE_SIZE - 1)]
     with pytest.raises(CompressionError, match="line 1"):
         algo.size_table(bad)
-    with pytest.raises(CompressionError, match="line 1"):
-        algo.compress_lines(bad)
 
 
 def test_fpc_reduced_pattern_set(backend):

@@ -14,8 +14,8 @@ from repro.harness.extensions import (
     build_memo_kernel,
     make_signature_fn,
     memoization_study,
-    _run,
 )
+from tests.gpu.test_simulator import run as run_raw
 
 
 class TestSubroutines:
@@ -59,13 +59,13 @@ class TestEndToEnd:
     def test_redundancy_increases_speedup(self):
         config = GPUConfig.small()
         kernel = build_memo_kernel(config, iterations=20)
-        base = _run(config, kernel)
+        base = run_raw(kernel, config)
 
         def run_with(redundancy):
             factory = lambda sm: MemoizationController(
                 sm, make_signature_fn(redundancy)
             )
-            return _run(config, kernel, controller_factory=factory)
+            return run_raw(kernel, config, caba_factory=factory)
 
         low = run_with(0.1)
         high = run_with(0.9)
@@ -84,7 +84,7 @@ class TestEndToEnd:
             controllers.append(c)
             return c
 
-        run = _run(config, kernel, controller_factory=factory)
+        run = run_raw(kernel, config, caba_factory=factory)
         skipped = sum(c.stats.regions_skipped_instructions
                       for c in controllers)
         total = kernel.total_warps * len(kernel.program)
@@ -100,7 +100,7 @@ class TestEndToEnd:
             controllers.append(c)
             return c
 
-        _run(config, kernel, controller_factory=factory)
+        run_raw(kernel, config, caba_factory=factory)
         lookups = sum(c.stats.lookups for c in controllers)
         hits = sum(c.stats.hits for c in controllers)
         assert lookups > 0
@@ -123,5 +123,5 @@ class TestEndToEnd:
             controllers.append(c)
             return c
 
-        _run(config, kernel, controller_factory=factory)
+        run_raw(kernel, config, caba_factory=factory)
         assert all(len(c._lut) <= 8 for c in controllers)

@@ -11,8 +11,8 @@ from repro.gpu.config import GPUConfig
 from repro.harness.extensions import (
     build_latency_bound_kernel,
     prefetch_study,
-    _run,
 )
+from tests.gpu.test_simulator import run as run_raw
 
 
 class TestProgram:
@@ -40,7 +40,7 @@ class TestTraining:
             controllers.append(c)
             return c
 
-        _run(config, kernel, controller_factory=factory)
+        run_raw(kernel, config, caba_factory=factory)
         assert sum(c.stats.trained_streams for c in controllers) > 0
         assert sum(c.stats.prefetches_issued for c in controllers) > 0
 
@@ -49,10 +49,10 @@ class TestEndToEnd:
     def test_prefetching_speeds_up_latency_bound_kernel(self):
         config = GPUConfig.small()
         kernel = build_latency_bound_kernel(config, iterations=40)
-        base = _run(config, kernel)
-        run = _run(
-            config, kernel,
-            controller_factory=lambda sm: PrefetchController(sm),
+        base = run_raw(kernel, config)
+        run = run_raw(
+            kernel, config,
+            caba_factory=lambda sm: PrefetchController(sm),
         )
         assert run.cycles < base.cycles
 
@@ -68,7 +68,7 @@ class TestEndToEnd:
             controllers.append(c)
             return c
 
-        run = _run(config, kernel, controller_factory=factory)
+        run = run_raw(kernel, config, caba_factory=factory)
         # A floor equal to the MSHR count forbids every prefetch.
         assert sum(c.stats.prefetches_issued for c in controllers) == 0
 
@@ -79,10 +79,10 @@ class TestEndToEnd:
     def test_work_unchanged_by_prefetching(self):
         config = GPUConfig.small()
         kernel = build_latency_bound_kernel(config, iterations=30)
-        base = _run(config, kernel)
-        run = _run(
-            config, kernel,
-            controller_factory=lambda sm: PrefetchController(sm),
+        base = run_raw(kernel, config)
+        run = run_raw(
+            kernel, config,
+            caba_factory=lambda sm: PrefetchController(sm),
         )
         assert (
             run.stats.parent_instructions == base.stats.parent_instructions

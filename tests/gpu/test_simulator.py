@@ -32,10 +32,13 @@ def make_kernel(body, iterations=4, n_blocks=4, warps_per_block=2, regs=16):
     )
 
 
-def run(kernel, config=None, design=None):
+def run(kernel, config=None, design=None, caba_factory=None):
+    """Raw run of a hand-built kernel over an all-zero image; also the
+    harness of the assist-warp extension tests (``caba_factory``)."""
     config = config or GPUConfig.small()
     design = design or designs.base()
-    sim = Simulator(config, kernel, design, plain_image(config))
+    sim = Simulator(config, kernel, design, plain_image(config),
+                    caba_factory=caba_factory)
     return sim.run()
 
 

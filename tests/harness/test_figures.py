@@ -86,12 +86,23 @@ class TestReport:
         assert "more rows" in text
 
     def test_sampled_sweep_is_annotated(self, monkeypatch):
-        from repro.harness.figures import FigureResult
+        from repro import design as designs
+        from repro.gpu.config import GPUConfig
+        from repro.harness.figures import FigureResult, sample_label
+        from repro.harness.runner import RunSpec
 
-        exact = FigureResult(figure="x", title="Demo", columns=["app"])
-        assert exact.sampled == ""
+        def spec(**kwargs):
+            return RunSpec("PVC", designs.base(), GPUConfig.small(),
+                           **kwargs)
+
+        assert sample_label([spec()]) == ""
         monkeypatch.setenv("REPRO_SAMPLE", "1")
-        sampled = FigureResult(figure="x", title="Demo", columns=["app"])
+        # The label follows the runs, not the environment.
+        assert FigureResult(figure="x", title="Demo",
+                            columns=["app"]).sampled == ""
+        assert sample_label([spec(sample=None)]) == ""
+        sampled = FigureResult(figure="x", title="Demo", columns=["app"],
+                               sampled=sample_label([spec()]))
         assert "500:1000:13500" in sampled.sampled
         text = render_table(sampled)
         assert "extrapolated" in text

@@ -113,9 +113,8 @@ def _capacity_budget(app, config):
 
 def _run_for_key(key):
     """Replay the run a fixture key names, from a cold cache."""
-    # The observed compression ratio is an aggregate over the shared
-    # per-process line-info cache, so snapshots must come from a cold
-    # run to be independent of test order.
+    # Cold in-process caches, so every key replays the whole run (plane
+    # build included) rather than a memoized result.
     clear_caches()
     config = GPUConfig.small()
     if key.startswith("capacity:"):

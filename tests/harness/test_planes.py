@@ -125,7 +125,6 @@ def test_plane_persistence_round_trip(monkeypatch):
     loaded = cache.get_plane(built.key)
     assert loaded is not None
     assert loaded.table == built.table
-    assert loaded.assist_cycles == built.assist_cycles
     assert loaded.algorithm_name == built.algorithm_name
 
     # A second process (simulated by clearing the memo) hits the disk
@@ -237,5 +236,4 @@ def test_scalar_generator_builds_the_same_plane(monkeypatch, algorithm):
     scalar = plane_for_app("MUM", algorithm, 300)
     assert scalar is not vectorized
     assert scalar.table == vectorized.table
-    assert scalar.assist_cycles == vectorized.assist_cycles
     clear_caches()

@@ -12,6 +12,7 @@ from repro.harness.runner import (
     speedup,
 )
 from repro.workloads.apps import get_app
+from repro.workloads.tracegen import TraceScale
 
 
 class TestRunApp:
@@ -41,6 +42,22 @@ class TestRunApp:
         clear_caches()
         b = run_app("PVC", designs.base())
         assert a is not b
+
+    def test_compression_ratio_ignores_earlier_runs(self):
+        """A run's compression ratio covers the lines it touched: a
+        larger run of the same app and algorithm in between must not
+        leak its lines into a repeat of the smaller one."""
+        config = GPUConfig.small()
+
+        def run(work):
+            return run_app("PVC", designs.caba("bdi"), config,
+                           scale=TraceScale(work=work), use_cache=False)
+
+        clear_caches()
+        cold = run(0.25)
+        run(1.0)
+        again = run(0.25)
+        assert again.compression_ratio == cold.compression_ratio
 
     def test_unknown_app(self):
         with pytest.raises(KeyError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.compression import BdiCompressor
-from repro.memory.image import LineInfo, MemoryImage
+from repro.memory.image import MemoryImage
 
 
 def narrow_line(line: int) -> bytes:
@@ -58,28 +58,26 @@ class TestStoreOverrides:
 
 
 class TestSharedCache:
-    def test_shared_cache_reuses_computation(self):
+    """Images of the same workload share no state: each keeps its own
+    size memo, so one run's touched lines never reach another's."""
+
+    def test_each_image_computes_its_own_sizes(self):
         calls = []
 
         def counted(line):
             calls.append(line)
             return narrow_line(line)
 
-        shared: dict[int, LineInfo] = {}
-        first = MemoryImage(counted, BdiCompressor(128), 128,
-                            shared_cache=shared)
+        first = MemoryImage(counted, BdiCompressor(128), 128)
         first.size_of(5)
-        second = MemoryImage(counted, BdiCompressor(128), 128,
-                             shared_cache=shared)
+        second = MemoryImage(counted, BdiCompressor(128), 128)
         second.size_of(5)
-        assert calls == [5]
+        assert calls == [5, 5]
+        assert first.lines_touched() == second.lines_touched() == 1
 
     def test_overrides_stay_private(self):
-        shared: dict[int, LineInfo] = {}
-        first = MemoryImage(narrow_line, BdiCompressor(128), 128,
-                            shared_cache=shared)
-        second = MemoryImage(narrow_line, BdiCompressor(128), 128,
-                             shared_cache=shared)
+        first = MemoryImage(narrow_line, BdiCompressor(128), 128)
+        second = MemoryImage(narrow_line, BdiCompressor(128), 128)
         first.record_store(5, compressed=False)
         assert first.size_of(5) == 128
         assert second.size_of(5) < 128

@@ -1,4 +1,4 @@
-"""The four-path differential checker: clean on the real code, and able
+"""The size-path differential checker: clean on the real code, and able
 to catch a corrupted plane or a diverging batch kernel."""
 
 import pytest
@@ -94,7 +94,6 @@ class TestCatchesPlantedBugs:
             return CompressionPlane(
                 plane.algorithm_name, plane.line_size,
                 plane.burst_bytes, plane.key, table,
-                plane.assist_cycles,
             )
 
         monkeypatch.setattr(diff_mod, "plane_for_app", corrupted)

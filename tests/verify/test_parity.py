@@ -170,14 +170,18 @@ class TestShippedDump:
             "fig7: experiment completed"]
 
 
+#: The figures that simulate nothing (fig11 on a reduced image sample).
+ANALYTIC = [
+    ("tab1", figures.tab1_system_config),
+    ("fig2", figures.fig2_unallocated_registers),
+    ("fig5", figures.fig5_bdi_example),
+    ("fig11", lambda: figures.fig11_compression_ratio(
+        apps=("MM", "PVC", "LPS"), sample_lines=64)),
+]
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("exp_id,make", [
-        ("tab1", figures.tab1_system_config),
-        ("fig2", figures.fig2_unallocated_registers),
-        ("fig5", figures.fig5_bdi_example),
-        ("fig11", lambda: figures.fig11_compression_ratio(
-            apps=("MM", "PVC", "LPS"), sample_lines=64)),
-    ])
+    @pytest.mark.parametrize("exp_id,make", ANALYTIC)
     def test_live_and_json_verdicts_agree(self, exp_id, make):
         live = make().to_entry()
         loaded = json.loads(json.dumps(live, default=str))
@@ -185,17 +189,30 @@ class TestRoundTrip:
 
     def test_sampled_survives_the_dump(self, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLE", "1")
-        entry, _ = run_experiment("fig5", GPUConfig.small())
+        entry = figures.md_cache_study(
+            GPUConfig.small(), apps=("PVC",)).to_entry()
         assert entry["sampled"].startswith("interval-sampled")
         assert entry["notes"]
         monkeypatch.delenv("REPRO_SAMPLE")
-        loaded = json.loads(json.dumps({"fig5": entry}))
-        result = FigureResult.from_entry("fig5", loaded["fig5"])
+        loaded = json.loads(json.dumps({"mdcache": entry}))
+        result = FigureResult.from_entry("mdcache", loaded["mdcache"])
         assert result.sampled == entry["sampled"]
         report = parity.check_dump(loaded)
         assert report.ok
         assert all(r.name.endswith(" [sampled]") for r in report.results)
         assert all(r.detail == entry["sampled"] for r in report.results)
+
+    @pytest.mark.parametrize("exp_id,make", ANALYTIC)
+    def test_figure_without_runs_is_never_sampled(self, exp_id, make,
+                                                  monkeypatch):
+        """Only figures that simulate carry the label: under an ambient
+        REPRO_SAMPLE, the analytic figures still report as exact."""
+        monkeypatch.setenv("REPRO_SAMPLE", "1")
+        entry = make().to_entry()
+        assert entry["sampled"] == ""
+        report = parity.check_dump({exp_id: entry})
+        assert report.results
+        assert not any("[sampled]" in r.name for r in report.results)
 
     def test_entry_without_sampled_reads_exact(self, shipped, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLE", "1")

@@ -18,7 +18,7 @@ from repro.workloads.data_patterns import (
 )
 
 needs_numpy = pytest.mark.skipif(
-    batch.np is None, reason="numpy backend off (REPRO_NUMPY=0 or missing)"
+    batch.np is None, reason="numpy not importable"
 )
 
 
