@@ -268,6 +268,10 @@ def _cmd_run(args) -> int:
         sample = SampleConfig.from_env()
 
     if args.scenario is not None:
+        if args.capacity is not None or args.capacity_bytes is not None:
+            print("error: --scenario runs have no capacity mode; drop "
+                  "--capacity/--capacity-bytes", file=sys.stderr)
+            return 2
         from repro.harness.runner import run_spec, scenario_spec
 
         spec = scenario_spec(

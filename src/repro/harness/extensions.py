@@ -19,8 +19,7 @@ study:
 
 The scenario studies run through the same RunSpec engine as every
 figure (parallel dispatch, persistent caching, sampling, tracing); the
-kernel builders themselves live in :mod:`repro.harness.scenarios` and
-are re-exported here for compatibility.
+kernel builders themselves live in :mod:`repro.harness.scenarios`.
 """
 
 from __future__ import annotations
@@ -33,12 +32,6 @@ from repro.core.params import CabaParams
 from repro.gpu.config import GPUConfig
 from repro.harness.figures import ALGORITHM_ORDER, FigureResult, run_figure
 from repro.harness.runner import RunSpec, geomean, scenario_spec
-from repro.harness.scenarios import (  # noqa: F401  (re-exported API)
-    ScenarioSpec,
-    build_latency_bound_kernel,
-    build_memo_kernel,
-    make_signature_fn,
-)
 from repro.memory.hostlink import CapacityConfig
 from repro.workloads.tracegen import TraceScale
 

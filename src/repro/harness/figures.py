@@ -30,7 +30,6 @@ from repro.workloads.apps import (
     FIGURE1_APPS,
     get_app,
 )
-from repro.workloads.data_patterns import make_line_generator
 from repro.workloads.tracegen import build_kernel
 
 
@@ -424,38 +423,23 @@ def fig11_compression_ratio(
     """
     from repro.harness.runner import plane_for_app
 
-    compressors = {a: make_algorithm(a, line_size) for a in algorithms}
     result = FigureResult(
         figure="fig11",
         title="Compression ratio of algorithms with CABA (Figure 11)",
         columns=["app"] + [a.upper() for a in algorithms],
     )
     sums = {a: 0.0 for a in algorithms}
-    line_bursts = -(-line_size // 32)
+    total_bursts = sample_lines * -(-line_size // 32)
     for app_name in apps:
         app = get_app(app_name)
-        gen = None
         row = {"app": app_name}
         for algo in algorithms:
-            total_bursts = sample_lines * line_bursts
             # The sampled image is batch-compressed through the shared
-            # plane machinery (and its caches); with REPRO_PLANES=0 the
-            # plane is None and the scalar reference path runs instead.
+            # plane machinery (and its caches).
             plane = plane_for_app(app, algo, sample_lines, line_size)
-            if plane is not None:
-                compressed_bursts = sum(
-                    plane.bursts(line_addr)
-                    for line_addr in range(sample_lines)
-                )
-            else:
-                if gen is None:
-                    gen = make_line_generator(app.data, line_size,
-                                              seed=app.seed)
-                comp = compressors[algo]
-                compressed_bursts = sum(
-                    comp.compress(gen(line_addr)).bursts()
-                    for line_addr in range(sample_lines)
-                )
+            compressed_bursts = sum(
+                plane.bursts(line_addr) for line_addr in range(sample_lines)
+            )
             ratio = total_bursts / compressed_bursts
             row[algo.upper()] = ratio
             sums[algo] += ratio

@@ -1,8 +1,14 @@
-"""Experiment runner: one call = one (application, design, machine) run.
+"""Experiment runner: one call = one run.
 
-Wires the full stack together — workload trace, compressed memory image,
-CABA controllers, simulator, energy model — and returns a
-:class:`RunResult` with every metric the paper's figures report.
+A run is an application under a design point, or an assist-warp
+scenario (prefetch/memoization) on the baseline design. Both take the
+same path, :func:`_simulate`: it builds the memory image, the kernel and
+the assist-warp controllers, runs the simulator and the energy model,
+and returns a :class:`RunResult` with every metric the paper's figures
+report. An application's compressed image always reads its line sizes
+from a precomputed :class:`~repro.memory.plane.CompressionPlane`, built
+once per (image, algorithm) and shared by every design that uses the
+algorithm.
 
 Caching happens at two levels. Results are memoized per process (the
 Figure 7/8/9 harnesses share runs, so each point simulates once), and —
@@ -10,8 +16,9 @@ because every run is fully deterministic — raw-free results are also
 persisted to a content-addressed on-disk cache
 (:mod:`repro.harness.cache`) keyed by the run spec plus a source-code
 version stamp, so repeated benchmark/CI invocations skip simulation
-entirely. Baseline compression sizes are shared across designs of the
-same (app, algorithm) pair.
+entirely. :func:`cached_result` reads both levels and
+:func:`record_result` writes both; :func:`run_spec` and the parallel
+engine go through the same pair.
 
 A :class:`RunSpec` is the picklable identity of one run; it is both the
 cache key and the unit of work the parallel engine
@@ -26,7 +33,6 @@ and a rerun only redoes the failures.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -36,6 +42,7 @@ from repro.core.controller import CabaController
 from repro.core.params import CabaParams
 from repro.core.subroutines import SubroutineLibrary
 from repro.design import DesignPoint
+from repro.design import base as base_design
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.gpu.config import GPUConfig
 from repro.gpu.sampling import SampleConfig
@@ -157,25 +164,16 @@ def clear_caches() -> None:
 
 
 def planes_enabled() -> bool:
-    """Whether precomputed compression planes are in use (default yes;
-    ``REPRO_PLANES=0`` forces the scalar per-access path everywhere).
-
-    The switch stays for the checks that pin planes against the scalar
-    path: :mod:`repro.verify.differential` and
-    ``tests/harness/test_planes.py``."""
-    return os.environ.get("REPRO_PLANES", "1") != "0"
+    """Always True: every compressed image the runner builds reads its
+    sizes from a plane. Kept so run-provenance records that report the
+    size path keep their field."""
+    return True
 
 
 def _resolve_app(app: str | AppProfile) -> AppProfile:
     if isinstance(app, AppProfile):
         return app
     return get_app(app)
-
-
-def _compression_enabled(app: AppProfile, design: DesignPoint) -> bool:
-    """Section 4.3.1: static profiling disables compression for
-    applications that would not benefit (no compressible bandwidth)."""
-    return design.compression_enabled and app.compressible
 
 
 def _plane_for(
@@ -234,17 +232,13 @@ def plane_for_app(
     line_count: int,
     line_size: int = 128,
     burst_bytes: int = 32,
-) -> CompressionPlane | None:
+) -> CompressionPlane:
     """The plane covering lines ``[0, line_count)`` of ``app``'s image.
 
     Used by harnesses that sample the image directly (e.g. the Fig. 11
     compression-ratio study) so they share plane construction and
-    caching with the simulator. Returns ``None`` when planes are
-    disabled (``REPRO_PLANES=0``); callers then fall back to scalar
-    compression.
+    caching with the simulator.
     """
-    if not planes_enabled():
-        return None
     profile = _resolve_app(app)
     return _plane_for(
         profile, algorithm, line_size, burst_bytes, ((0, line_count),)
@@ -255,28 +249,28 @@ def build_image(
     app: AppProfile,
     design: DesignPoint,
     config: GPUConfig,
-    scale: TraceScale | None = None,
+    scale: TraceScale = TraceScale(),
 ) -> MemoryImage:
     """The compressed global-memory view for one run.
 
-    When ``scale`` is given (the simulator path always passes it) and
-    planes are enabled, the whole image footprint is batch-compressed
-    upfront — or recalled from a cache — so the simulation itself never
-    calls scalar ``compress()``.
+    Under a compressing design the whole footprint of the run at
+    ``scale`` is batch-compressed upfront into a plane — or recalled
+    from a cache — so the simulation itself never calls scalar
+    ``compress()``.
     """
     line_bytes = make_line_generator(
         app.data, line_size=config.line_size, seed=app.seed
     )
     algorithm = None
     plane = None
-    if _compression_enabled(app, design):
+    # Section 4.3.1: static profiling disables compression for
+    # applications that would not benefit (no compressible bandwidth).
+    if design.compression_enabled and app.compressible:
         algorithm = make_algorithm(design.algorithm, config.line_size)
-        if scale is not None and planes_enabled():
-            extents = footprint_extents(app, config, scale)
-            plane = _plane_for(
-                app, design.algorithm, config.line_size,
-                config.burst_bytes, extents,
-            )
+        plane = _plane_for(
+            app, design.algorithm, config.line_size, config.burst_bytes,
+            footprint_extents(app, config, scale),
+        )
     return MemoryImage(
         line_bytes,
         algorithm,
@@ -323,33 +317,62 @@ def _make_caba_factory(
 
 
 def _simulate(
-    profile: AppProfile,
     spec: RunSpec,
+    profile: AppProfile | None = None,
     trace: bool = False,
     chrome: bool = False,
 ) -> RunResult:
-    """Execute one run; the returned result carries the raw state."""
+    """Execute one run; the returned result carries the raw state.
+
+    An application run builds the app's image, kernel and CABA
+    controller factory. A scenario run builds an all-zero uncompressed
+    image, the scenario's synthetic kernel and its own assist-warp
+    controllers; it needs the baseline design point (the controllers
+    come from the scenario, not from a compression subroutine library)
+    and has no capacity mode. Simulation, energy and the result record
+    are the same for both.
+    """
     design = spec.design
     config = spec.config
-
-    # Profiling gate (Section 4.3.1): incompressible apps run the
-    # baseline path even under compression designs.
-    effective_design = design
-    if design.compression_enabled and not profile.compressible:
-        from repro.design import base as base_design
-
-        effective_design = base_design()
-
-    image = build_image(profile, effective_design, config, spec.scale)
-    kernel = build_kernel(profile, config, spec.scale)
-    caba_factory, assist_regs = _make_caba_factory(
-        effective_design, config, spec.params, plane=image.plane
-    )
+    assist_regs = 0
     capacity_model = None
-    if spec.capacity is not None:
-        capacity_model = _plan_capacity_model(
-            profile, effective_design, config, spec, image
+    if spec.scenario is not None:
+        if design.compression_enabled or design.uses_assist_warps:
+            raise ValueError(
+                "scenario runs use the baseline design point; got "
+                f"{design.name!r}"
+            )
+        if spec.capacity is not None:
+            raise ValueError("scenario runs have no capacity mode")
+        name = spec.app
+        effective_design = design
+        image = MemoryImage(
+            lambda line, _size=config.line_size: bytes(_size),
+            None,
+            line_size=config.line_size,
+            burst_bytes=config.burst_bytes,
         )
+        kernel, caba_factory, controllers = build_scenario(
+            spec.scenario, config
+        )
+    else:
+        if profile is None:
+            profile = get_app(spec.app)
+        name = profile.name
+        # Profiling gate (Section 4.3.1): incompressible apps run the
+        # baseline path even under compression designs.
+        effective_design = design
+        if design.compression_enabled and not profile.compressible:
+            effective_design = base_design()
+        image = build_image(profile, effective_design, config, spec.scale)
+        kernel = build_kernel(profile, config, spec.scale)
+        caba_factory, assist_regs = _make_caba_factory(
+            effective_design, config, spec.params, plane=image.plane
+        )
+        if spec.capacity is not None:
+            capacity_model = _plan_capacity_model(
+                profile, effective_design, config, spec, image
+            )
     obs = (
         RunObservation.for_config(config, chrome=chrome) if trace else None
     )
@@ -370,8 +393,14 @@ def _simulate(
     memory = sim_result.memory
     stats = memory.stats
     l2_accesses = stats.l2_accesses
+    scenario = None
+    if spec.scenario is not None:
+        scenario = {
+            **collect_scenario_stats(spec.scenario, controllers),
+            "l1_load_hits": stats.l1_load_hits,
+        }
     return RunResult(
-        app=profile.name,
+        app=name,
         design=design.name,
         cycles=sim_result.cycles,
         ipc=sim_result.ipc,
@@ -390,6 +419,7 @@ def _simulate(
         l1_stores=stats.l1_stores,
         rmw_reads=stats.rmw_reads,
         capacity=_capacity_payload(memory, sim_result.cycles),
+        scenario=scenario,
         obs=obs.export() if obs is not None else None,
         raw=sim_result,
     )
@@ -443,77 +473,6 @@ def _capacity_payload(memory, cycles: int) -> dict | None:
     }
 
 
-def _simulate_scenario(
-    spec: RunSpec, trace: bool = False, chrome: bool = False
-) -> RunResult:
-    """Execute one assist-warp scenario run (prefetch/memoization).
-
-    Scenario kernels are synthetic and carry no compressible data, so
-    the design point must be the plain baseline; the assist-warp
-    controller comes from the scenario itself, not from a compression
-    subroutine library. Everything else — sampling, tracing, caching —
-    follows the standard path.
-    """
-    design = spec.design
-    if design.compression_enabled or design.uses_assist_warps:
-        raise ValueError(
-            "scenario runs use the baseline design point; got "
-            f"{design.name!r}"
-        )
-    config = spec.config
-    kernel, factory, controllers = build_scenario(spec.scenario, config)
-    image = MemoryImage(
-        lambda line, _size=config.line_size: bytes(_size),
-        None,
-        line_size=config.line_size,
-        burst_bytes=config.burst_bytes,
-    )
-    obs = (
-        RunObservation.for_config(config, chrome=chrome) if trace else None
-    )
-    simulator = Simulator(
-        config,
-        kernel,
-        design,
-        image,
-        caba_factory=factory,
-        obs=obs,
-        sample=spec.sample,
-    )
-    sim_result = simulator.run()
-    energy = EnergyModel().evaluate(sim_result, config, design)
-
-    memory = sim_result.memory
-    stats = memory.stats
-    l2_accesses = stats.l2_accesses
-    return RunResult(
-        app=spec.app,
-        design=design.name,
-        cycles=sim_result.cycles,
-        ipc=sim_result.ipc,
-        instructions=sim_result.stats.instructions,
-        assist_instructions=sim_result.stats.assist_instructions,
-        bandwidth_utilization=sim_result.bandwidth_utilization(),
-        compression_ratio=1.0,
-        energy=energy,
-        slot_breakdown=sim_result.stats.slot_breakdown(),
-        md_cache_hit_rate=memory.md_cache_hit_rate(),
-        dram_bursts=memory.dram_bursts(),
-        l2_hit_rate=(stats.l2_hits / l2_accesses if l2_accesses else 0.0),
-        truncated=sim_result.truncated,
-        occupancy_blocks=sim_result.occupancy.blocks_per_sm,
-        lines_compressed=stats.lines_compressed,
-        l1_stores=stats.l1_stores,
-        rmw_reads=stats.rmw_reads,
-        scenario={
-            **collect_scenario_stats(spec.scenario, controllers),
-            "l1_load_hits": stats.l1_load_hits,
-        },
-        obs=obs.export() if obs is not None else None,
-        raw=sim_result,
-    )
-
-
 def scenario_spec(
     kind: str,
     config: GPUConfig | None = None,
@@ -527,8 +486,6 @@ def scenario_spec(
     mode; build the RunSpec directly to follow ``REPRO_SAMPLE``.
     """
     scenario = ScenarioSpec(kind=kind, **knobs)
-    from repro.design import base as base_design
-
     kernel_name = (
         "memo_kernel" if kind == "memoization" else "latency_stream"
     )
@@ -556,14 +513,19 @@ def _satisfies(
 
 
 def cached_result(
-    spec: RunSpec, trace: bool = False, chrome: bool = False
+    spec: RunSpec,
+    trace: bool = False,
+    chrome: bool = False,
+    keep_raw: bool = False,
+    persist: bool = True,
 ) -> RunResult | None:
-    """Look up ``spec`` in the in-process memo and the persistent cache
-    without simulating. Used by the parallel engine to pre-resolve work."""
+    """Look up ``spec`` in the in-process memo and, when ``persist``,
+    the persistent cache without simulating. The disk never holds raw
+    state, so only the memo can serve a ``keep_raw`` request."""
     cached = _run_cache.get(spec)
-    if cached is not None and _satisfies(cached, False, trace, chrome):
+    if cached is not None and _satisfies(cached, keep_raw, trace, chrome):
         return cached
-    disk = run_cache_store.get_cache()
+    disk = run_cache_store.get_cache() if persist and not keep_raw else None
     if disk is not None:
         hit = disk.get(spec)
         if hit is not None and _satisfies(hit, False, trace, chrome):
@@ -572,14 +534,30 @@ def cached_result(
     return None
 
 
-def record_result(spec: RunSpec, result: RunResult) -> None:
-    """Integrate an externally computed (e.g. pool-worker) result into
-    the in-process memo and the persistent cache."""
+def record_result(
+    spec: RunSpec,
+    result: RunResult,
+    keep_raw: bool = False,
+    persist: bool = True,
+    trace: bool = False,
+) -> None:
+    """Integrate a computed (local or pool-worker) result into the
+    in-process memo and, when ``persist``, the persistent cache.
+
+    The memo keeps raw state only for ``keep_raw`` results; the disk
+    copy never holds raw state or the (large, optional) chrome timeline.
+    A ``trace``d result replaces an untraced disk entry in place.
+    """
     slim = result if result.raw is None else replace(result, raw=None)
-    _run_cache[spec] = slim
-    disk = run_cache_store.get_cache()
-    if disk is not None:
-        disk.put(spec, slim)
+    _run_cache[spec] = result if keep_raw else slim
+    disk = run_cache_store.get_cache() if persist else None
+    if disk is None:
+        return
+    if slim.obs is not None and "chrome" in slim.obs:
+        slim = replace(slim, obs={
+            k: v for k, v in slim.obs.items() if k != "chrome"
+        })
+    disk.put(spec, slim, overwrite=trace)
 
 
 def run_spec(
@@ -608,36 +586,17 @@ def run_spec(
     if chrome:
         trace = True
     if use_cache:
-        cached = _run_cache.get(spec)
-        if cached is not None and _satisfies(cached, keep_raw, trace, chrome):
-            return cached
-        if persist and not keep_raw:
-            hit = cached_result(spec, trace=trace, chrome=chrome)
-            if hit is not None:
-                return hit
-
-    if spec.scenario is not None:
-        result = _simulate_scenario(spec, trace=trace, chrome=chrome)
-    else:
-        if profile is None:
-            profile = _resolve_app(spec.app)
-        result = _simulate(profile, spec, trace=trace, chrome=chrome)
-    slim = replace(result, raw=None)
+        hit = cached_result(spec, trace=trace, chrome=chrome,
+                            keep_raw=keep_raw, persist=persist)
+        if hit is not None:
+            return hit
+    result = _simulate(spec, profile, trace=trace, chrome=chrome)
+    if not keep_raw:
+        result = replace(result, raw=None)
     if use_cache:
-        # The memo keeps raw state only for opt-in keep_raw runs; the
-        # on-disk cache never stores it.
-        _run_cache[spec] = result if keep_raw else slim
-        if persist:
-            disk = run_cache_store.get_cache()
-            if disk is not None:
-                to_disk = slim
-                if slim.obs is not None and "chrome" in slim.obs:
-                    to_disk = replace(slim, obs={
-                        k: v for k, v in slim.obs.items() if k != "chrome"
-                    })
-                # A traced recompute upgrades any untraced entry in place.
-                disk.put(spec, to_disk, overwrite=trace)
-    return result if keep_raw else slim
+        record_result(spec, result, keep_raw=keep_raw, persist=persist,
+                      trace=trace)
+    return result
 
 
 #: Sentinel for run_app's ``sample`` default: follow REPRO_SAMPLE (via

@@ -100,7 +100,7 @@ class MemoryImage:
         else:
             # Planes are consulted per lookup (never bulk-copied) so the
             # touched-line set — and with it every aggregate statistic —
-            # stays identical to the lazy scalar path.
+            # holds only the lines the run looked up.
             info = self.plane.info(line) if self.plane is not None else None
             if info is None:
                 compressed = self.algorithm.compress(self._line_bytes(line))

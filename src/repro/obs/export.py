@@ -2,8 +2,8 @@
 
 All writers are deterministic — sorted keys, integer metrics, newline-
 terminated — so identical runs produce byte-identical artifacts whether
-they ran serially, through the parallel engine, or with compression
-planes on or off (tested in ``tests/obs/test_trace_export.py``).
+they ran serially or through the parallel engine (tested in
+``tests/obs/test_trace_export.py``).
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The simulator obtains a line's compressed size several ways, all of
 which must agree byte-for-byte or runs become backend-dependent:
 
-1. scalar ``compress()`` per line (the ``REPRO_PLANES=0`` hot path),
+1. scalar ``compress()`` per line (the reference every other path
+   must match; images built without a plane still size lines this way),
 2. the numpy whole-image batch kernels (when numpy is installed),
 3. the batch path without numpy — the scalar reference for BDI, FPC
    and FVC, C-Pack's size-only loop over the big-int word split,
@@ -138,12 +139,11 @@ def differential_check(
                     profile, algorithm_name, lines,
                     line_size=line_size, burst_bytes=burst_bytes,
                 )
-                if plane is not None:
-                    from_plane = [plane.table[i] for i in range(lines)]
-                    if from_plane != scalar:
-                        failure = "plane vs scalar: " + _first_diff(
-                            from_plane, scalar
-                        )
+                from_plane = [plane.table[i] for i in range(lines)]
+                if from_plane != scalar:
+                    failure = "plane vs scalar: " + _first_diff(
+                        from_plane, scalar
+                    )
 
             results.append(CheckResult(
                 name=f"differential.{app_name}.{algorithm_name}",

@@ -9,7 +9,9 @@ golden values, conservation checks and cross-mode diffs assert
 sampled runs because the knob was exported in the developer's (or a CI
 lane's) shell. Tests that exercise sampling opt in explicitly — via
 ``run_app(..., sample=...)`` or by setting the variable inside the
-test body.
+test body. An ambient ``REPRO_CACHE=0`` is stripped the same way: the
+cache round-trip, checkpoint and plane-persistence tests assert that
+the isolated cache is live, and tests of the knob set it themselves.
 """
 
 import os
@@ -27,5 +29,6 @@ def _isolated_run_cache(tmp_path_factory):
 
 
 @pytest.fixture(autouse=True)
-def _exact_mode_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_SAMPLE", raising=False)
+def _ambient_knobs_stripped(monkeypatch):
+    for knob in ("REPRO_SAMPLE", "REPRO_CACHE"):
+        monkeypatch.delenv(knob, raising=False)

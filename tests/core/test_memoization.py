@@ -10,11 +10,8 @@ from repro.core.memoization import (
     memo_store_program,
 )
 from repro.gpu.config import GPUConfig
-from repro.harness.extensions import (
-    build_memo_kernel,
-    make_signature_fn,
-    memoization_study,
-)
+from repro.harness.extensions import memoization_study
+from repro.harness.scenarios import build_memo_kernel, make_signature_fn
 from tests.gpu.test_simulator import run as run_raw
 
 

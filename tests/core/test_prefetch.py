@@ -8,10 +8,8 @@ from repro.core.prefetch import (
     prefetch_program,
 )
 from repro.gpu.config import GPUConfig
-from repro.harness.extensions import (
-    build_latency_bound_kernel,
-    prefetch_study,
-)
+from repro.harness.extensions import prefetch_study
+from repro.harness.scenarios import build_latency_bound_kernel
 from tests.gpu.test_simulator import run as run_raw
 
 

@@ -1,9 +1,11 @@
 """Compression-plane integration tests.
 
-The acceptance bar for the plane layer is *exact* equality: every stat a
-plane-enabled run reports must be byte-identical to the scalar
-per-access path, for multiple apps and design points. Also covers the
-in-memory/persistent plane caches and the Fig. 11 plane fast path.
+Every compressed image the runner builds reads its line sizes from a
+plane, so the acceptance bar is *exact* agreement with the scalar
+reference: each line a run touches, at its real address, must carry the
+size and encoding scalar ``compress()`` gives the scalar generator's
+bytes, for multiple apps and design points. Also covers the
+in-memory/persistent plane caches and the Fig. 11 plane path.
 """
 
 from __future__ import annotations
@@ -11,17 +13,19 @@ from __future__ import annotations
 import pytest
 
 from repro import design as designs
-from repro.compression import batch
+from repro.compression import batch, make_algorithm
 from repro.gpu.config import GPUConfig
 from repro.harness import figures, runner
 from repro.harness.cache import RunCache
 from repro.harness.runner import (
     RunSpec,
+    build_image,
     clear_caches,
     plane_for_app,
-    planes_enabled,
     run_spec,
 )
+from repro.workloads.apps import get_app
+from repro.workloads.data_patterns import make_line_generator
 from repro.workloads.tracegen import TraceScale
 
 APPS = ("PVC", "MM", "CONS")
@@ -36,64 +40,37 @@ def _design_points():
     )
 
 
-def _fingerprint(result):
-    return (
-        result.cycles,
-        result.ipc,
-        result.instructions,
-        result.assist_instructions,
-        result.bandwidth_utilization,
-        result.compression_ratio,
-        result.energy.total,
-        tuple(sorted((str(k), v) for k, v in result.slot_breakdown.items())),
-        result.md_cache_hit_rate,
-        tuple(sorted(result.dram_bursts.items())),
-        result.l2_hit_rate,
-        result.truncated,
-        result.occupancy_blocks,
-        result.lines_compressed,
-        result.l1_stores,
-        result.rmw_reads,
-    )
-
-
-def _sweep(config):
-    return {
-        (app, point.name): _fingerprint(
-            run_spec(RunSpec(app, point, config, SCALE), use_cache=False)
-        )
-        for app in APPS
-        for point in _design_points()
-    }
-
-
-def test_plane_stats_identical_to_scalar(monkeypatch):
-    """3 apps x 3 designs: planes on == planes off, every stat."""
+def test_plane_stats_identical_to_scalar():
+    """3 apps x 3 designs: every line a run touches is in its plane,
+    and every line it looked up carries scalar ``compress()``'s size
+    and encoding for that line's bytes."""
     config = GPUConfig.small()
-
-    monkeypatch.setenv("REPRO_PLANES", "1")
     clear_caches()
-    with_planes = _sweep(config)
-    assert runner._plane_cache, "planes never engaged"
-
-    monkeypatch.setenv("REPRO_PLANES", "0")
+    for app in APPS:
+        profile = get_app(app)
+        gen = make_line_generator(profile.data, config.line_size,
+                                  seed=profile.seed)
+        for point in _design_points():
+            run = run_spec(RunSpec(app, point, config, SCALE),
+                           use_cache=False, keep_raw=True)
+            image = run.raw.memory.image
+            where = (app, point.name)
+            assert image.plane is not None, where
+            # The image's per-line memos: baseline lookups and stores.
+            looked_up, stored = image._cache, image._overrides
+            assert looked_up, where
+            assert set(looked_up) | set(stored) <= set(image.plane.table)
+            algorithm = make_algorithm(point.algorithm, config.line_size)
+            for line, info in looked_up.items():
+                compressed = algorithm.compress(gen(line))
+                assert (info.size_bytes, info.encoding) == (
+                    compressed.size_bytes, compressed.encoding,
+                ), (where, line)
     clear_caches()
-    assert not planes_enabled()
-    scalar = _sweep(config)
-    assert not runner._plane_cache
-
-    assert with_planes == scalar
-    clear_caches()
 
 
-def test_planes_enabled_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_PLANES", raising=False)
-    assert planes_enabled()
-
-
-def test_plane_shared_across_designs(monkeypatch):
+def test_plane_shared_across_designs():
     """One algorithm plane serves every design that uses the algorithm."""
-    monkeypatch.setenv("REPRO_PLANES", "1")
     clear_caches()
     config = GPUConfig.small()
     for point in (designs.caba("bdi"), designs.hw("bdi"),
@@ -104,8 +81,7 @@ def test_plane_shared_across_designs(monkeypatch):
     clear_caches()
 
 
-def test_bestofall_composes_component_planes(monkeypatch):
-    monkeypatch.setenv("REPRO_PLANES", "1")
+def test_bestofall_composes_component_planes():
     clear_caches()
     plane = plane_for_app("PVC", "bestofall", 64)
     # bdi/fpc/cpack planes were built as inputs and memoized alongside.
@@ -115,8 +91,7 @@ def test_bestofall_composes_component_planes(monkeypatch):
     clear_caches()
 
 
-def test_plane_persistence_round_trip(monkeypatch):
-    monkeypatch.setenv("REPRO_PLANES", "1")
+def test_plane_persistence_round_trip():
     clear_caches()
     built = plane_for_app("MM", "bdi", 96)
     assert len(built) == 96
@@ -141,34 +116,27 @@ def test_plane_persistence_round_trip(monkeypatch):
     clear_caches()
 
 
-def test_plane_disabled_returns_none(monkeypatch):
-    monkeypatch.setenv("REPRO_PLANES", "0")
+def test_fig11_matches_scalar_reference():
+    """Fig. 11 ratios read from planes equal the ratios of scalar
+    ``compress()`` over the same sampled lines."""
+    apps, lines = ("PVC", "MUM"), 64
     clear_caches()
-    assert plane_for_app("PVC", "bdi", 16) is None
-    clear_caches()
-
-
-def test_fig11_identical_with_and_without_planes(monkeypatch):
-    apps = ("PVC", "MUM")
-    monkeypatch.setenv("REPRO_PLANES", "1")
-    clear_caches()
-    with_planes = figures.fig11_compression_ratio(apps=apps, sample_lines=64)
-    monkeypatch.setenv("REPRO_PLANES", "0")
-    clear_caches()
-    scalar = figures.fig11_compression_ratio(apps=apps, sample_lines=64)
-    assert with_planes.rows == scalar.rows
-    assert with_planes.summary == scalar.summary
+    fig = figures.fig11_compression_ratio(apps=apps, sample_lines=lines)
+    for app_name, row in zip(apps, fig.rows):
+        app = get_app(app_name)
+        gen = make_line_generator(app.data, 128, seed=app.seed)
+        for algo in figures.ALGORITHM_ORDER:
+            comp = make_algorithm(algo, 128)
+            bursts = sum(comp.compress(gen(i)).bursts() for i in range(lines))
+            assert row[algo.upper()] == lines * (128 // 32) / bursts, (
+                app_name, algo)
     clear_caches()
 
 
-def test_plane_lookup_keeps_touched_set_lazy(monkeypatch):
+def test_plane_lookup_keeps_touched_set_lazy():
     """A plane must not eagerly fill the image's stat-bearing cache."""
-    monkeypatch.setenv("REPRO_PLANES", "1")
     clear_caches()
     config = GPUConfig.small()
-    from repro.harness.runner import build_image
-    from repro.workloads.apps import get_app
-
     image = build_image(get_app("PVC"), designs.caba("bdi"), config, SCALE)
     assert image.plane is not None
     assert len(image.plane) > 0
@@ -182,14 +150,10 @@ def test_plane_lookup_keeps_touched_set_lazy(monkeypatch):
     clear_caches()
 
 
-def test_store_overrides_shadow_plane(monkeypatch):
+def test_store_overrides_shadow_plane():
     """Dirty-store mutations take precedence over the immutable plane."""
-    monkeypatch.setenv("REPRO_PLANES", "1")
     clear_caches()
     config = GPUConfig.small()
-    from repro.harness.runner import build_image
-    from repro.workloads.apps import get_app
-
     image = build_image(get_app("PVC"), designs.caba("bdi"), config, SCALE)
     line = next(iter(image.plane.table))
     baseline = image.info(line)
@@ -202,13 +166,8 @@ def test_store_overrides_shadow_plane(monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["bdi", "fpc", "cpack", "bestofall"])
-def test_plane_matches_scalar_sizes(monkeypatch, algorithm):
+def test_plane_matches_scalar_sizes(algorithm):
     """Plane table contents equal scalar compression of the same lines."""
-    from repro.compression import make_algorithm
-    from repro.workloads.apps import get_app
-    from repro.workloads.data_patterns import make_line_generator
-
-    monkeypatch.setenv("REPRO_PLANES", "1")
     clear_caches()
     app = get_app("CONS")
     plane = plane_for_app(app, algorithm, 48)
@@ -227,7 +186,6 @@ def test_plane_matches_scalar_sizes(monkeypatch, algorithm):
 def test_scalar_generator_builds_the_same_plane(monkeypatch, algorithm):
     """Planes built from the batch line generator equal planes built one
     scalar line at a time (numpy off)."""
-    monkeypatch.setenv("REPRO_PLANES", "1")
     monkeypatch.setenv("REPRO_CACHE", "0")
     clear_caches()
     vectorized = plane_for_app("MUM", algorithm, 300)

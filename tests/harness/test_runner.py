@@ -1,5 +1,7 @@
 """Tests for the experiment runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import design as designs
@@ -9,8 +11,11 @@ from repro.harness.runner import (
     clear_caches,
     geomean,
     run_app,
+    run_spec,
+    scenario_spec,
     speedup,
 )
+from repro.memory.hostlink import CapacityConfig
 from repro.workloads.apps import get_app
 from repro.workloads.tracegen import TraceScale
 
@@ -97,6 +102,14 @@ class TestImageConstruction:
     def test_incompressible_app_gets_plain_image(self):
         image = build_image(get_app("SCP"), designs.caba(), GPUConfig.small())
         assert not image.compression_enabled
+
+
+class TestScenarioRuns:
+    def test_scenario_rejects_capacity(self):
+        spec = replace(scenario_spec("prefetch"),
+                       capacity=CapacityConfig(device_bytes=1 << 16))
+        with pytest.raises(ValueError, match="no capacity mode"):
+            run_spec(spec, use_cache=False)
 
 
 class TestHelpers:

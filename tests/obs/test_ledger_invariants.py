@@ -11,8 +11,7 @@ three contracts of the observability layer on real application runs:
   ``SLOT_OF_CAT`` reproduces ``SmStats.slots`` bit-exactly.
 * **Isolation** — attaching the ledger never changes the simulation:
   traced and untraced runs produce identical scalar statistics, and
-  traced runs are deterministic (byte-identical exports) regardless of
-  compression planes.
+  traced runs are deterministic (byte-identical exports).
 """
 
 import json
@@ -22,7 +21,7 @@ import pytest
 from repro import design as designs
 from repro.gpu.config import GPUConfig
 from repro.gpu.stats import Slot
-from repro.harness.runner import clear_caches, run_app
+from repro.harness.runner import run_app
 from repro.obs import NO_WARP, SLOT_OF_CAT, StallCat
 from repro.workloads.tracegen import TraceScale
 
@@ -99,20 +98,6 @@ def test_traced_runs_are_deterministic():
     a = json.dumps(first.raw.obs.export(), sort_keys=True)
     b = json.dumps(second.raw.obs.export(), sort_keys=True)
     assert a == b
-
-
-def test_trace_identical_with_and_without_planes(monkeypatch):
-    baseline = _traced("PVC", designs.caba("bdi"))
-    payload_planes = json.dumps(baseline.raw.obs.export(), sort_keys=True)
-    monkeypatch.setenv("REPRO_PLANES", "0")
-    clear_caches()
-    try:
-        scalar = _traced("PVC", designs.caba("bdi"))
-        payload_scalar = json.dumps(scalar.raw.obs.export(), sort_keys=True)
-    finally:
-        monkeypatch.delenv("REPRO_PLANES")
-        clear_caches()
-    assert payload_planes == payload_scalar
 
 
 def test_assist_categories_only_appear_under_caba():

@@ -38,6 +38,12 @@ class TestRun:
         assert main(["run", "NQU", "--design", "base",
                      "--bandwidth-scale", "2.0"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--capacity", "--capacity-bytes"])
+    def test_scenario_rejects_capacity(self, capsys, flag):
+        value = "0.5" if flag == "--capacity" else "65536"
+        assert main(["run", "--scenario", "prefetch", flag, value]) == 2
+        assert "no capacity mode" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_prints_five_designs(self, capsys):
