@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "invariant passes")
     check_p.add_argument("--algorithms", nargs="+", default=None,
                          choices=sorted(ALGORITHMS), metavar="ALGO",
-                         help="algorithm subset (default: all five)")
+                         help="algorithm subset (default: all four)")
     check_p.add_argument("--skip-fuzz", action="store_true",
                          help="skip the round-trip fuzzing pass")
     check_p.add_argument("--skip-differential", action="store_true",

@@ -17,7 +17,6 @@ from repro.compression.base import (
 from repro.compression.bdi import BDI_ENCODINGS, BdiCompressor, BdiEncoding
 from repro.compression.bestofall import BestOfAllCompressor
 from repro.compression.cpack import CPackCompressor, DICTIONARY_ENTRIES
-from repro.compression.fvc import DEFAULT_TABLE, FvcCompressor
 from repro.compression.fpc import (
     FPC_PATTERNS,
     FPC_REDUCED_PATTERNS,
@@ -30,7 +29,6 @@ ALGORITHMS = {
     "bdi": BdiCompressor,
     "fpc": FpcCompressor,
     "cpack": CPackCompressor,
-    "fvc": FvcCompressor,
     "bestofall": BestOfAllCompressor,
 }
 
@@ -60,9 +58,7 @@ __all__ = [
     "CompressedLine",
     "CompressionAlgorithm",
     "CompressionError",
-    "DEFAULT_TABLE",
     "FpcCompressor",
-    "FvcCompressor",
     "FpcPattern",
     "bursts_for",
     "make_algorithm",

@@ -133,7 +133,7 @@ class CompressionAlgorithm(ABC):
         (compressed size drives bursts and flits; the bytes themselves
         do not). Algorithms override :meth:`_size_table` with one
         whole-image kernel each that is exactly equivalent to
-        ``compress()``: vectorized under numpy for BDI, FPC and FVC (the
+        ``compress()``: vectorized under numpy for BDI and FPC (the
         reference below without numpy), a size-only loop for C-Pack.
         """
         self._check_batch(lines)

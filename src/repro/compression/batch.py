@@ -1,14 +1,14 @@
 """Backend helpers for the batch (whole-image) compression kernels.
 
 The batch kernels in :mod:`repro.compression` compute per-line
-``(size, encoding)`` tables over many cache lines at once. BDI, FPC and
-FVC have one **numpy kernel** each, which reinterprets the concatenated
+``(size, encoding)`` tables over many cache lines at once. BDI and FPC
+have one **numpy kernel** each, which reinterprets the concatenated
 lines as a 2-D unsigned word matrix and classifies all words
 vectorized; C-Pack's sequential dictionary keeps a size-only loop.
 
 numpy is an optional dependency (``pip install repro[fast]``) and is
-used if and only if it imports. Without it, BDI, FPC and FVC fall back
-to the scalar reference (one ``compress()`` core per line). The
+used if and only if it imports. Without it, BDI and FPC fall back to
+the scalar reference (one ``compress()`` core per line). The
 differential suite (``tests/compression/test_batch_equivalence.py``)
 asserts every kernel matches the scalar ``compress()`` byte for byte.
 

@@ -20,20 +20,17 @@ from repro.compression.bdi import BdiCompressor
 from repro.compression.cpack import CPackCompressor
 from repro.compression.fpc import FpcCompressor
 
-#: Canonical tie-break priority for best-of-all selection. When two
-#: components compress a line to the same size, the component appearing
-#: earlier here wins — on the scalar path, the batch ``size_table``
-#: path *and* the plane-composition path, regardless of the order the
-#: caller supplied the components in. BDI leads because it is the
-#: paper's flagship algorithm (cheapest assist-warp decompression);
-#: names absent from the list rank after it in caller order. The
-#: differential suite (``repro.verify``) enforces that all paths agree.
-COMPONENT_PRIORITY: tuple[str, ...] = ("bdi", "fpc", "cpack", "fvc")
-
 #: Component set of the paper's CABA-BestOfAll design (Section 6.3),
-#: in priority order. ``harness.runner`` composes best-of-all planes
-#: from exactly these component planes.
-DEFAULT_COMPONENT_NAMES: tuple[str, ...] = ("bdi", "fpc", "cpack")
+#: in canonical tie-break priority. When two components compress a
+#: line to the same size, the component appearing earlier here wins —
+#: on the scalar path, the batch ``size_table`` path *and* the
+#: plane-composition path, regardless of the order the caller supplied
+#: the components in. BDI leads because it is the paper's flagship
+#: algorithm (cheapest assist-warp decompression); names absent from
+#: the list rank after it in caller order. ``harness.runner`` composes
+#: best-of-all planes from exactly these component planes, and the
+#: differential suite (``repro.verify``) enforces that all paths agree.
+COMPONENT_PRIORITY: tuple[str, ...] = ("bdi", "fpc", "cpack")
 
 
 def _priority_rank(name: str) -> int:

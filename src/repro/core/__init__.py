@@ -33,8 +33,6 @@ from repro.core.subroutines import (
     cpack_decompress,
     fpc_compress,
     fpc_decompress,
-    fvc_compress,
-    fvc_decompress,
 )
 
 __all__ = [
@@ -64,6 +62,4 @@ __all__ = [
     "cpack_decompress",
     "fpc_compress",
     "fpc_decompress",
-    "fvc_compress",
-    "fvc_decompress",
 ]

@@ -50,7 +50,6 @@ REGISTER_DEMAND = {
     "bdi": 4,
     "fpc": 6,
     "cpack": 7,
-    "fvc": 5,
     "bestofall": 7,
 }
 
@@ -239,39 +238,6 @@ def cpack_compress(line_size: int = 128) -> AssistProgram:
 
 
 # ----------------------------------------------------------------------
-# FVC
-# ----------------------------------------------------------------------
-def fvc_decompress(line_size: int = 128) -> AssistProgram:
-    """FVC decompression: unpack flags, gather table values, merge."""
-    groups = max(1, line_size // 32)  # 8 words per group
-    body: list[Instr] = [
-        _move_live_in(),
-        _l1_load(1, 0, tag="load_compressed"),
-        _alu(2, 1, tag="unpack_flags"),
-    ]
-    for g in range(groups):
-        body.append(_alu(3, 2, tag=f"table_gather_{g}"))
-        body.append(_alu(4, 3, tag=f"merge_{g}"))
-    body.append(_l1_store(4, tag="store_line"))
-    return _program("fvc_dec", body, REGISTER_DEMAND["fvc"])
-
-
-def fvc_compress(line_size: int = 128) -> AssistProgram:
-    """FVC compression: per-word table match, flag packing."""
-    groups = max(1, line_size // 32)
-    body: list[Instr] = [
-        _move_live_in(),
-        _l1_load(1, 0, tag="load_line"),
-    ]
-    for g in range(groups):
-        body.append(_alu(2, 1, tag=f"table_match_{g}"))
-        body.append(_alu(3, 2, tag=f"encode_{g}"))
-    body.append(_alu(4, 3, tag="pack_flags"))
-    body.append(_l1_store(4, tag="store_compressed"))
-    return _program("fvc_comp", body, REGISTER_DEMAND["fvc"])
-
-
-# ----------------------------------------------------------------------
 # Library
 # ----------------------------------------------------------------------
 #: Built programs shared across library instances. Every run constructs
@@ -325,8 +291,6 @@ class SubroutineLibrary:
             return fpc_decompress(self.line_size)
         if algorithm == "cpack":
             return cpack_decompress(self.line_size)
-        if algorithm == "fvc":
-            return fvc_decompress(self.line_size)
         raise ValueError(f"no decompression subroutine for {algorithm!r}")
 
     def _build_compression(self, algorithm: str) -> AssistProgram:
@@ -336,8 +300,6 @@ class SubroutineLibrary:
             return fpc_compress(self.line_size)
         if algorithm == "cpack":
             return cpack_compress(self.line_size)
-        if algorithm == "fvc":
-            return fvc_compress(self.line_size)
         if algorithm == "bestofall":
             # Idealized selection (Section 6.3): pay the cheapest
             # single-algorithm compression subroutine.

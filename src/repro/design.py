@@ -86,7 +86,7 @@ class DesignPoint:
 # Factory functions for the paper's named designs
 # ----------------------------------------------------------------------
 _ALGO_SUFFIX = {"bdi": "BDI", "fpc": "FPC", "cpack": "CPack",
-                "fvc": "FVC", "bestofall": "BestOfAll"}
+                "bestofall": "BestOfAll"}
 
 
 def _suffix(algorithm: str) -> str:

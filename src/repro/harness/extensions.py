@@ -265,7 +265,7 @@ def scheduler_study(
     with and without CABA compression."""
     config = config if config is not None else GPUConfig.small()
     result = FigureResult(
-        figure="sched",
+        figure="scheduler",
         title="Warp scheduler sensitivity (GTO vs. LRR)",
         columns=["scheduler", "geomean_base_ipc", "geomean_caba_speedup"],
     )
@@ -276,7 +276,7 @@ def scheduler_study(
         for app in apps:
             specs.append(RunSpec(app, designs.base(), cfg))
             specs.append(RunSpec(app, designs.caba(), cfg))
-    runs = iter(run_figure(result, specs, label="scheduler"))
+    runs = iter(run_figure(result, specs))
     for policy in policies:
         ipcs, speedups = [], []
         for app in apps:

@@ -88,16 +88,13 @@ def sample_label(specs: Sequence[RunSpec]) -> str:
 
 
 def run_figure(
-    result: FigureResult,
-    specs: Sequence[RunSpec],
-    label: str | None = None,
+    result: FigureResult, specs: Sequence[RunSpec]
 ) -> list[RunResult]:
     """Run ``specs`` for ``result`` through the shared parallel engine,
-    labelling ``result`` when any of them is interval-sampled.
-    ``label`` (default: the figure id) names the figure in failure
-    reports."""
+    labelling ``result`` when any of them is interval-sampled. The
+    figure id names the batch in failure reports."""
     result.sampled = sample_label(specs)
-    return run_specs(specs, label=label or result.figure)
+    return run_specs(specs, label=result.figure)
 
 
 def _default_config(config: GPUConfig | None) -> GPUConfig:
@@ -633,7 +630,7 @@ def _extensions():
 
 #: Every experiment, in paper order: id -> thunk(config). ``repro
 #: figure`` and ``scripts/run_experiments.py`` read it, and every id
-#: with claims has a generator in :data:`repro.verify.parity.PARITY`.
+#: has a claim generator in :data:`repro.verify.parity.PARITY`.
 EXPERIMENTS = {
     "tab1": lambda config: tab1_system_config(),
     "fig1": lambda config: fig1_cycle_breakdown(config),

@@ -53,6 +53,7 @@ from typing import Iterable, Sequence
 
 from repro.harness import runner
 from repro.harness.runner import RunResult, RunSpec
+from repro.obs import trace_enabled
 
 #: Retry ``n`` (1-based) waits ``_BACKOFF_BASE * 2**(n-1)`` seconds,
 #: capped at ``_BACKOFF_CAP`` so a long retry ladder stays bounded.
@@ -407,9 +408,12 @@ class ExperimentEngine:
         if self.jobs <= 1:
             failures = self._run_serial(unique, resolved)
         else:
+            # The same trace flag run_spec resolves: an untraced cache
+            # entry must not stand in for a traced run.
+            trace = trace_enabled()
             pending = []
             for spec in unique:
-                hit = runner.cached_result(spec)
+                hit = runner.cached_result(spec, trace=trace)
                 if hit is not None:
                     resolved[spec] = hit
                 else:

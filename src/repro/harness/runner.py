@@ -204,7 +204,7 @@ def _plane_for(
     if algorithm_name == "bestofall":
         components = [
             (name, _plane_for(app, name, line_size, burst_bytes, extents))
-            for name in bestofall_mod.DEFAULT_COMPONENT_NAMES
+            for name in bestofall_mod.COMPONENT_PRIORITY
         ]
         built = plane_mod.compose_best_of_all(
             components, line_size, burst_bytes, key
@@ -258,9 +258,6 @@ def build_image(
     from a cache — so the simulation itself never calls scalar
     ``compress()``.
     """
-    line_bytes = make_line_generator(
-        app.data, line_size=config.line_size, seed=app.seed
-    )
     algorithm = None
     plane = None
     # Section 4.3.1: static profiling disables compression for
@@ -272,7 +269,6 @@ def build_image(
             footprint_extents(app, config, scale),
         )
     return MemoryImage(
-        line_bytes,
         algorithm,
         line_size=config.line_size,
         burst_bytes=config.burst_bytes,
@@ -347,7 +343,6 @@ def _simulate(
         name = spec.app
         effective_design = design
         image = MemoryImage(
-            lambda line, _size=config.line_size: bytes(_size),
             None,
             line_size=config.line_size,
             burst_bytes=config.burst_bytes,

@@ -2,10 +2,10 @@
 
 The paper prepares input data in compressed form before transferring it
 to the GPU (Section 4.3.1), so every global-memory line has a compressed
-size from the outset. :class:`MemoryImage` provides that view: it lazily
-materializes the bytes of each line through a deterministic generator
-(supplied by the workload), runs the active compression algorithm on
-them, and caches the resulting size/encoding. Store-written lines can
+size from the outset. :class:`MemoryImage` provides that view: a
+compressed image reads each line's size and encoding from the
+:class:`~repro.memory.plane.CompressionPlane` batch-built over the run's
+footprint, and never compresses a line itself. Store-written lines can
 override their recorded size (e.g. when CABA's compression assist warp
 was throttled and the line went back uncompressed).
 """
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from repro.compression.base import CompressionAlgorithm, bursts_for
 
-#: Produces the bytes of one line given its line address.
-LineBytesFn = Callable[[int], bytes]
+
+class UncoveredLineError(LookupError):
+    """A compressed image was asked for a line its plane does not cover."""
 
 
 @dataclass(frozen=True)
@@ -49,29 +49,32 @@ class MemoryImage:
     """Per-line compressed sizes of the simulated global memory.
 
     Args:
-        line_bytes: Deterministic generator of each line's contents.
         algorithm: Active compression algorithm, or ``None`` for the
             uncompressed baseline.
         line_size: Line size in bytes.
         burst_bytes: DRAM burst granularity.
-        plane: Optional precomputed
-            :class:`~repro.memory.plane.CompressionPlane` consulted
-            before falling back to scalar compression.
+        plane: The :class:`~repro.memory.plane.CompressionPlane` of
+            ``algorithm`` over every line the run can touch; required
+            when ``algorithm`` is given, ignored otherwise.
     """
 
     def __init__(
         self,
-        line_bytes: LineBytesFn,
         algorithm: CompressionAlgorithm | None,
         line_size: int = 128,
         burst_bytes: int = 32,
         plane=None,
     ) -> None:
-        if algorithm is not None and algorithm.line_size != line_size:
-            raise ValueError(
-                f"algorithm line size {algorithm.line_size} != {line_size}"
-            )
-        self._line_bytes = line_bytes
+        if algorithm is not None:
+            if algorithm.line_size != line_size:
+                raise ValueError(
+                    f"algorithm line size {algorithm.line_size} != "
+                    f"{line_size}"
+                )
+            if plane is None:
+                raise ValueError(
+                    f"a {algorithm.name} image needs its compression plane"
+                )
         self.algorithm = algorithm
         self.line_size = line_size
         self.burst_bytes = burst_bytes
@@ -101,10 +104,12 @@ class MemoryImage:
             # Planes are consulted per lookup (never bulk-copied) so the
             # touched-line set — and with it every aggregate statistic —
             # holds only the lines the run looked up.
-            info = self.plane.info(line) if self.plane is not None else None
+            info = self.plane.info(line)
             if info is None:
-                compressed = self.algorithm.compress(self._line_bytes(line))
-                info = line_info(compressed.size_bytes, compressed.encoding)
+                raise UncoveredLineError(
+                    f"line {line} is outside the {self.algorithm.name} "
+                    f"plane ({len(self.plane)} lines)"
+                )
         self._cache[line] = info
         return info
 

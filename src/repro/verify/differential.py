@@ -4,10 +4,10 @@ The simulator obtains a line's compressed size several ways, all of
 which must agree byte-for-byte or runs become backend-dependent:
 
 1. scalar ``compress()`` per line (the reference every other path
-   must match; images built without a plane still size lines this way),
+   must match),
 2. the numpy whole-image batch kernels (when numpy is installed),
-3. the batch path without numpy — the scalar reference for BDI, FPC
-   and FVC, C-Pack's size-only loop over the big-int word split,
+3. the batch path without numpy — the scalar reference for BDI and
+   FPC, C-Pack's size-only loop over the big-int word split,
 4. cached :class:`~repro.memory.plane.CompressionPlane` lookups — for
    ``bestofall`` these are *composed* from the component planes, which
    additionally exercises the tie-breaking rule of
@@ -84,7 +84,7 @@ def _image_diff(line_block, image: list[bytes]) -> str | None:
 
 def differential_check(
     apps: Sequence[str] = DEFAULT_APPS,
-    algorithms: Sequence[str] = ("bdi", "fpc", "cpack", "fvc", "bestofall"),
+    algorithms: Sequence[str] = ("bdi", "fpc", "cpack", "bestofall"),
     lines: int = 2048,
     line_size: int = 128,
     burst_bytes: int = 32,

@@ -50,7 +50,7 @@ from repro.workloads.tracegen import TraceScale
 DEFAULT_APPS: tuple[str, ...] = ("PVC", "MM", "CONS")
 
 DEFAULT_ALGORITHMS: tuple[str, ...] = (
-    "bdi", "fpc", "cpack", "fvc", "bestofall",
+    "bdi", "fpc", "cpack", "bestofall",
 )
 
 

@@ -191,6 +191,35 @@ def _prefetch(rows, summary) -> Iterator[Claim]:
                row["prefetches"] > 0)
 
 
+def _capacity(rows, summary) -> Iterator[Claim]:
+    by_app: dict[str, dict[str, dict]] = {}
+    for row in rows:
+        by_app.setdefault(row["app"], {})[row["algorithm"]] = row
+
+    def cell(app, algorithm, column):
+        return by_app[app].get(algorithm, {}).get(column, _NAN)
+
+    for app in ("PVC", "MM"):
+        if app in by_app:
+            yield (f"capacity: BDI removes the spill on {app}",
+                   cell(app, "bdi", "spill_fraction") == 0)
+    if "ATTN" in by_app:
+        yield ("capacity: C-Pack spills less than BDI on ATTN",
+               cell("ATTN", "cpack", "spill_fraction")
+               < cell("ATTN", "bdi", "spill_fraction"))
+        yield ("capacity: C-Pack beats BDI on ATTN",
+               cell("ATTN", "cpack", "speedup_vs_base")
+               > cell("ATTN", "bdi", "speedup_vs_base"))
+    if "ST3D" in by_app:
+        yield ("capacity: BestOfAll still spills on ST3D",
+               cell("ST3D", "bestofall", "spill_fraction") > 0)
+    for app, algorithms in by_app.items():
+        spill = cell(app, "none", "spill_fraction")
+        yield (f"capacity: no algorithm spills more than none on {app}",
+               all(row["spill_fraction"] <= spill
+                   for row in algorithms.values()))
+
+
 def _ablations(rows, summary) -> Iterator[Claim]:
     by_variant = {row["variant"]: row for row in rows}
     for row in rows:
@@ -205,6 +234,15 @@ def _ablations(rows, summary) -> Iterator[Claim]:
                by_variant["store_buffer_64"]["compressed_store_fraction"]
                >= by_variant["store_buffer_4"]["compressed_store_fraction"]
                - 0.05)
+
+
+def _scheduler(rows, summary) -> Iterator[Claim]:
+    speedup = {row["scheduler"]: row["geomean_caba_speedup"] for row in rows}
+    gto, lrr = speedup.get("gto", _NAN), speedup.get("lrr", _NAN)
+    yield "scheduler: CABA speedup above 1.05 under GTO", gto > 1.05
+    yield "scheduler: CABA speedup above 1.05 under LRR", lrr > 1.05
+    yield ("scheduler: GTO and LRR speedups within 15%",
+           abs(gto - lrr) < 0.15 * min(gto, lrr))
 
 
 def _mdsweep(rows, summary) -> Iterator[Claim]:
@@ -232,7 +270,9 @@ PARITY: dict[str, Callable[[list, dict], Iterator[Claim]]] = {
     "mdcache": _mdcache,
     "memo": _memo,
     "prefetch": _prefetch,
+    "capacity": _capacity,
     "ablations": _ablations,
+    "scheduler": _scheduler,
     "mdsweep": _mdsweep,
 }
 

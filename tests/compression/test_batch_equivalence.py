@@ -129,12 +129,3 @@ def test_fpc_reduced_pattern_set(backend):
     ]
     assert algo.size_table(LINES) == scalar
 
-
-def test_fvc_trained_table(backend):
-    """Batch kernels follow a trained (non-default) FVC table."""
-    algo = make_algorithm("fvc", LINE_SIZE).train(LINES[:50])
-    scalar = [
-        (line.size_bytes, line.encoding)
-        for line in map(algo.compress, LINES)
-    ]
-    assert algo.size_table(LINES) == scalar

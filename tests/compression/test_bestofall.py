@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.compression import (
+    ALGORITHMS,
     BdiCompressor,
     BestOfAllCompressor,
     CompressionError,
@@ -126,7 +127,7 @@ class TestTieBreaking:
         assert (size, encoding) == (line.size_bytes, line.encoding)
 
     def test_priority_covers_all_registered_components(self):
-        assert set(COMPONENT_PRIORITY) >= {"bdi", "fpc", "cpack", "fvc"}
+        assert set(COMPONENT_PRIORITY) == set(ALGORITHMS) - {"bestofall"}
 
 
 class TestValidation:

@@ -14,7 +14,6 @@ from repro.compression import (
     BestOfAllCompressor,
     CPackCompressor,
     FpcCompressor,
-    FvcCompressor,
     bursts_for,
 )
 
@@ -24,7 +23,6 @@ ALGOS = {
     "bdi": BdiCompressor,
     "fpc": FpcCompressor,
     "cpack": CPackCompressor,
-    "fvc": FvcCompressor,
     "bestofall": BestOfAllCompressor,
 }
 

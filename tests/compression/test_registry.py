@@ -12,9 +12,8 @@ from repro.compression.base import CompressedLine
 
 
 class TestRegistry:
-    def test_all_five_algorithms_registered(self):
-        assert set(ALGORITHMS) == {"bdi", "fpc", "cpack", "fvc",
-                                   "bestofall"}
+    def test_all_four_algorithms_registered(self):
+        assert set(ALGORITHMS) == {"bdi", "fpc", "cpack", "bestofall"}
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_make_algorithm(self, name):

@@ -15,7 +15,7 @@ from repro.gpu.sm import SM
 from repro.gpu.soa import SoAState
 from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
-from repro.memory.image import MemoryImage
+from tests.images import make_image
 
 
 def narrow_line(line: int) -> bytes:
@@ -29,9 +29,9 @@ class CabaHarness:
     def __init__(self, params=None, design=None):
         self.config = GPUConfig.small()
         design = design or designs.caba()
-        image = MemoryImage(
-            narrow_line, BdiCompressor(self.config.line_size),
-            self.config.line_size,
+        image = make_image(
+            BdiCompressor(self.config.line_size), self.config.line_size,
+            narrow_line,
         )
         self.memory = MemorySystem(self.config, design, image)
         self.events = []

@@ -8,13 +8,11 @@ from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.kernel import Kernel
 from repro.gpu.simulator import Simulator
 from repro.gpu.stats import Slot
-from repro.memory.image import MemoryImage
+from tests.images import make_image
 
 
 def plain_image(config):
-    return MemoryImage(
-        lambda line: bytes(config.line_size), None, config.line_size
-    )
+    return make_image(None, config.line_size)
 
 
 def alu_i(dst=1, src=0, latency=4):

@@ -18,8 +18,8 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.kernel import Kernel
 from repro.gpu.simulator import Simulator
-from repro.memory.image import MemoryImage
 from repro.obs import RunObservation
+from tests.images import make_image
 
 
 def _instr(kind: str, salt: int) -> Instr:
@@ -82,7 +82,8 @@ def run_program(kinds, iterations, design, trace=False, fast_forward=True):
             ),
             assist_regs_per_thread=library.register_demand(design.algorithm),
         )
-    image = MemoryImage(lambda line: bytes(line_size), algo, line_size)
+    # Loads touch lines [0, 400), stores [1000, 1300).
+    image = make_image(algo, line_size, lines=1300)
     obs = RunObservation.for_config(config) if trace else None
     return Simulator(config, kernel, design, image, obs=obs,
                      fast_forward=fast_forward, **caba).run()

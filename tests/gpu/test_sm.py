@@ -12,7 +12,7 @@ from repro.gpu.soa import SoAState
 from repro.gpu.stats import Slot
 from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
-from repro.memory.image import MemoryImage
+from tests.images import make_image
 
 
 class SmHarness:
@@ -21,10 +21,7 @@ class SmHarness:
     def __init__(self, config=None, design=None):
         self.config = config or GPUConfig.small()
         design = design or designs.base()
-        image = MemoryImage(
-            lambda line: bytes(self.config.line_size), None,
-            self.config.line_size,
-        )
+        image = make_image(None, self.config.line_size)
         self.memory = MemorySystem(self.config, design, image)
         self.events = []
         self.seq = 0

@@ -2,8 +2,30 @@
 
 import pytest
 
-from repro.harness import figures
+from repro.gpu.config import GPUConfig
+from repro.harness import extensions, figures
 from repro.harness.report import render_table
+
+
+class _Submitted(Exception):
+    """Raised in place of simulating: carries the submitting figure."""
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("exp_id", list(figures.EXPERIMENTS))
+    def test_figure_id_is_the_experiment_id(self, exp_id, monkeypatch):
+        """Each experiment names its result (and with it its failure
+        reports) by its registry id."""
+        def submitted(result, specs):
+            raise _Submitted(result.figure)
+
+        for module in (figures, extensions):
+            monkeypatch.setattr(module, "run_figure", submitted)
+        try:
+            figure = figures.EXPERIMENTS[exp_id](GPUConfig.small()).figure
+        except _Submitted as exc:
+            figure = exc.args[0]
+        assert figure == exp_id
 
 
 class TestFig5:

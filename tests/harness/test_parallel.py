@@ -57,6 +57,21 @@ class TestPoolDeterminism:
         with parallel.ExperimentEngine(jobs=1) as engine:
             assert engine.run(spec) is run_spec(spec)
 
+    def test_pool_honours_repro_trace_over_untraced_cache(self,
+                                                          monkeypatch):
+        """A warm untraced entry must not stand in for a traced run,
+        in the pool exactly as in run_spec."""
+        spec = _specs()[1]
+        clear_caches()
+        assert run_spec(spec, trace=False).obs is None
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        with parallel.ExperimentEngine(jobs=2) as engine:
+            [pooled] = engine.run_many([spec])
+        with parallel.ExperimentEngine(jobs=1) as engine:
+            [serial] = engine.run_many([spec])
+        assert pooled.obs is not None
+        assert serial.obs is not None
+
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             parallel.ExperimentEngine(jobs=0)

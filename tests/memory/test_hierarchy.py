@@ -6,7 +6,7 @@ from repro import design as designs
 from repro.compression import BdiCompressor
 from repro.gpu.config import GPUConfig
 from repro.memory.hierarchy import MemorySystem
-from repro.memory.image import MemoryImage
+from tests.images import make_image
 
 
 def narrow_line(line: int) -> bytes:
@@ -27,7 +27,7 @@ def make_system(design, compressible=True, config=None):
     config = config or GPUConfig.small()
     algo = BdiCompressor(config.line_size) if design.compression_enabled else None
     gen = narrow_line if compressible else random_line
-    image = MemoryImage(gen, algo, config.line_size)
+    image = make_image(algo, config.line_size, gen)
     return MemorySystem(config, design, image), config
 
 

@@ -27,8 +27,14 @@ class TestRun:
 
     def test_run_with_algorithm(self, capsys):
         assert main(["run", "PVC", "--design", "caba",
-                     "--algorithm", "fvc"]) == 0
-        assert "CABA-FVC" in capsys.readouterr().out
+                     "--algorithm", "cpack"]) == 0
+        assert "CABA-CPack" in capsys.readouterr().out
+
+    def test_unregistered_algorithm_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "PVC", "--design", "caba", "--algorithm", "lz4"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lz4'" in capsys.readouterr().err
 
     def test_unknown_app_fails_cleanly(self, capsys):
         assert main(["run", "quake3"]) == 2
@@ -89,7 +95,7 @@ class TestCompress:
         path.write_bytes(bytes(4096))
         assert main(["compress", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "bdi" in out and "fvc" in out
+        assert "bdi" in out and "bestofall" in out
 
     def test_empty_input(self, tmp_path, capsys):
         path = tmp_path / "empty.bin"

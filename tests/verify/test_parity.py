@@ -25,26 +25,10 @@ KNOWN_DEVIATIONS = {
     "fig8: CABA-BDI <= Base + 0.05 on KM",
 }
 
-#: The shipped dump predates mdsweep; a small entry stands in for it.
-MDSWEEP = {
-    "title": "MD-cache capacity sweep (Section 4.3.2)",
-    "columns": ["size_kb", "avg_hit_rate", "geomean_speedup"],
-    "rows": [
-        {"size_kb": 1, "avg_hit_rate": 0.62, "geomean_speedup": 1.2},
-        {"size_kb": 8, "avg_hit_rate": 0.91, "geomean_speedup": 1.4},
-    ],
-    "summary": {},
-}
-
 
 @pytest.fixture(scope="module")
 def shipped():
     return json.loads(SHIPPED.read_text())
-
-
-@pytest.fixture(scope="module")
-def entries(shipped):
-    return {**shipped, "mdsweep": MDSWEEP}
 
 
 def _swap(a, b, prefix):
@@ -89,6 +73,14 @@ def _flatten_l1(entry):
         row["CABA-L1-2x"] = 1.0
 
 
+def _set_capacity(app, algorithm, column, new):
+    def mutate(entry):
+        for row in entry["rows"]:
+            if row["app"] == app and row["algorithm"] == algorithm:
+                row[column] = new
+    return mutate
+
+
 #: id -> (planted mutation, a claim it must fail).
 MUTATIONS = {
     "tab1": (_set_row("parameter", "SMs", "value", 14), "tab1: SMs is 15"),
@@ -115,30 +107,68 @@ MUTATIONS = {
              "memo: speedup grows with redundancy"),
     "prefetch": (_set_row("distance", 1, "prefetches", 0),
                  "prefetch: prefetches issued at distance 1"),
+    "capacity": (_set_capacity("PVC", "bdi", "spill_fraction", 0.2),
+                 "capacity: BDI removes the spill on PVC"),
     "ablations": (_set_row("variant", "default", "geomean_speedup", 0.5),
                   "ablations: default within 10% of the best"),
-    "mdsweep": (_set_row("size_kb", 8, "avg_hit_rate", 0.5),
+    "scheduler": (_set_row("scheduler", "lrr", "geomean_caba_speedup", 1.0),
+                  "scheduler: CABA speedup above 1.05 under LRR"),
+    "mdsweep": (_set_row("size_kb", 16, "avg_hit_rate", 0.5),
                 "mdsweep: largest MD cache hits above 0.8"),
 }
 
 
 class TestTable:
     def test_every_parity_key_is_an_experiment_id(self):
-        assert set(parity.PARITY) <= set(EXPERIMENTS)
-        # Same (paper) order as the registry.
-        assert list(parity.PARITY) == [
-            exp_id for exp_id in EXPERIMENTS if exp_id in parity.PARITY]
+        # Every experiment carries claims, in the registry's order.
+        assert set(parity.PARITY) == set(EXPERIMENTS)
+        assert list(parity.PARITY) == list(EXPERIMENTS)
+        assert len(EXPERIMENTS) == 18
 
     def test_every_claim_group_has_a_planted_mutation(self):
         assert set(MUTATIONS) == set(parity.PARITY)
 
     @pytest.mark.parametrize("exp_id", list(MUTATIONS))
-    def test_planted_mutation_fails_its_claim(self, exp_id, entries):
+    def test_planted_mutation_fails_its_claim(self, exp_id, shipped):
         mutate, label = MUTATIONS[exp_id]
-        entry = copy.deepcopy(entries[exp_id])
+        entry = copy.deepcopy(shipped[exp_id])
         assert label not in parity.failures(exp_id, entry)
         mutate(entry)
         assert label in parity.failures(exp_id, entry)
+
+    @pytest.mark.parametrize("mutate,label", [
+        (_set_capacity("MM", "fpc", "spill_fraction", 0.9),
+         "capacity: no algorithm spills more than none on MM"),
+        (_set_capacity("ATTN", "cpack", "speedup_vs_base", 1.0),
+         "capacity: C-Pack beats BDI on ATTN"),
+        (_set_capacity("ATTN", "bdi", "spill_fraction", 0.0),
+         "capacity: C-Pack spills less than BDI on ATTN"),
+        (_set_capacity("ST3D", "bestofall", "spill_fraction", 0.0),
+         "capacity: BestOfAll still spills on ST3D"),
+        (_set_row("scheduler", "gto", "geomean_caba_speedup", 1.3),
+         "scheduler: GTO and LRR speedups within 15%"),
+    ])
+    def test_planted_mutation_fails_extension_claim(self, mutate, label,
+                                                    shipped):
+        exp_id = label.split(":", 1)[0]
+        entry = copy.deepcopy(shipped[exp_id])
+        assert label not in parity.failures(exp_id, entry)
+        mutate(entry)
+        assert label in parity.failures(exp_id, entry)
+
+    def test_capacity_claims_follow_the_apps_in_the_entry(self, shipped):
+        entry = copy.deepcopy(shipped["capacity"])
+        entry["rows"] = [row for row in entry["rows"] if row["app"] == "MM"]
+        labels = [label for label, _ in parity.claims("capacity", entry)]
+        assert labels == [
+            "capacity: BDI removes the spill on MM",
+            "capacity: no algorithm spills more than none on MM",
+        ]
+        assert not parity.failures("capacity", entry)
+        entry["rows"] = [row for row in entry["rows"]
+                         if row["algorithm"] != "bdi"]
+        assert parity.failures("capacity", entry) == [
+            "capacity: BDI removes the spill on MM"]
 
     def test_missing_summary_value_fails(self):
         assert "fig9: DRAM energy drops more than 15%" in parity.failures(
@@ -153,7 +183,8 @@ class TestShippedDump:
     def test_every_claimed_experiment_is_checked(self, shipped):
         report = parity.check_dump(shipped)
         groups = {r.name.split(":", 1)[0] for r in report.results}
-        assert groups == set(parity.PARITY) & set(shipped)
+        assert groups == set(parity.PARITY) == set(EXPERIMENTS)
+        assert set(EXPERIMENTS) <= set(shipped)
 
     def test_broken_fig7_fails(self):
         broken = {"fig7": {"summary": {
@@ -216,9 +247,10 @@ class TestRoundTrip:
 
     def test_entry_without_sampled_reads_exact(self, shipped, monkeypatch):
         monkeypatch.setenv("REPRO_SAMPLE", "1")
-        assert "sampled" not in shipped["fig5"]
-        assert FigureResult.from_entry("fig5", shipped["fig5"]).sampled == ""
-        report = parity.check_dump({"fig5": shipped["fig5"]})
+        # A dump written before entries recorded ``sampled``.
+        entry = {k: v for k, v in shipped["fig5"].items() if k != "sampled"}
+        assert FigureResult.from_entry("fig5", entry).sampled == ""
+        report = parity.check_dump({"fig5": entry})
         assert not any("[sampled]" in r.name for r in report.results)
 
 
