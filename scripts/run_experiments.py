@@ -17,17 +17,18 @@ N worker processes; results are identical to a serial run. Completed
 runs are persisted in the on-disk cache (``REPRO_CACHE_DIR``), so
 re-invocations skip simulation entirely.
 
-Execution is fault tolerant: failed runs retry (``--retries`` /
-``REPRO_RETRIES``), hung workers are cancelled after ``--timeout`` /
-``REPRO_RUN_TIMEOUT`` seconds, and an experiment whose batch still has
-failures is reported (with the per-spec failure list) while the
-remaining experiments keep running; the script then exits non-zero.
-Completed sibling runs stay checkpointed, so a rerun only redoes the
-failures.
+Execution is fault tolerant: failed runs retry (``--retries``, default
+one retry), hung workers are cancelled after ``--timeout`` seconds
+(default: no timeout), and an experiment whose batch still has failures
+is reported (with the per-spec failure list) while the remaining
+experiments keep running; the script then exits non-zero. Completed
+sibling runs stay checkpointed, so a rerun only redoes the failures.
 
 The ids and their order come from ``repro.harness.figures.EXPERIMENTS``,
 the registry ``repro figure`` reads too. Check a dump against the
-paper's claims with ``python -m repro check --parity results.json``.
+paper's claims with ``python -m repro check --parity results.json``;
+to verify the code first, run ``python -m repro check --quick &&
+python scripts/run_experiments.py``.
 """
 
 from __future__ import annotations
@@ -51,15 +52,10 @@ def main() -> int:
                         help="simulation worker processes "
                              "(default: REPRO_JOBS or 1)")
     parser.add_argument("--retries", type=parallel.retries_arg, default=None,
-                        help="retry budget per failed run "
-                             "(default: REPRO_RETRIES or 1)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-run wall-clock timeout in seconds "
-                             "(default: REPRO_RUN_TIMEOUT; 0 disables)")
-    parser.add_argument("--verify", action="store_true",
-                        help="run the quick differential correctness "
-                             "harness (repro check --quick) before any "
-                             "experiment; abort if it fails")
+                        help="retry budget per failed run (default: 1)")
+    parser.add_argument("--timeout", type=parallel.timeout_arg, default=None,
+                        help="per-run wall-clock timeout in seconds under "
+                             "--jobs > 1 (default and 0: none)")
     args = parser.parse_args()
     config = CONFIGS[args.config]()
     wanted = set(args.only.split(",")) if args.only else None
@@ -69,17 +65,6 @@ def main() -> int:
             parser.error(f"unknown experiment id(s) in --only: "
                          f"{', '.join(sorted(unknown))} (valid: "
                          f"{', '.join(EXPERIMENTS)})")
-
-    if args.verify:
-        from repro.verify import run_checks
-
-        report = run_checks(lines=32, apps=("PVC",))
-        print(report.render())
-        sys.stdout.flush()
-        if not report.ok:
-            print("verification failed; not running experiments",
-                  file=sys.stderr)
-            return 1
 
     engine = parallel.configure(jobs=args.jobs, retries=args.retries,
                                 timeout=args.timeout)

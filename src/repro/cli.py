@@ -28,7 +28,7 @@ import sys
 from repro import design as designs
 from repro.compression import ALGORITHMS, make_algorithm
 from repro.harness.figures import CONFIGS, EXPERIMENTS
-from repro.harness.parallel import jobs_arg, retries_arg
+from repro.harness.parallel import jobs_arg, retries_arg, timeout_arg
 from repro.harness.runner import run_app
 from repro.workloads.apps import APPLICATIONS, get_app
 
@@ -64,11 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="bdi")
     run_p.add_argument("--config", choices=sorted(CONFIGS), default="small")
     run_p.add_argument("--bandwidth-scale", type=float, default=1.0)
-    run_p.add_argument("--sample", nargs="?", const="1", default=None,
-                       metavar="W:M:S",
-                       help="interval-sampled simulation: bare flag for "
-                            "the default period, or WARMUP:MEASURE:SKIP "
-                            "cycles (exact simulation is the default)")
+    run_p.add_argument("--sample", action="store_true",
+                       help="interval-sampled simulation at the certified "
+                            "period (default: REPRO_SAMPLE, else exact)")
     run_p.add_argument("--capacity", type=float, default=None,
                        metavar="FRACTION",
                        help="capacity mode: device-memory budget as a "
@@ -119,11 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="simulation worker processes "
                             "(default: REPRO_JOBS or 1)")
     fig_p.add_argument("--retries", type=retries_arg, default=None,
-                       help="retry budget per failed run "
-                            "(default: REPRO_RETRIES or 1)")
-    fig_p.add_argument("--timeout", type=float, default=None,
-                       help="per-run wall-clock timeout in seconds "
-                            "(default: REPRO_RUN_TIMEOUT; 0 disables)")
+                       help="retry budget per failed run (default: 1)")
+    fig_p.add_argument("--timeout", type=timeout_arg, default=None,
+                       help="per-run wall-clock timeout in seconds under "
+                            "--jobs > 1 (default and 0: none)")
 
     comp_p = sub.add_parser(
         "compress", help="compress a file's bytes line by line"
@@ -254,18 +251,16 @@ def _cmd_run(args) -> int:
     if args.bandwidth_scale != 1.0:
         config = config.with_bandwidth_scale(args.bandwidth_scale)
 
-    sample_given = args.sample is not None
-    if sample_given:
+    if args.sample:
+        sample = SampleConfig()
+    else:
+        # No flag: follow REPRO_SAMPLE, where a bad value is a usage
+        # error rather than a traceback.
         try:
-            sample = SampleConfig.parse(args.sample)
+            sample = SampleConfig.from_env()
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    else:
-        # No flag: the runner honours REPRO_SAMPLE itself, but resolve
-        # the env here too so ambient-sampled output carries the
-        # annotation.
-        sample = SampleConfig.from_env()
 
     if args.scenario is not None:
         if args.capacity is not None or args.capacity_bytes is not None:
@@ -311,10 +306,8 @@ def _cmd_run(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    kwargs = {"capacity": capacity}
-    if sample_given:
-        kwargs["sample"] = sample
-    run = run_app(args.app, design, config, **kwargs)
+    run = run_app(args.app, design, config, capacity=capacity,
+                  sample=sample)
     _print_run(run, sample)
     return 0
 
@@ -349,13 +342,7 @@ def _cmd_trace(args) -> int:
 def _cmd_compare(args) -> int:
     get_app(args.app)
     config = CONFIGS[args.config]()
-    points = [
-        designs.base(),
-        designs.hw_mem(args.algorithm),
-        designs.hw(args.algorithm),
-        designs.caba(args.algorithm),
-        designs.ideal(args.algorithm),
-    ]
+    points = designs.figure7_designs(args.algorithm)
     base = run_app(args.app, points[0], config)
     print(f"{'design':12s} {'speedup':>8s} {'bw':>7s} {'energy':>8s}")
     for point in points:
@@ -405,7 +392,7 @@ def _cmd_parity(path: str, verbose: bool) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.harness.cache import RunCache, cache_enabled
+    from repro.harness.cache import DEFAULT_TMP_AGE, RunCache, cache_enabled
 
     cache = RunCache()
     if args.action == "info":
@@ -437,7 +424,8 @@ def _cmd_cache(args) -> int:
         print(f"swept {removed} leftover .tmp file(s) from {cache.root}")
         if skipped:
             print(f"kept {skipped} young .tmp file(s) (possible in-flight "
-                  f"writes; REPRO_CACHE_TMP_AGE tunes the threshold)")
+                  f"writes; swept once older than "
+                  f"{DEFAULT_TMP_AGE:.0f}s)")
         return 0
     removed = cache.clear()
     print(f"removed {removed} cached runs from {cache.root}")

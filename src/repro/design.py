@@ -174,6 +174,8 @@ def caba_cache(level: str, tag_mult: int, algorithm: str = "bdi") -> DesignPoint
     )
 
 
-#: The five Figure-7 designs in presentation order.
-def figure7_designs() -> tuple[DesignPoint, ...]:
-    return (base(), hw_mem(), hw(), caba(), ideal())
+def figure7_designs(algorithm: str = "bdi") -> tuple[DesignPoint, ...]:
+    """The five Figures 7-9 designs in presentation order: Base,
+    HW-Mem, HW, CABA and Ideal, each compressed with ``algorithm``."""
+    return (base(), hw_mem(algorithm), hw(algorithm), caba(algorithm),
+            ideal(algorithm))

@@ -48,10 +48,10 @@ boundary rather than interleaved in time. Don't use sampling for runs shorter th
 depend on absolute event counts of rare events, or when auditing
 invariants against exact-mode goldens.
 
-Opt-in via ``REPRO_SAMPLE`` (``1`` = the default 500:1000:13500
-period, or an explicit ``WARMUP:MEASURE:SKIP``) or the ``--sample``
-CLI knob; exact mode remains the default and is byte-identical to
-pre-sampling builds.
+Opt-in via ``REPRO_SAMPLE=1`` or ``repro run --sample``, both at the
+certified 500:1000:13500 period; code may build other
+:class:`SampleConfig` periods directly. Exact mode remains the default
+and is byte-identical to pre-sampling builds.
 """
 
 from __future__ import annotations
@@ -119,35 +119,24 @@ class SampleConfig:
 
     # ------------------------------------------------------------------
     @classmethod
-    def parse(cls, text: str) -> "SampleConfig":
-        """Parse a knob value: ``1``/``on`` for the defaults, or an
-        explicit ``WARMUP:MEASURE:SKIP`` triple."""
-        text = text.strip().lower()
-        if text in _ON_VALUES:
-            return cls()
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(
-                f"bad sample spec {text!r}: expected '1' or 'WARMUP:MEASURE:SKIP'"
-            )
-        try:
-            warmup, measure, skip = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"bad sample spec {text!r}: {exc}") from None
-        return cls(warmup=warmup, measure=measure, skip=skip)
-
-    @classmethod
     def from_env(cls) -> "SampleConfig | None":
         """The process-wide default: None (exact mode) unless
-        ``REPRO_SAMPLE`` asks for sampling."""
+        ``REPRO_SAMPLE`` turns sampling on, at the default period.
+
+        Any other value (e.g. a ``WARMUP:MEASURE:SKIP`` triple) raises
+        rather than silently running exact or at an uncertified period.
+        """
         value = os.environ.get(ENV_VAR, "").strip().lower()
         if value in _OFF_VALUES:
             return None
-        return cls.parse(value)
-
-
-def sampling_enabled() -> bool:
-    return SampleConfig.from_env() is not None
+        if value in _ON_VALUES:
+            return cls()
+        raise ValueError(
+            f"{ENV_VAR}={value!r} is not an on/off value; accepted: "
+            f"{', '.join(sorted(_ON_VALUES))} (sample at the default "
+            f"period) or {', '.join(sorted(_OFF_VALUES - {''}))} or unset "
+            f"(exact)"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -20,20 +20,17 @@ compression planes in ``planes/`` and exported trace artifacts in
 ``traces/`` beside them. Writes are atomic (temp file + rename), so
 concurrent workers of the parallel engine can share one cache directory
 safely; ``repro cache sweep`` removes temp files orphaned by killed
-workers once they are older than ``REPRO_CACHE_TMP_AGE``.
+workers once they are older than :data:`DEFAULT_TMP_AGE` (an hour).
 
 Knobs (also documented in README.md):
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-caba``).
 * ``REPRO_CACHE=0`` — disable the persistent cache entirely.
-* ``REPRO_CACHE_TMP_AGE`` — minimum age in seconds before ``sweep_tmp``
-  may remove a ``.tmp`` file (default 3600).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import pickle
 import tempfile
@@ -80,19 +77,6 @@ def cache_enabled() -> bool:
 #: an orphan from a killed worker ages indefinitely, so an hour cleanly
 #: separates the two.
 DEFAULT_TMP_AGE = 3600.0
-
-
-def default_tmp_age() -> float:
-    """Sweep age threshold from ``REPRO_CACHE_TMP_AGE`` (seconds)."""
-    env = os.environ.get("REPRO_CACHE_TMP_AGE", "")
-    try:
-        value = float(env)
-    except ValueError:
-        return DEFAULT_TMP_AGE
-    if not math.isfinite(value):
-        # max(0.0, nan) is 0.0, which would sweep live writers' temps.
-        return DEFAULT_TMP_AGE
-    return max(0.0, value)
 
 
 def default_cache_dir() -> Path:
@@ -214,7 +198,6 @@ class RunCache:
         trace_current = trace_stale = 0
         tmp_entries = tmp_young = 0
         total_bytes = plane_bytes = trace_bytes = tmp_bytes = 0
-        tmp_age = default_tmp_age()
         now = time.time()
         if self.root.exists():
             for path in self.root.rglob("*"):
@@ -233,7 +216,7 @@ class RunCache:
                     # worker, so 'cache sweep' skips them.
                     tmp_entries += 1
                     tmp_bytes += size
-                    if now - stat.st_mtime < tmp_age:
+                    if now - stat.st_mtime < DEFAULT_TMP_AGE:
                         tmp_young += 1
                     continue
                 try:
@@ -278,22 +261,20 @@ class RunCache:
             #: Tmp files younger than the sweep age threshold: possible
             #: in-flight atomic writes that ``sweep_tmp`` will skip.
             "tmp_young_entries": tmp_young,
-            "tmp_age_threshold": tmp_age,
+            "tmp_age_threshold": DEFAULT_TMP_AGE,
         }
 
-    def sweep_tmp(self, max_age: float | None = None) -> int:
+    def sweep_tmp(self, max_age: float = DEFAULT_TMP_AGE) -> int:
         """Remove leftover ``.tmp`` files (interrupted atomic writes
         from killed workers, any stamp); returns the number removed.
 
         Only files older than ``max_age`` seconds (mtime-based; default
-        ``REPRO_CACHE_TMP_AGE``, 1 hour) are removed. A younger temp
+        :data:`DEFAULT_TMP_AGE`, 1 hour) are removed. A younger temp
         file is an atomic write a live worker is about to
         ``os.replace`` — sweeping it would make that replace fail and
         cost a re-simulation — so it is skipped and reported as a young
         entry by :meth:`info`.
         """
-        if max_age is None:
-            max_age = default_tmp_age()
         if not self.root.exists():
             return 0
         removed = 0

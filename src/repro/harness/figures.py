@@ -219,12 +219,6 @@ def fig5_bdi_example() -> FigureResult:
 # ----------------------------------------------------------------------
 # Figures 7/8/9: the five designs
 # ----------------------------------------------------------------------
-def _five_designs(algorithm: str) -> tuple[DesignPoint, ...]:
-    """Base, HW-BDI-Mem, HW-BDI, CABA-BDI, Ideal-BDI (Figures 7-9)."""
-    return (designs.base(), designs.hw_mem(algorithm), designs.hw(algorithm),
-            designs.caba(algorithm), designs.ideal(algorithm))
-
-
 def _design_study(
     result: FigureResult,
     config: GPUConfig,
@@ -254,7 +248,7 @@ def fig7_performance(
 ) -> FigureResult:
     """Normalized performance of the five designs (Figure 7)."""
     config = _default_config(config)
-    points = _five_designs(algorithm)
+    points = designs.figure7_designs(algorithm)
     names = [p.name for p in points]
     result = FigureResult(
         figure="fig7",
@@ -287,7 +281,7 @@ def fig8_bandwidth(
 ) -> FigureResult:
     """DRAM bandwidth utilization of the five designs (Figure 8)."""
     config = _default_config(config)
-    points = _five_designs(algorithm)
+    points = designs.figure7_designs(algorithm)
     names = [p.name for p in points]
     result = FigureResult(
         figure="fig8",
@@ -318,7 +312,7 @@ def fig9_energy(
 ) -> FigureResult:
     """Normalized energy of the five designs (Figure 9)."""
     config = _default_config(config)
-    points = _five_designs(algorithm)
+    points = designs.figure7_designs(algorithm)
     names = [p.name for p in points]
     result = FigureResult(
         figure="fig9",

@@ -17,31 +17,28 @@ inline, preserving the exact serial behavior.
 
 The execution core is fault tolerant: a worker exception is captured as
 a structured :class:`RunFailure` (spec, attempt, exception, traceback,
-worker pid) instead of aborting the batch, transient failures retry
-with exponential backoff, a broken pool (killed worker) is respawned
-with only the in-flight specs resubmitted, and an optional per-spec
-wall-clock timeout cancels hung workers. ``run_many(strict=False)``
-returns the partial results plus the failure report; the default
-``strict=True`` raises :class:`ExperimentFailure` after the rest of the
-batch has completed (completed results stay checkpointed, so a rerun
-only redoes the failures).
+worker pid) instead of aborting the batch, failed runs retry with
+exponential backoff, a broken pool (killed worker) is respawned with
+only the in-flight specs resubmitted, and an optional per-spec
+wall-clock timeout cancels hung workers. A spec that exhausts its
+retries raises :class:`ExperimentFailure` after the rest of the batch
+has completed (completed results stay checkpointed, so a rerun only
+redoes the failures).
 
-Knobs (also documented in README.md):
+Settings (also documented in README.md):
 
 * ``--jobs N`` / ``REPRO_JOBS`` — worker processes.
-* ``--retries N`` / ``REPRO_RETRIES`` — retry budget per spec
-  (default 1 retry, i.e. up to two attempts).
-* ``REPRO_RUN_TIMEOUT`` — per-spec wall-clock seconds before a running
-  worker is considered hung and cancelled (0/unset disables; pool mode
-  only — a serial run cannot be interrupted). Infinite, NaN or
-  larger-than-``threading.TIMEOUT_MAX`` values also disable it.
-* ``REPRO_FAULT_SPEC`` — deterministic fault injection for tests, e.g.
-  ``PVC@CABA-BDI:raise:1;MM:hang:*`` (see :func:`maybe_inject_fault`).
+* ``--retries N`` — retry budget per spec (default
+  :data:`DEFAULT_RETRIES`: one retry, i.e. up to two attempts).
+* ``--timeout S`` — per-spec wall-clock seconds before a running worker
+  is considered hung and cancelled (default none; 0 disables; pool
+  mode only — a serial run cannot be interrupted).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import threading
 import time
@@ -55,14 +52,13 @@ from repro.harness import runner
 from repro.harness.runner import RunResult, RunSpec
 from repro.obs import trace_enabled
 
+#: Retry budget per spec when none is given: one retry.
+DEFAULT_RETRIES = 1
+
 #: Retry ``n`` (1-based) waits ``_BACKOFF_BASE * 2**(n-1)`` seconds,
 #: capped at ``_BACKOFF_CAP`` so a long retry ladder stays bounded.
 _BACKOFF_BASE = 0.1
 _BACKOFF_CAP = 5.0
-
-#: Sleep length of an injected ``hang`` fault; any test timeout fires
-#: first.
-_FAULT_HANG_S = 60.0
 
 
 def default_jobs() -> int:
@@ -70,15 +66,6 @@ def default_jobs() -> int:
     env = os.environ.get("REPRO_JOBS", "")
     try:
         return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def default_retries() -> int:
-    """Retry budget from ``REPRO_RETRIES``; 1 when unset/invalid."""
-    env = os.environ.get("REPRO_RETRIES", "")
-    try:
-        return max(0, int(env))
     except ValueError:
         return 1
 
@@ -99,14 +86,14 @@ def retries_arg(text: str) -> int:
     return value
 
 
-def default_timeout() -> float | None:
-    """Per-spec timeout from ``REPRO_RUN_TIMEOUT``; None disables."""
-    env = os.environ.get("REPRO_RUN_TIMEOUT", "")
-    try:
-        value = float(env)
-    except ValueError:
-        return None
-    return value if value > 0 else None
+def timeout_arg(text: str) -> float:
+    """``--timeout`` argument type shared by the front ends: seconds
+    >= 0, where 0 means no timeout. NaN is rejected: it compares false
+    against every bound, so it would silently disable the timeout."""
+    value = float(text)
+    if math.isnan(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
 
 
 def _backoff_delay(attempt: int) -> float:
@@ -147,7 +134,7 @@ def render_failures(failures: Sequence[RunFailure]) -> str:
 
 
 class ExperimentFailure(RuntimeError):
-    """Raised by strict ``run_many`` after the batch has drained.
+    """Raised by ``run_many`` after the batch has drained.
 
     Carries the structured failure report plus everything that did
     complete (already checkpointed to the caches), so callers can
@@ -164,113 +151,12 @@ class ExperimentFailure(RuntimeError):
         super().__init__(prefix + render_failures(self.failures))
 
 
-@dataclass
-class BatchResult:
-    """``run_many(strict=False)`` return value: partial results aligned
-    with the input specs (``None`` where the spec failed) plus the
-    structured failure report."""
-
-    results: list[RunResult | None]
-    failures: list[RunFailure]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def completed(self) -> list[RunResult]:
-        return [run for run in self.results if run is not None]
-
-
 # ----------------------------------------------------------------------
-# Deterministic fault injection (tests / chaos drills)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Fault:
-    app: str
-    design: str | None  # None matches every design
-    mode: str           # raise | kill | hang
-    attempt: int | None  # None matches every attempt
-
-    def matches(self, spec: RunSpec, attempt: int) -> bool:
-        if self.app != spec.app:
-            return False
-        if self.design is not None and self.design != spec.design.name:
-            return False
-        return self.attempt is None or self.attempt == attempt
-
-
-_FAULT_MODES = ("raise", "kill", "hang")
-
-
-class InjectedFault(RuntimeError):
-    """The exception an injected ``raise`` fault throws in a worker."""
-
-
-def _parse_faults(text: str) -> tuple[_Fault, ...]:
-    """Parse ``REPRO_FAULT_SPEC``: ``app[@design]:mode[:attempt]``
-    entries joined by ``;``. ``attempt`` is 1-based or ``*`` (default
-    ``1`` — a single-shot fault on the first attempt)."""
-    faults = []
-    for entry in text.split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
-        parts = entry.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad fault entry {entry!r} "
-                             f"(want app[@design]:mode[:attempt])")
-        target, mode = parts[0], parts[1]
-        if mode not in _FAULT_MODES:
-            raise ValueError(f"bad fault mode {mode!r} "
-                             f"(want one of {_FAULT_MODES})")
-        app, _, design = target.partition("@")
-        attempt: int | None = 1
-        if len(parts) == 3:
-            attempt = None if parts[2] == "*" else int(parts[2])
-        faults.append(_Fault(app, design or None, mode, attempt))
-    return tuple(faults)
-
-
-def _fault_for(spec: RunSpec, attempt: int) -> str | None:
-    """The injected fault mode for this (spec, attempt), or None."""
-    text = os.environ.get("REPRO_FAULT_SPEC", "")
-    if not text:
-        return None
-    for fault in _parse_faults(text):
-        if fault.matches(spec, attempt):
-            return fault.mode
-    return None
-
-
-def maybe_inject_fault(spec: RunSpec, attempt: int) -> None:
-    """Execute the ``REPRO_FAULT_SPEC`` fault for this (spec, attempt).
-
-    Runs inside the worker (and on the serial path), so tests can
-    deterministically crash (``raise``), kill (``kill`` — ``os._exit``,
-    which breaks the whole pool) or hang (``hang`` — sleep past any
-    reasonable ``REPRO_RUN_TIMEOUT``) specific specs on specific
-    attempts. No-op unless the environment variable is set.
-    """
-    mode = _fault_for(spec, attempt)
-    if mode is None:
-        return
-    if mode == "raise":
-        raise InjectedFault(
-            f"injected fault: {spec.app}/{spec.design.name} "
-            f"attempt {attempt}"
-        )
-    if mode == "kill":
-        os._exit(86)
-    if mode == "hang":
-        time.sleep(_FAULT_HANG_S)
-
-
-# ----------------------------------------------------------------------
-# Worker entry point
+# One attempt of one spec
 # ----------------------------------------------------------------------
 @dataclass
 class _WorkerFailure:
-    """Picklable failure envelope a worker returns instead of raising,
+    """Picklable failure envelope an attempt returns instead of raising,
     so the parent learns the worker pid and formatted traceback."""
 
     exception: str
@@ -278,20 +164,19 @@ class _WorkerFailure:
     worker_pid: int
 
 
-def _worker_run(spec: RunSpec, attempt: int = 1) -> RunResult | _WorkerFailure:
-    """Top-level (picklable) pool entry point: one spec, raw-free result.
+def _worker_run(spec: RunSpec) -> RunResult | _WorkerFailure:
+    """One attempt of one spec: the pool's (picklable) entry point, and
+    what the serial path calls inline.
 
     Exceptions are converted to a :class:`_WorkerFailure` envelope —
     never raised — so a bad spec cannot poison the future machinery and
-    the parent gets structured context. (A ``kill`` fault bypasses this
-    via ``os._exit`` and surfaces as ``BrokenProcessPool`` instead.)
+    the parent gets structured context. (A worker that dies outright,
+    e.g. ``os._exit`` or an OOM kill, surfaces as ``BrokenProcessPool``
+    instead.)
     """
     try:
-        maybe_inject_fault(spec, attempt)
         return runner.run_spec(spec)
-    except KeyboardInterrupt:
-        raise
-    except BaseException as exc:
+    except Exception as exc:
         return _WorkerFailure(
             exception=repr(exc),
             traceback=traceback_mod.format_exc(),
@@ -314,13 +199,12 @@ class ExperimentEngine:
     Args:
         jobs: Worker processes. ``None`` reads ``REPRO_JOBS``; ``1``
             keeps everything in-process (serial fallback).
-        retries: Retry budget per spec. ``None`` reads ``REPRO_RETRIES``
-            (default 1 retry).
+        retries: Retry budget per spec. ``None`` means
+            :data:`DEFAULT_RETRIES`.
         timeout: Per-spec wall-clock seconds before a running worker is
-            treated as hung. ``None`` reads ``REPRO_RUN_TIMEOUT``;
-            ``0`` disables explicitly, as does any value ``wait``
-            cannot take (NaN, inf, above ``threading.TIMEOUT_MAX``).
-            Pool mode only.
+            treated as hung. ``None`` and ``0`` disable it, as does any
+            value ``wait`` cannot take (NaN, inf, above
+            ``threading.TIMEOUT_MAX``). Pool mode only.
     """
 
     def __init__(self, jobs: int | None = None,
@@ -329,17 +213,13 @@ class ExperimentEngine:
         self.jobs = jobs if jobs is not None else default_jobs()
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        self.retries = retries if retries is not None else default_retries()
+        self.retries = retries if retries is not None else DEFAULT_RETRIES
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if timeout is None:
-            timeout = default_timeout()
         if timeout is not None and not 0 < timeout < threading.TIMEOUT_MAX:
             timeout = None
         self.timeout = timeout
         self._pool: ProcessPoolExecutor | None = None
-        #: Pools respawned after a breakage/timeout (observability).
-        self.pool_respawns = 0
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -358,7 +238,6 @@ class ExperimentEngine:
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        self.pool_respawns += 1
         for proc in list(getattr(pool, "_processes", {}).values()):
             try:
                 proc.terminate()
@@ -376,25 +255,19 @@ class ExperimentEngine:
         self.close()
 
     # ------------------------------------------------------------------
-    def run(self, spec: RunSpec) -> RunResult:
-        return self.run_many([spec])[0]
-
     def run_many(
         self,
         specs: Iterable[RunSpec],
-        strict: bool = True,
         label: str | None = None,
-    ) -> list[RunResult] | BatchResult:
+    ) -> list[RunResult]:
         """Execute ``specs``; the result list is aligned with the input
         order (duplicates resolve to the same result object).
 
-        With ``strict=True`` (default) any spec that exhausts its retry
-        budget raises :class:`ExperimentFailure` — but only after every
-        other spec has completed and been checkpointed, so a rerun only
-        redoes the failures. With ``strict=False`` the return value is
-        a :class:`BatchResult` carrying the partial results (``None``
-        at failed positions) and the failure report. ``label`` names
-        the batch (e.g. the figure id) in failure reports.
+        Any spec that exhausts its retry budget raises
+        :class:`ExperimentFailure` — but only after every other spec
+        has completed and been checkpointed, so a rerun only redoes the
+        failures. ``label`` names the batch (e.g. the figure id) in
+        failure reports.
         """
         ordered = list(specs)
         unique: list[RunSpec] = []
@@ -420,14 +293,24 @@ class ExperimentEngine:
                     pending.append(spec)
             failures = self._run_pool(pending, resolved)
 
-        if failures and strict:
+        if failures:
             raise ExperimentFailure(failures, resolved, label=label)
-        results = [resolved.get(spec) for spec in ordered]
-        if strict:
-            return results
-        return BatchResult(results=results, failures=failures)
+        return [resolved[spec] for spec in ordered]
 
     # ------------------------------------------------------------------
+    def _retry_or_fail(self, task: _Task, failures: list[RunFailure],
+                       kind: str, exception: str, tb: str = "",
+                       pid: int | None = None) -> _Task | None:
+        """The next attempt of ``task``, or None (with the failure
+        recorded) once its retry budget is spent."""
+        if task.attempt > self.retries:
+            failures.append(RunFailure(
+                spec=task.spec, kind=kind, attempts=task.attempt,
+                exception=exception, traceback=tb, worker_pid=pid,
+            ))
+            return None
+        return _Task(task.spec, attempt=task.attempt + 1)
+
     def _run_serial(
         self, specs: Sequence[RunSpec], resolved: dict[RunSpec, RunResult]
     ) -> list[RunFailure]:
@@ -436,25 +319,19 @@ class ExperimentEngine:
         interrupted)."""
         failures: list[RunFailure] = []
         for spec in specs:
-            attempt = 1
-            while True:
-                try:
-                    maybe_inject_fault(spec, attempt)
-                    resolved[spec] = runner.run_spec(spec)
+            task: _Task | None = _Task(spec)
+            while task is not None:
+                outcome = _worker_run(spec)
+                if not isinstance(outcome, _WorkerFailure):
+                    resolved[spec] = outcome
                     break
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    if attempt > self.retries:
-                        failures.append(RunFailure(
-                            spec=spec, kind="error", attempts=attempt,
-                            exception=repr(exc),
-                            traceback=traceback_mod.format_exc(),
-                            worker_pid=os.getpid(),
-                        ))
-                        break
-                    time.sleep(_backoff_delay(attempt))
-                    attempt += 1
+                retry = self._retry_or_fail(
+                    task, failures, "error", outcome.exception,
+                    tb=outcome.traceback, pid=outcome.worker_pid,
+                )
+                if retry is not None:
+                    time.sleep(_backoff_delay(task.attempt))
+                task = retry
         return failures
 
     # ------------------------------------------------------------------
@@ -478,7 +355,7 @@ class ExperimentEngine:
 
         def submit(task: _Task) -> None:
             pool = self._ensure_pool()
-            future = pool.submit(_worker_run, task.spec, task.attempt)
+            future = pool.submit(_worker_run, task.spec)
             task.deadline = (
                 time.monotonic() + self.timeout if self.timeout else None
             )
@@ -486,16 +363,11 @@ class ExperimentEngine:
 
         def retry_or_fail(task: _Task, kind: str, exception: str,
                           tb: str = "", pid: int | None = None) -> None:
-            if task.attempt > self.retries:
-                failures.append(RunFailure(
-                    spec=task.spec, kind=kind, attempts=task.attempt,
-                    exception=exception, traceback=tb, worker_pid=pid,
-                ))
-                return
-            eligible = time.monotonic() + _backoff_delay(task.attempt)
-            retry_at.append(
-                (eligible, _Task(task.spec, attempt=task.attempt + 1))
-            )
+            retry = self._retry_or_fail(task, failures, kind, exception,
+                                        tb=tb, pid=pid)
+            if retry is not None:
+                eligible = time.monotonic() + _backoff_delay(task.attempt)
+                retry_at.append((eligible, retry))
 
         while waiting or retry_at or inflight or quarantine:
             now = time.monotonic()
@@ -626,9 +498,7 @@ def shutdown() -> None:
 
 
 def run_specs(
-    specs: Sequence[RunSpec],
-    strict: bool = True,
-    label: str | None = None,
-) -> list[RunResult] | BatchResult:
+    specs: Sequence[RunSpec], label: str | None = None
+) -> list[RunResult]:
     """Run ``specs`` through the shared default engine."""
-    return get_engine().run_many(specs, strict=strict, label=label)
+    return get_engine().run_many(specs, label=label)

@@ -88,7 +88,7 @@ def run_checks(
             ``differential_lines`` overrides it.
         apps: App image set for the differential and invariant passes
             (defaults per pass: Fig-11 spanning set / golden trio).
-        algorithms: Algorithm subset (default: all five).
+        algorithms: Algorithm subset (default: all four).
         fuzz / differential / invariants / sampling / scenarios:
             Enable individual passes. The sampling differential and the
             scenario pass ignore ``apps``/``algorithms``: the sampling

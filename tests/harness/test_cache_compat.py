@@ -184,25 +184,22 @@ class TestSweepTmp:
         assert info["tmp_young_entries"] == 1
         assert info["tmp_age_threshold"] == pytest.approx(3600.0)
 
-    def test_tmp_age_env_knob(self, cache, monkeypatch):
-        """``0`` sweeps even a fresh temp file; ``nan`` must fall back
-        to the default hour, not turn the young-file guard off."""
+    def test_sweep_max_age_zero_sweeps_fresh_files(self, cache):
         stamp_dir = cache.root / cache.stamp
         stamp_dir.mkdir(parents=True)
-        for value, swept in (("0", 1), ("nan", 0)):
-            monkeypatch.setenv("REPRO_CACHE_TMP_AGE", value)
-            (stamp_dir / "tmpq.tmp").write_bytes(b"x")
-            assert cache.sweep_tmp() == swept, value
+        (stamp_dir / "tmpq.tmp").write_bytes(b"x")
+        assert cache.sweep_tmp(max_age=0) == 1
 
     def test_sweep_on_missing_root_is_zero(self, tmp_path):
         assert RunCache(root=tmp_path / "nope", stamp="s").sweep_tmp() == 0
 
     def test_cli_cache_sweep(self, cache, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache.root))
-        monkeypatch.setenv("REPRO_CACHE_TMP_AGE", "0")
         stamp_dir = cache.root / cache.stamp
         stamp_dir.mkdir(parents=True)
         (stamp_dir / "tmpq.tmp").write_bytes(b"x")
+        ancient = time.time() - 7200.0
+        os.utime(stamp_dir / "tmpq.tmp", (ancient, ancient))
         assert main(["cache", "sweep"]) == 0
         assert "swept 1" in capsys.readouterr().out
         assert not (stamp_dir / "tmpq.tmp").exists()
@@ -217,6 +214,7 @@ class TestSweepTmp:
         out = capsys.readouterr().out
         assert "swept 0" in out
         assert "kept 1 young" in out
+        assert "older than 3600s" in out
         assert (stamp_dir / "tmpq.tmp").exists()
 
     def test_cli_cache_info_reports_tmp(self, cache, monkeypatch, capsys):

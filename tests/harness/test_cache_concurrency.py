@@ -100,15 +100,22 @@ class TestThreadRaces:
                 errors.append(exc)
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
-        for thread in threads:
-            thread.start()
+        # The readers spin holding the GIL; a short switch interval
+        # lets the writer win it back quickly after each syscall in
+        # disrupt(), so the rounds take seconds rather than tens.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
         try:
+            for thread in threads:
+                thread.start()
             for _ in range(self.ROUNDS):
                 disrupt(cache, specs)
         finally:
             stop.set()
             for thread in threads:
                 thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, f"reader crashed: {errors[0]!r}"
 
     def test_get_races_clear(self, tmp_path):

@@ -6,25 +6,24 @@ sibling results — surviving specs all complete, transient failures
 retry to success, results produced through any failure path stay
 byte-identical to a clean serial run, and exhausted specs surface as
 structured :class:`RunFailure` records naming the right spec and
-attempt. Faults are injected deterministically through the
-``REPRO_FAULT_SPEC`` hook (see :func:`repro.harness.parallel.
-maybe_inject_fault`), which runs inside the worker processes.
+attempt. Faults are injected by monkeypatching ``runner.run_spec`` (the
+``inject`` fixture); pool workers are forked, so they inherit the patch.
 """
+
+import multiprocessing
+import os
+import time
 
 import pytest
 
 from repro import design as designs
 from repro.gpu.config import GPUConfig
-from repro.harness import parallel
+from repro.harness import parallel, runner
 from repro.harness.cache import RunCache
 from repro.harness.parallel import (
-    BatchResult,
     ExperimentEngine,
     ExperimentFailure,
     RunFailure,
-    _Fault,
-    _fault_for,
-    _parse_faults,
     render_failures,
 )
 from repro.harness.runner import RunSpec, clear_caches, run_spec
@@ -35,6 +34,13 @@ SCALE = TraceScale(work=0.25)
 
 #: The fault target plus two innocent-bystander specs.
 FAULTED_APP = "PVC"
+
+#: Sleep length of an injected hang; every test timeout fires first.
+HANG_S = 60.0
+
+
+class InjectedFault(RuntimeError):
+    """The exception an injected ``raise`` fault throws."""
 
 
 def _specs():
@@ -53,62 +59,102 @@ def _metrics(run):
 
 @pytest.fixture(autouse=True)
 def _isolated(tmp_path, monkeypatch):
-    """Private cache dir, zero backoff, and no inherited fault knobs."""
+    """Private cache dir and zero backoff."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(parallel, "_BACKOFF_BASE", 0.0)
-    for var in ("REPRO_FAULT_SPEC", "REPRO_RUN_TIMEOUT", "REPRO_RETRIES"):
-        monkeypatch.delenv(var, raising=False)
     clear_caches()
     yield
     clear_caches()
 
 
-class TestFaultParsing:
-    def test_single_entry_defaults_to_first_attempt(self):
-        (fault,) = _parse_faults("PVC:raise")
-        assert fault == _Fault("PVC", None, "raise", 1)
+@pytest.fixture
+def inject(tmp_path, monkeypatch):
+    """``inject(app, mode, once=True)`` makes ``runner.run_spec`` fail
+    for ``app``: ``raise`` an :class:`InjectedFault`, ``kill`` the
+    process (``os._exit``, which breaks the whole pool) or ``hang``.
 
-    def test_design_attempt_and_wildcard(self):
-        faults = _parse_faults("PVC@CABA-BDI:kill:2; MM:hang:*")
-        assert faults[0] == _Fault("PVC", "CABA-BDI", "kill", 2)
-        assert faults[1] == _Fault("MM", None, "hang", None)
+    A once-only fault fires on the app's first run only. It marks that
+    it fired by creating a file with ``O_CREAT | O_EXCL`` under
+    ``tmp_path``, so a retry in another worker process sees the mark.
+    Returns the ``{app: (mode, once)}`` table; clearing it disarms
+    every fault for pools forked afterwards. A once-only fault that
+    never fired fails the test at teardown.
+    """
+    # Workers must be forked to inherit the patch; under spawn or
+    # forkserver they would re-import runner and inject nothing.
+    assert multiprocessing.get_start_method() == "fork"
+    faults: dict[str, tuple[str, bool]] = {}
+    real = runner.run_spec
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            _parse_faults("PVC:explode")
+    def first_time(app):
+        try:
+            os.close(os.open(tmp_path / f"fired-{app}",
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return False
+        return True
 
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            _parse_faults("PVC")
+    def faulty(spec, *args, **kwargs):
+        fault = faults.get(spec.app)
+        if fault is not None:
+            mode, once = fault
+            if not once or first_time(spec.app):
+                if mode == "raise":
+                    raise InjectedFault(f"injected fault: {spec.app}")
+                if mode == "kill":
+                    os._exit(86)
+                if mode == "hang":
+                    time.sleep(HANG_S)
+        return real(spec, *args, **kwargs)
 
-    def test_fault_for_matches_spec_and_attempt(self, monkeypatch):
-        target, innocent, _ = _specs()
-        monkeypatch.setenv("REPRO_FAULT_SPEC",
-                           f"{FAULTED_APP}@{target.design.name}:raise:1")
-        assert _fault_for(target, 1) == "raise"
-        assert _fault_for(target, 2) is None
-        assert _fault_for(innocent, 1) is None
+    monkeypatch.setattr(runner, "run_spec", faulty)
 
-    def test_no_env_is_a_noop(self):
-        assert _fault_for(_specs()[0], 1) is None
+    def add(app, mode, once=True):
+        assert mode in ("raise", "kill", "hang"), mode
+        faults[app] = (mode, once)
+        return faults
+
+    yield add
+    unfired = [app for app, (_, once) in faults.items()
+               if once and not (tmp_path / f"fired-{app}").exists()]
+    assert unfired == [], "once-only faults never fired"
+
+
+@pytest.fixture
+def recycles(monkeypatch):
+    """Counts pool teardowns (``_recycle_pool`` calls with a live pool)."""
+    calls = []
+    real = ExperimentEngine._recycle_pool
+
+    def counted(self):
+        if self._pool is not None:
+            calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(ExperimentEngine, "_recycle_pool", counted)
+    return calls
+
+
+def _clean_runs(specs):
+    clean = [run_spec(s, use_cache=False) for s in specs]
+    clear_caches()
+    return clean
 
 
 class TestSerialRetry:
     """jobs=1 shares the retry/failure contract (minus timeouts)."""
 
-    def test_single_shot_crash_retries_to_success(self, monkeypatch):
+    def test_single_shot_crash_retries_to_success(self, inject):
         specs = _specs()
-        clean = [run_spec(s, use_cache=False) for s in specs]
-        clear_caches()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:raise:1")
+        clean = _clean_runs(specs)
+        inject(FAULTED_APP, "raise")
         with ExperimentEngine(jobs=1, retries=1) as engine:
             out = engine.run_many(specs)
         assert [_metrics(a) for a in out] == [_metrics(b) for b in clean]
 
-    def test_exhausted_retries_raise_with_spec_and_attempt(
-            self, monkeypatch):
+    def test_exhausted_retries_raise_with_spec_and_attempt(self, inject):
         specs = _specs()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:raise:*")
+        inject(FAULTED_APP, "raise", once=False)
         with ExperimentEngine(jobs=1, retries=1) as engine:
             with pytest.raises(ExperimentFailure) as excinfo:
                 engine.run_many(specs, label="unit")
@@ -122,131 +168,120 @@ class TestSerialRetry:
         assert set(excinfo.value.completed) == set(specs[1:])
         assert "[unit]" in str(excinfo.value)
 
-    def test_strict_false_returns_partial_results(self, monkeypatch):
+    def test_no_retries_fails_on_first_attempt(self, inject):
         specs = _specs()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:raise:*")
+        inject(FAULTED_APP, "raise", once=False)
         with ExperimentEngine(jobs=1, retries=0) as engine:
-            batch = engine.run_many(specs, strict=False)
-        assert isinstance(batch, BatchResult)
-        assert not batch.ok
-        assert batch.results[0] is None
-        assert batch.results[1] is not None
-        assert batch.results[2] is not None
-        assert len(batch.completed()) == 2
-        (failure,) = batch.failures
+            with pytest.raises(ExperimentFailure) as excinfo:
+                engine.run_many(specs)
+        assert set(excinfo.value.completed) == set(specs[1:])
+        (failure,) = excinfo.value.failures
         assert failure.spec == specs[0]
         assert failure.attempts == 1
 
 
 class TestPoolCrash:
     def test_single_shot_crash_retries_and_matches_serial(
-            self, monkeypatch):
+            self, inject, recycles):
         specs = _specs()
-        clean = [run_spec(s, use_cache=False) for s in specs]
-        clear_caches()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:raise:1")
+        clean = _clean_runs(specs)
+        inject(FAULTED_APP, "raise")
         with ExperimentEngine(jobs=2, retries=1) as engine:
             out = engine.run_many(specs)
-            assert engine.pool_respawns == 0  # exception, not a kill
+        assert recycles == []  # an exception, not a kill
         assert [_metrics(a) for a in out] == [_metrics(b) for b in clean]
 
-    def test_persistent_crash_spares_survivors(self, monkeypatch):
+    def test_persistent_crash_spares_survivors(self, inject):
         specs = _specs()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:raise:*")
+        inject(FAULTED_APP, "raise", once=False)
         with ExperimentEngine(jobs=2, retries=1) as engine:
-            batch = engine.run_many(specs, strict=False)
-        assert batch.results[0] is None
-        assert all(run is not None for run in batch.results[1:])
-        (failure,) = batch.failures
+            with pytest.raises(ExperimentFailure) as excinfo:
+                engine.run_many(specs)
+        assert set(excinfo.value.completed) == set(specs[1:])
+        (failure,) = excinfo.value.failures
         assert failure.spec == specs[0]
         assert failure.attempts == 2
         assert failure.worker_pid is not None
+        assert failure.worker_pid != os.getpid()
         assert "InjectedFault" in failure.traceback
-        assert "PVC" in render_failures(batch.failures)
+        assert "PVC" in render_failures(excinfo.value.failures)
 
-    def test_worker_failures_report_distinct_specs(self, monkeypatch):
+    def test_worker_failures_report_distinct_specs(self, inject):
         specs = _specs()
-        monkeypatch.setenv(
-            "REPRO_FAULT_SPEC", f"{FAULTED_APP}:raise:*;CONS:raise:*"
-        )
+        inject(FAULTED_APP, "raise", once=False)
+        inject("CONS", "raise", once=False)
         with ExperimentEngine(jobs=2, retries=0) as engine:
-            batch = engine.run_many(specs, strict=False)
-        assert {f.spec for f in batch.failures} == {specs[0], specs[2]}
-        assert batch.results[1] is not None
+            with pytest.raises(ExperimentFailure) as excinfo:
+                engine.run_many(specs)
+        failures = excinfo.value.failures
+        assert {f.spec for f in failures} == {specs[0], specs[2]}
+        assert set(excinfo.value.completed) == {specs[1]}
 
 
 class TestBrokenPool:
-    def test_killed_worker_respawns_pool_and_recovers(self, monkeypatch):
+    def test_killed_worker_respawns_pool_and_recovers(self, inject,
+                                                      recycles):
         specs = _specs()
-        clean = [run_spec(s, use_cache=False) for s in specs]
-        clear_caches()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:kill:1")
+        clean = _clean_runs(specs)
+        inject(FAULTED_APP, "kill")
         with ExperimentEngine(jobs=2, retries=1) as engine:
             out = engine.run_many(specs)
-            assert engine.pool_respawns >= 1
+        assert len(recycles) >= 1
         assert [_metrics(a) for a in out] == [_metrics(b) for b in clean]
 
-    def test_kill_without_retries_reports_pool_broken(self, monkeypatch):
+    def test_kill_without_retries_reports_pool_broken(self, inject):
         specs = _specs()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:kill:*")
+        inject(FAULTED_APP, "kill", once=False)
         with ExperimentEngine(jobs=2, retries=0) as engine:
-            batch = engine.run_many(specs, strict=False)
-        assert batch.results[0] is None
+            with pytest.raises(ExperimentFailure) as excinfo:
+                engine.run_many(specs)
         # The culprit is unattributable inside a broken pool, so the
         # faulted spec fails as pool-broken; innocent in-flight specs
         # may have burned an attempt but must still complete.
-        faulted = [f for f in batch.failures if f.spec == specs[0]]
+        faulted = [f for f in excinfo.value.failures if f.spec == specs[0]]
         assert faulted and faulted[0].kind == "pool-broken"
-        assert all(run is not None for run in batch.results[1:])
+        assert set(excinfo.value.completed) == set(specs[1:])
 
 
 class TestTimeout:
-    def test_hung_worker_is_cancelled_and_retried(self, monkeypatch):
+    def test_hung_worker_is_cancelled_and_retried(self, inject, recycles):
         specs = _specs()
-        clean = [run_spec(s, use_cache=False) for s in specs]
-        clear_caches()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:hang:1")
+        clean = _clean_runs(specs)
+        inject(FAULTED_APP, "hang")
         with ExperimentEngine(jobs=2, retries=1, timeout=1.5) as engine:
             out = engine.run_many(specs)
-            assert engine.pool_respawns >= 1
+        assert len(recycles) >= 1
         assert [_metrics(a) for a in out] == [_metrics(b) for b in clean]
 
-    def test_persistent_hang_reports_timeout(self, monkeypatch):
+    def test_persistent_hang_reports_timeout(self, inject):
         specs = _specs()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:hang:*")
+        inject(FAULTED_APP, "hang", once=False)
         with ExperimentEngine(jobs=2, retries=0, timeout=1.5) as engine:
-            batch = engine.run_many(specs, strict=False)
-        (failure,) = batch.failures
+            with pytest.raises(ExperimentFailure) as excinfo:
+                engine.run_many(specs)
+        (failure,) = excinfo.value.failures
         assert failure.spec == specs[0]
         assert failure.kind == "timeout"
         assert failure.attempts == 1
-        assert all(run is not None for run in batch.results[1:])
+        assert set(excinfo.value.completed) == set(specs[1:])
 
-    def test_env_timeout_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "2.5")
-        assert ExperimentEngine(jobs=2).timeout == 2.5
-        # 0, and values ``wait`` cannot take (they overflow or spin),
-        # disable the timeout.
-        for value in ("0", "inf", "1e10"):
-            monkeypatch.setenv("REPRO_RUN_TIMEOUT", value)
-            assert ExperimentEngine(jobs=2).timeout is None
-        assert ExperimentEngine(jobs=2, timeout=float("nan")).timeout is None
-        # An explicit constructor argument wins over the environment.
-        assert ExperimentEngine(jobs=2, timeout=1.0).timeout == 1.0
+    def test_timeout_values_wait_cannot_take_disable_it(self):
+        assert ExperimentEngine(jobs=2, timeout=2.5).timeout == 2.5
+        # None (the default), 0, and values ``wait`` cannot take (they
+        # overflow or spin) disable the timeout.
+        for value in (None, 0, float("inf"), 1e10, float("nan")):
+            assert ExperimentEngine(jobs=2, timeout=value).timeout is None
 
 
 class TestCombinedFaults:
-    def test_crash_plus_hang_in_one_sweep(self, monkeypatch):
+    def test_crash_plus_hang_in_one_sweep(self, inject):
         """The acceptance scenario: one spec's worker crashed AND
         another hung past the timeout, single-shot each — every spec
         still completes, byte-identical to serial."""
         specs = _specs()
-        clean = [run_spec(s, use_cache=False) for s in specs]
-        clear_caches()
-        monkeypatch.setenv(
-            "REPRO_FAULT_SPEC",
-            f"{FAULTED_APP}:raise:1;CONS:hang:1",
-        )
+        clean = _clean_runs(specs)
+        inject(FAULTED_APP, "raise")
+        inject("CONS", "hang")
         with ExperimentEngine(jobs=2, retries=1, timeout=1.5) as engine:
             out = engine.run_many(specs)
         assert [_metrics(a) for a in out] == [_metrics(b) for b in clean]
@@ -254,11 +289,11 @@ class TestCombinedFaults:
 
 class TestCheckpointing:
     def test_completed_siblings_survive_a_strict_failure(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, inject):
         """A failed batch must not discard its completed runs: they are
         checkpointed to the persistent cache as they land."""
         specs = _specs()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:raise:*")
+        inject(FAULTED_APP, "raise", once=False)
         with ExperimentEngine(jobs=2, retries=0) as engine:
             with pytest.raises(ExperimentFailure) as excinfo:
                 engine.run_many(specs)
@@ -268,15 +303,15 @@ class TestCheckpointing:
             assert disk.get(spec) is not None, spec.app
         assert disk.get(specs[0]) is None
 
-    def test_rerun_after_failure_only_redoes_the_failure(
-            self, monkeypatch):
+    def test_rerun_after_failure_only_redoes_the_failure(self, inject):
         specs = _specs()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{FAULTED_APP}:raise:*")
+        faults = inject(FAULTED_APP, "raise", once=False)
         with ExperimentEngine(jobs=2, retries=0) as engine:
-            engine.run_many(specs, strict=False)
+            with pytest.raises(ExperimentFailure):
+                engine.run_many(specs)
         # Clear the fault; the rerun resolves the siblings from cache
         # and only simulates the previously failed spec.
-        monkeypatch.delenv("REPRO_FAULT_SPEC")
+        faults.clear()
         clear_caches()  # drop the in-process memo, keep the disk cache
         with ExperimentEngine(jobs=2, retries=0) as engine:
             out = engine.run_many(specs)
@@ -284,24 +319,24 @@ class TestCheckpointing:
 
 
 class TestDefaults:
-    def test_retry_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "3")
-        assert ExperimentEngine(jobs=1).retries == 3
-        monkeypatch.setenv("REPRO_RETRIES", "bogus")
+    def test_default_retry_budget_is_one(self):
+        assert parallel.DEFAULT_RETRIES == 1
         assert ExperimentEngine(jobs=1).retries == 1
+        assert ExperimentEngine(jobs=1, retries=3).retries == 3
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             ExperimentEngine(jobs=1, retries=-1)
 
-    def test_run_specs_passthrough(self, monkeypatch):
+    def test_run_specs_passthrough(self, inject):
         spec = _specs()[1]
-        monkeypatch.setenv("REPRO_FAULT_SPEC", "MM:raise:*")
+        inject("MM", "raise", once=False)
         parallel.shutdown()
         try:
-            batch = parallel.run_specs([spec], strict=False, label="x")
-            assert isinstance(batch, BatchResult)
-            assert batch.failures and batch.failures[0].spec == spec
+            with pytest.raises(ExperimentFailure) as excinfo:
+                parallel.run_specs([spec], label="x")
+            assert excinfo.value.failures[0].spec == spec
+            assert "[x]" in str(excinfo.value)
         finally:
             parallel.shutdown()
 

@@ -1,5 +1,8 @@
 """Tests for the per-figure harnesses (small subsets for speed)."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.gpu.config import GPUConfig
@@ -26,6 +29,25 @@ class TestRegistry:
         except _Submitted as exc:
             figure = exc.args[0]
         assert figure == exp_id
+
+
+class TestShippedDump:
+    """``docs/results_small.json`` is what the code produces. The
+    experiments checked here are the ones cheap enough for tier 1; CI
+    compares the simulated fig7, capacity and scheduler entries."""
+
+    DUMP = (pathlib.Path(__file__).resolve().parents[2]
+            / "docs" / "results_small.json")
+
+    @pytest.mark.parametrize("exp_id", ["tab1", "fig2", "fig5", "fig11"])
+    def test_rows_and_summary_match(self, exp_id):
+        shipped = json.loads(self.DUMP.read_text())[exp_id]
+        entry = figures.EXPERIMENTS[exp_id](GPUConfig.small()).to_entry()
+        # The dump went through json.dump(default=str); compare the
+        # regenerated entry in the same form.
+        fresh = json.loads(json.dumps(entry, default=str))
+        assert fresh["rows"] == shipped["rows"]
+        assert fresh["summary"] == shipped["summary"]
 
 
 class TestFig5:

@@ -55,7 +55,7 @@ class TestPoolDeterminism:
     def test_serial_engine_matches_run_spec(self):
         spec = _specs()[1]
         with parallel.ExperimentEngine(jobs=1) as engine:
-            assert engine.run(spec) is run_spec(spec)
+            assert engine.run_many([spec])[0] is run_spec(spec)
 
     def test_pool_honours_repro_trace_over_untraced_cache(self,
                                                           monkeypatch):

@@ -44,6 +44,22 @@ class TestRun:
         assert main(["run", "NQU", "--design", "base",
                      "--bandwidth-scale", "2.0"]) == 0
 
+    def test_sample_is_a_plain_flag(self, capsys):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        assert parser.parse_args(["run", "PVC", "--sample"]).sample is True
+        assert parser.parse_args(["run", "PVC"]).sample is False
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["run", "PVC", "--sample", "400:800:7000"])
+        assert exc.value.code == 2
+
+    def test_sample_period_in_env_is_a_usage_error(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("REPRO_SAMPLE", "400:800:7000")
+        assert main(["run", "PVC"]) == 2
+        assert "accepted: 1, on, true, yes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--capacity", "--capacity-bytes"])
     def test_scenario_rejects_capacity(self, capsys, flag):
         value = "0.5" if flag == "--capacity" else "65536"
@@ -87,6 +103,16 @@ class TestFigure:
             main(["figure", "tab1", "--retries", "-1"])
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_invalid_timeout_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "tab1", "--timeout", value])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_zero_timeout_is_accepted(self, capsys):
+        assert main(["figure", "tab1", "--timeout", "0"]) == 0
 
 
 class TestCompress:
