@@ -37,6 +37,7 @@ import argparse
 import json
 import sys
 
+from repro.gpu.sampling import SampleConfig
 from repro.harness import parallel
 from repro.harness.figures import CONFIGS, EXPERIMENTS
 from repro.harness.report import run_experiment
@@ -57,6 +58,10 @@ def main() -> int:
                         help="per-run wall-clock timeout in seconds under "
                              "--jobs > 1 (default and 0: none)")
     args = parser.parse_args()
+    try:
+        SampleConfig.from_env()  # validated before the first run
+    except ValueError as exc:
+        parser.error(str(exc))
     config = CONFIGS[args.config]()
     wanted = set(args.only.split(",")) if args.only else None
     if wanted is not None:

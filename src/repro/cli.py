@@ -244,6 +244,22 @@ def _print_run(run, sample) -> None:
         print("warning: run hit the max-cycle guard (results truncated)")
 
 
+class _UsageError(Exception):
+    """A bad command line or environment: ``main`` prints it and exits 2."""
+
+
+def _env_sample():
+    """``REPRO_SAMPLE``'s setting (``SampleConfig.from_env``). Commands
+    that simulate call it before their first run, so a bad value is a
+    usage error rather than a traceback from inside a run."""
+    from repro.gpu.sampling import SampleConfig
+
+    try:
+        return SampleConfig.from_env()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _cmd_run(args) -> int:
     from repro.gpu.sampling import SampleConfig
 
@@ -251,16 +267,7 @@ def _cmd_run(args) -> int:
     if args.bandwidth_scale != 1.0:
         config = config.with_bandwidth_scale(args.bandwidth_scale)
 
-    if args.sample:
-        sample = SampleConfig()
-    else:
-        # No flag: follow REPRO_SAMPLE, where a bad value is a usage
-        # error rather than a traceback.
-        try:
-            sample = SampleConfig.from_env()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    sample = SampleConfig() if args.sample else _env_sample()
 
     if args.scenario is not None:
         if args.capacity is not None or args.capacity_bytes is not None:
@@ -318,6 +325,7 @@ def _cmd_trace(args) -> int:
     from repro.harness.cache import get_cache
     from repro.obs.export import render_ledger, write_trace_files
 
+    _env_sample()
     get_app(args.app)
     config = CONFIGS[args.config]()
     design = _resolve_design(args.design, args.algorithm)
@@ -340,6 +348,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _env_sample()
     get_app(args.app)
     config = CONFIGS[args.config]()
     points = designs.figure7_designs(args.algorithm)
@@ -357,6 +366,7 @@ def _cmd_figure(args) -> int:
     from repro.harness import parallel
     from repro.harness.report import run_experiment
 
+    _env_sample()
     parallel.configure(jobs=args.jobs, retries=args.retries,
                        timeout=args.timeout)
     try:
@@ -543,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return handler(args)
-    except KeyError as exc:
+    except (KeyError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

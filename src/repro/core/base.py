@@ -3,9 +3,11 @@
 The SM pipeline talks to whatever CABA application is installed (data
 compression, memoization, prefetching) through this small surface: a
 per-cycle ``tick``, the two issue hooks (high priority preempts parent
-warps, low priority fills idle slots), trigger callbacks, and
-``finish`` for completed assist warps. Concrete applications override
-the hooks they need; everything defaults to "no work".
+warps, low priority fills idle slots) and their gates, trigger
+callbacks, and ``finish`` for completed assist warps. Concrete
+applications override the hooks they need; everything defaults to "no
+work". Every application's live instances are :class:`AssistWarp`
+objects, the state ``SM.try_issue_assist`` issues from.
 """
 
 from __future__ import annotations
@@ -15,11 +17,70 @@ from typing import Callable
 from repro.gpu.warp import WarpContext
 
 
+class AssistWarp:
+    """One live assist-warp instance, as the SM's issue path sees it.
+
+    Assist warps hold no register-release events. Issuing an
+    instruction records the cycle its destination registers free up in
+    ``rel[pc]``; ``ready`` is the cycle the next instruction's
+    scoreboard clears, the latest ``rel`` of its producers
+    (``AssistProgram.deps``). The issue loops test ``cycle >= ready``
+    where the parents' scan tests a pending-register mask.
+    """
+
+    #: Assist warps have no screen-code slot (see repro.gpu.warp.touch).
+    soa = None
+
+    __slots__ = (
+        "parent",
+        "program",
+        "size",
+        "pc",
+        "deployed",
+        "ready",
+        "rel",
+        "ops",
+        "task",
+        "line",
+        "cancelled",
+        "blocking",
+    )
+
+    def __init__(
+        self, parent: WarpContext, program, task: str, line: int = 0,
+        deployed: int = 0,
+    ) -> None:
+        self.parent = parent
+        self.program = program
+        self.size = len(program.body)
+        self.pc = 0
+        #: Instructions staged in the assist-warp buffer; applications
+        #: without deploy staging start fully deployed.
+        self.deployed = deployed
+        self.ready = 0
+        self.rel = [0] * self.size
+        #: The SM's per-pc issue table for ``program`` (set on first issue).
+        self.ops = None
+        self.task = task
+        self.line = line
+        self.cancelled = False
+        #: Whether this instance holds its parent's ``assist_block``.
+        self.blocking = False
+
+
 class AssistController:
     """Base class for per-SM CABA applications."""
 
     def __init__(self, sm) -> None:
         self.sm = sm
+        #: Issue gates: the SM calls ``issue_high(s, cycle)`` only when
+        #: ``cycle >= high_gate[s]``, and ``issue_low`` only when
+        #: ``cycle >= low_gate``. A gate is a lower bound on the first
+        #: cycle its hook could issue; 0 (the default) always calls. A
+        #: controller built without an SM has no schedulers to gate.
+        n_sched = sm.config.schedulers_per_sm if sm is not None else 0
+        self.high_gate = [0] * n_sched
+        self.low_gate = 0
 
     # --- per-cycle hooks ------------------------------------------------
     def tick(self, cycle: int) -> None:
@@ -31,6 +92,17 @@ class AssistController:
     def has_pending_work(self) -> bool:
         """Whether the SM must keep ticking cycle by cycle."""
         return False
+
+    def quiet_until(self, cycle: int) -> float:
+        """After a tick of ``cycle`` that issued nothing: the first
+        cycle at which this controller could act (deploy, spawn or
+        issue) without an event of its SM. The SM may sleep until then;
+        ``cycle + 1`` (the default) keeps it ticking."""
+        return cycle + 1
+
+    def replay_idle(self, ticks: int, slots: int) -> None:
+        """Account ``ticks`` slept ticks that issued nothing. Only called
+        for controllers whose :meth:`quiet_until` let the SM sleep."""
 
     # --- issue hooks ------------------------------------------------------
     def issue_high(self, sched: int, cycle: int) -> bool:

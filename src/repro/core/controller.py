@@ -13,7 +13,10 @@ Section 4.2:
   buffer.
 * **Deployment.** Every cycle the AWC stages up to ``deploy_width``
   instructions from active assist warps into the AWB, round-robin, each
-  warp bounded by its instruction-buffer partition depth.
+  warp bounded by its instruction-buffer partition depth. The
+  round-robin pointer advances on every tick with a non-empty AWT; the
+  controller counts ticks and folds the rotations in lazily, so a tick
+  with nothing to deploy or spawn costs nothing.
 * **Scheduling.** High-priority assist warps preempt their parent
   scheduler's warps; low-priority warps (bounded by the two-entry AWB
   low-priority partition) issue only into otherwise-idle slots, and the
@@ -29,10 +32,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.core.aws import AssistWarpStore
-from repro.core.base import AssistController
+from repro.core.base import AssistController, AssistWarp
 from repro.core.params import CabaParams
 from repro.core.subroutines import SubroutineLibrary
 from repro.gpu.isa import AssistProgram
@@ -42,27 +46,13 @@ from repro.memory.hierarchy import LineFill
 HIGH = 0
 LOW = 1
 
+_INF = float("inf")
 
-class ActiveAssistWarp:
+
+class ActiveAssistWarp(AssistWarp):
     """One live AWT entry: a triggered assist-warp instance."""
 
-    #: Assist warps have no screen-code slot; the shared issue paths
-    #: (``SM._hold_registers``) test this before calling ``touch``.
-    soa = None
-
-    __slots__ = (
-        "parent",
-        "program",
-        "pc",
-        "deployed",
-        "pending_mask",
-        "priority",
-        "task",
-        "line",
-        "cancelled",
-        "blocking",
-        "spawn_cycle",
-    )
+    __slots__ = ("priority", "spawn_cycle")
 
     def __init__(
         self,
@@ -72,17 +62,8 @@ class ActiveAssistWarp:
         task: str,
         line: int,
     ) -> None:
-        self.parent = parent
-        self.program = program
-        self.pc = 0
-        self.deployed = 0
-        self.pending_mask = 0
+        super().__init__(parent, program, task, line)
         self.priority = priority
-        self.task = task
-        self.line = line
-        self.cancelled = False
-        #: Whether this instance bumped its parent's ``assist_block``.
-        self.blocking = False
         #: Cycle the instance entered the AWT (observability only).
         self.spawn_cycle = 0
 
@@ -156,6 +137,14 @@ class CabaController(AssistController):
         ]
         self._low: list[ActiveAssistWarp] = []
         self._deploy_rr = 0
+        # Ticks so far, and the tick count at which _deploy_rr was last
+        # brought up to date (see _fold_rr).
+        self._ticks = 0
+        self._rr_mark = 0
+        # Set when a deploy pass staged nothing: every undeployed warp
+        # is at its staging depth, which only an assist issue or a
+        # spawn can change.
+        self._deploy_stalled = False
 
         self._decomp: dict[int, _DecompressionEntry] = {}
         self._decomp_awt_queue: deque[_DecompressionEntry] = deque()
@@ -165,20 +154,21 @@ class CabaController(AssistController):
         self._store_buffer: deque[_StoreEntry] = deque()
         self._busy_compress_parents: set[int] = set()
 
-        # O(1) pending-work accounting (has_pending_work runs inside the
-        # fast-forward hot path): AWT entries with instructions left to
-        # deploy, and store-buffer entries still waiting for an assist
-        # warp.
+        # O(1) pending-work accounting (tick, has_pending_work and
+        # quiet_until run every cycle): AWT entries with instructions
+        # left to deploy, and store-buffer entries still waiting for an
+        # assist warp.
         self._undeployed = 0
         self._waiting_stores = 0
 
         self._utilization = 0.0
-        self._now = 0
-        # observe() runs once per SM per cycle; keep its knobs out of
-        # the dataclass attribute path.
+        # observe() and _deploy() run once per SM per cycle; keep their
+        # knobs out of the dataclass attribute path.
         self._ema_alpha = params.utilization_ema_alpha
         self._throttling = params.throttling_enabled
         self._throttle_threshold = params.throttle_threshold
+        self._deploy_width = params.deploy_width
+        self._ib_depth = params.ib_stage_depth
 
         # Preload the compression subroutine into the AWS; decompression
         # subroutines are registered lazily per encoding encountered.
@@ -188,9 +178,24 @@ class CabaController(AssistController):
     # Per-cycle work (called from SM.tick)
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        self._now = cycle
-        self._deploy(cycle)
-        self._spawn_compressions(cycle)
+        if self._undeployed and not self._deploy_stalled:
+            self._deploy(cycle)
+        self._ticks += 1
+        if self._waiting_stores:
+            self._spawn_compressions(cycle)
+
+    def _fold_rr(self) -> None:
+        """Apply the deployment-pointer rotations owed since the last
+        fold: each tick with a non-empty AWT advances ``_deploy_rr`` by
+        one, modulo the AWT size. Called before the pointer is read and
+        before the AWT changes size, so the size is constant over the
+        owed ticks."""
+        owed = self._ticks - self._rr_mark
+        if owed:
+            n = len(self._awt)
+            if n:
+                self._deploy_rr = (self._deploy_rr + owed) % n
+            self._rr_mark = self._ticks
 
     def observe(self, issued: int, slots: int) -> None:
         """Feed the AWC's functional-unit utilization monitor."""
@@ -206,74 +211,142 @@ class CabaController(AssistController):
         return self._throttling and self._utilization > self._throttle_threshold
 
     def has_pending_work(self) -> bool:
-        """Whether the controller needs the SM ticked next cycle (used to
-        bound fast-forwarding)."""
+        """Whether the controller needs the SM ticked next cycle: an AWT
+        entry has instructions left to deploy, or a buffered store waits
+        for its compression assist warp. Bounds the simulator's
+        fast-forward; a controller with pending work never sleeps."""
         return self._undeployed > 0 or self._waiting_stores > 0
+
+    def quiet_until(self, cycle: int) -> float:
+        """The earliest issue gate, when no store waits and deployment
+        is done or stalled: no queued assist warp can issue before it,
+        and nothing else changes without an issue or an event of this
+        SM (a fill trigger, a finish)."""
+        if self._waiting_stores or (
+            self._undeployed and not self._deploy_stalled
+        ):
+            return cycle + 1
+        until = self.low_gate
+        for gate in self.high_gate:
+            if gate < until:
+                until = gate
+        return until
+
+    def replay_idle(self, ticks: int, slots: int) -> None:
+        """Replay ``ticks`` slept ticks: the deployment pointer's owed
+        rotations and one ``observe(0, slots)`` each. The EMA runs as
+        the same float recurrence, step by step, so the throttle stays
+        exactly what the ticks would have made it."""
+        self._ticks += ticks
+        alpha = self._ema_alpha
+        threshold = self._throttle_threshold
+        throttling = self._throttling
+        u = self._utilization
+        throttled = 0
+        for _ in range(ticks):
+            u = u + alpha * (0 / slots - u)
+            if throttling and u > threshold:
+                throttled += 1
+        self._utilization = u
+        self.stats.throttled_cycles += throttled
 
     # ------------------------------------------------------------------
     # Deployment (AWC -> AWB staging)
     # ------------------------------------------------------------------
     def _deploy(self, cycle: int) -> None:
-        if not self._awt:
-            return
-        n = len(self._awt)
-        if self._undeployed == 0:
-            # Nothing left to stage; still rotate so deployment order is
-            # unchanged relative to the scanning version.
-            self._deploy_rr = (self._deploy_rr + 1) % n
-            return
-        budget = self.params.deploy_width
+        """Stage up to ``deploy_width`` instructions, round-robin over
+        the AWT from ``_deploy_rr``. Only called with instructions left
+        to deploy (so the AWT is non-empty)."""
+        self._fold_rr()
+        awt = self._awt
+        n = len(awt)
+        rr = self._deploy_rr
+        budget = width = self._deploy_width
+        depth = self._ib_depth
         for i in range(n):
             if budget == 0:
                 break
-            aw = self._awt[(self._deploy_rr + i) % n]
+            aw = awt[(rr + i) % n]
             if aw.cancelled:
                 continue
-            body_len = len(aw.program.body)
-            if aw.deployed >= body_len:
+            deployed = aw.deployed
+            pc = aw.pc
+            if deployed >= aw.size or deployed - pc >= depth:
                 continue
-            if aw.deployed - aw.pc >= self.params.ib_stage_depth:
-                continue
-            aw.deployed += 1
-            if aw.deployed >= body_len:
+            aw.deployed = deployed + 1
+            if deployed + 1 >= aw.size:
                 self._undeployed -= 1
+            if deployed == pc:
+                # The warp's next instruction is staged now: reopen its
+                # issue gate.
+                if aw.priority == HIGH:
+                    self.high_gate[aw.parent.sched] = 0
+                else:
+                    self.low_gate = 0
             budget -= 1
-        self._deploy_rr = (self._deploy_rr + 1) % max(1, n)
+        if budget == width:
+            self._deploy_stalled = True
 
     # ------------------------------------------------------------------
-    # Issue hooks (called from SM._issue_slot)
+    # Issue hooks (called from SM.tick and SM._issue_slot)
     # ------------------------------------------------------------------
+    # Each hook leaves its gate at the first cycle it could issue: the
+    # earliest ``ready`` of its deployed warps, ``cycle + 1`` after a
+    # structural miss, 0 after an issue. Deployment and spawns reopen
+    # the gate.
     def issue_high(self, sched: int, cycle: int) -> bool:
+        """Issue the first issuable warp of scheduler ``sched``'s
+        high-priority queue, round-robin from its head (a warp that
+        issues stays at the head). A pass that issues nothing rotates
+        the queue back to where it started."""
         dq = self._high[sched]
-        for _ in range(len(dq)):
+        gate = _INF
+        n = len(dq)
+        for i in range(n):
             aw = dq[0]
             pc = aw.pc
-            program = aw.program
-            if aw.cancelled or pc >= len(program.body):
+            if aw.cancelled or pc >= aw.size:
                 dq.popleft()
                 continue
-            if pc >= aw.deployed or aw.pending_mask & program.need[pc]:
-                # Undeployed or scoreboard-blocked: try_issue_assist
-                # would reject it the same way, without side effects.
-                dq.rotate(-1)
-                continue
-            if self.sm.try_issue_assist(aw, cycle):
-                if aw.pc >= len(program.body):
-                    dq.popleft()
-                return True
+            if pc < aw.deployed:
+                ready = aw.ready
+                if cycle < ready:
+                    if ready < gate:
+                        gate = ready
+                elif self.sm.try_issue_assist(aw, cycle):
+                    if aw.pc >= aw.size:
+                        dq.popleft()
+                    elif aw.pc < aw.deployed and aw.ready < gate:
+                        gate = aw.ready
+                    # Warps behind this one went unexamined.
+                    self.high_gate[sched] = gate if i == n - 1 else 0
+                    self._deploy_stalled = False
+                    return True
+                else:
+                    gate = cycle + 1
             dq.rotate(-1)
+        self.high_gate[sched] = gate
         return False
 
     def issue_low(self, sched: int, cycle: int) -> bool:
+        """Issue the oldest issuable low-priority warp (shared by the
+        SM's schedulers)."""
+        gate = _INF
         for aw in self._low:
             pc = aw.pc
-            program = aw.program
-            if aw.cancelled or pc >= len(program.body):
+            if aw.cancelled or pc >= aw.size or pc >= aw.deployed:
                 continue
-            if pc >= aw.deployed or aw.pending_mask & program.need[pc]:
-                continue
-            if self.sm.try_issue_assist(aw, cycle):
+            ready = aw.ready
+            if cycle < ready:
+                if ready < gate:
+                    gate = ready
+            elif self.sm.try_issue_assist(aw, cycle):
+                self.low_gate = 0
+                self._deploy_stalled = False
                 return True
+            else:
+                gate = cycle + 1
+        self.low_gate = gate
         return False
 
     # ------------------------------------------------------------------
@@ -308,7 +381,8 @@ class CabaController(AssistController):
         entry.callbacks.append(callback)
         self._decomp[fill.line] = entry
         self.sm.schedule(
-            math.ceil(fill.fill_time), lambda: self._activate_decompression(entry)
+            math.ceil(fill.fill_time),
+            partial(self._activate_decompression, entry),
         )
 
     def _activate_decompression(self, entry: _DecompressionEntry) -> None:
@@ -339,11 +413,12 @@ class CabaController(AssistController):
             task="decompress",
             line=entry.line,
         )
-        aw.spawn_cycle = self._now
+        aw.spawn_cycle = self.sm.now
         entry.assist = aw
+        self._fold_rr()
         self._awt.append(aw)
-        if aw.deployed < len(program.body):
-            self._undeployed += 1
+        self._undeployed += 1
+        self._deploy_stalled = False
         self._busy_decomp_parents.add(id(entry.owner))
         if priority == HIGH:
             # A blocking assist warp stalls its parent until it completes
@@ -353,8 +428,10 @@ class CabaController(AssistController):
                 touch(entry.owner)
                 aw.blocking = True
             self._high[entry.owner.sched].append(aw)
+            self.high_gate[entry.owner.sched] = 0
         else:
             self._low.append(aw)
+            self.low_gate = 0
         self.stats.decompressions_triggered += 1
 
     def _pump_decompression_queues(self, owner: WarpContext) -> None:
@@ -415,7 +492,7 @@ class CabaController(AssistController):
         active_low = sum(
             1
             for aw in self._low
-            if not aw.cancelled and aw.pc < len(aw.program.body)
+            if not aw.cancelled and aw.pc < aw.size
         )
         for entry in self._store_buffer:
             if active_low >= self.params.low_priority_slots:
@@ -438,14 +515,16 @@ class CabaController(AssistController):
             task="compress",
             line=entry.line,
         )
-        aw.spawn_cycle = self._now
+        aw.spawn_cycle = self.sm.now
         entry.state = "compressing"
         self._waiting_stores -= 1
         entry.assist = aw
+        self._fold_rr()
         self._awt.append(aw)
-        if aw.deployed < len(program.body):
-            self._undeployed += 1
+        self._undeployed += 1
+        self._deploy_stalled = False
         self._low.append(aw)
+        self.low_gate = 0
         self._busy_compress_parents.add(id(entry.parent))
         self.stats.compressions_triggered += 1
 
@@ -473,7 +552,7 @@ class CabaController(AssistController):
         self._remove_from_awt(aw)
         self.stats.assist_warps_completed += 1
         self.sm.stats.assist_warps_completed += 1
-        now = self._now + 1
+        now = self.sm.now + 1
         if self.obs is not None:
             self.obs.assist_event(
                 self.sm.sm_id, aw.task, aw.line, aw.spawn_cycle, now,
@@ -519,14 +598,15 @@ class CabaController(AssistController):
         self.sm.stats.assist_warps_cancelled += 1
         if self.obs is not None:
             self.obs.assist_event(
-                self.sm.sm_id, aw.task, aw.line, aw.spawn_cycle, self._now,
+                self.sm.sm_id, aw.task, aw.line, aw.spawn_cycle, self.sm.now,
                 completed=False,
             )
 
     def _remove_from_awt(self, aw: ActiveAssistWarp) -> None:
         if aw in self._awt:
+            self._fold_rr()
             self._awt.remove(aw)
-            if aw.deployed < len(aw.program.body):
+            if aw.deployed < aw.size:
                 self._undeployed -= 1
         if aw in self._low:
             self._low.remove(aw)

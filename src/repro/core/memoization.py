@@ -23,7 +23,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.base import AssistController
+from repro.core.base import AssistController, AssistWarp
 from repro.gpu.isa import (
     ASSIST_REG_BASE,
     AssistProgram,
@@ -90,25 +90,12 @@ class MemoParams:
     register_demand: int = 4
 
 
-class _ActiveMemo:
-    #: Assist warps have no screen-code slot (see
-    #: repro.gpu.warp.touch).
-    soa = None
-
-    __slots__ = ("parent", "program", "pc", "deployed", "pending_mask",
-                 "task", "line", "cancelled", "blocking", "signature",
-                 "region_len")
+class _ActiveMemo(AssistWarp):
+    __slots__ = ("signature", "region_len")
 
     def __init__(self, parent, program, task, signature, region_len):
-        self.parent = parent
-        self.program = program
-        self.pc = 0
-        self.deployed = len(program.body)  # extensions skip deploy staging
-        self.pending_mask = 0
-        self.task = task
-        self.line = 0
-        self.cancelled = False
-        self.blocking = False
+        # Extensions skip deploy staging.
+        super().__init__(parent, program, task, deployed=len(program.body))
         self.signature = signature
         self.region_len = region_len
 
@@ -165,18 +152,15 @@ class MemoizationController(AssistController):
         dq = self._high[sched]
         for _ in range(len(dq)):
             aw = dq[0]
-            pc = aw.pc
-            program = aw.program
-            if aw.cancelled or pc >= len(program.body):
+            if aw.cancelled or aw.pc >= aw.size:
                 dq.popleft()
                 continue
-            if aw.pending_mask & program.need[pc]:
-                # Scoreboard-blocked: try_issue_assist would reject it
-                # the same way, without side effects.
+            if cycle < aw.ready:
+                # Scoreboard-blocked.
                 dq.rotate(-1)
                 continue
             if self.sm.try_issue_assist(aw, cycle):
-                if aw.pc >= len(program.body):
+                if aw.pc >= aw.size:
                     dq.popleft()
                 return True
             dq.rotate(-1)
@@ -184,15 +168,12 @@ class MemoizationController(AssistController):
 
     def issue_low(self, sched: int, cycle: int) -> bool:
         while self._low and (
-            self._low[0].cancelled
-            or self._low[0].pc >= len(self._low[0].program.body)
+            self._low[0].cancelled or self._low[0].pc >= self._low[0].size
         ):
             self._low.popleft()
         if self._low:
             aw = self._low[0]
-            if not aw.pending_mask & aw.program.need[aw.pc] and (
-                self.sm.try_issue_assist(aw, cycle)
-            ):
+            if cycle >= aw.ready and self.sm.try_issue_assist(aw, cycle):
                 return True
         return False
 
@@ -237,6 +218,7 @@ class MemoizationController(AssistController):
         body_len = len(warp.program.body)
         skip = min(region_len, body_len - warp.pc)
         warp.pc += skip
+        warp.mshr_stall_line = None
         self.stats.regions_skipped_instructions += skip
         finished = False
         if warp.pc >= body_len:

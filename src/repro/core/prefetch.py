@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.base import AssistController
+from repro.core.base import AssistController, AssistWarp
 from repro.gpu.isa import (
     ASSIST_REG_BASE,
     AssistProgram,
@@ -84,24 +84,13 @@ class _Stream:
         self.confirmations = 0
 
 
-class _ActivePrefetch:
-    #: Assist warps have no screen-code slot (see
-    #: repro.gpu.warp.touch).
-    soa = None
-
-    __slots__ = ("parent", "program", "pc", "deployed", "pending_mask",
-                 "task", "line", "cancelled", "blocking", "targets")
+class _ActivePrefetch(AssistWarp):
+    __slots__ = ("targets",)
 
     def __init__(self, parent, program, targets):
-        self.parent = parent
-        self.program = program
-        self.pc = 0
-        self.deployed = len(program.body)
-        self.pending_mask = 0
-        self.task = "prefetch"
-        self.line = targets[0] if targets else 0
-        self.cancelled = False
-        self.blocking = False
+        super().__init__(parent, program, "prefetch",
+                         line=targets[0] if targets else 0,
+                         deployed=len(program.body))
         self.targets = targets
 
 
@@ -166,17 +155,12 @@ class PrefetchController(AssistController):
     # ------------------------------------------------------------------
     def issue_low(self, sched: int, cycle: int) -> bool:
         while self._low and (
-            self._low[0].cancelled
-            or self._low[0].pc >= len(self._low[0].program.body)
+            self._low[0].cancelled or self._low[0].pc >= self._low[0].size
         ):
             self._low.popleft()
         if self._low:
             aw = self._low[0]
-            # Scoreboard precheck: skip the try_issue_assist call when
-            # it would reject the warp anyway, without side effects.
-            if not aw.pending_mask & aw.program.need[aw.pc] and (
-                self.sm.try_issue_assist(aw, cycle)
-            ):
+            if cycle >= aw.ready and self.sm.try_issue_assist(aw, cycle):
                 return True
         return False
 

@@ -208,10 +208,12 @@ class AssistProgram:
     # Active-mask width: how many SIMT lanes the subroutine really needs
     # (Section 3.4's static lane enable/disable).
     lanes: int = 32
-    #: Per-pc scoreboard need masks (src | dst), precomputed so the
-    #: assist issue loops can reject a blocked warp without the
-    #: try_issue_assist call.
-    need: tuple[int, ...] = field(
+    #: Per-pc producers: for each register the instruction at ``pc``
+    #: reads or writes, the closest earlier instruction that writes it.
+    #: Assist warps run straight through once and block on a pending
+    #: write (RAW and WAW), so the instruction may issue once every
+    #: producer has released its destination (``SM.try_issue_assist``).
+    deps: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
 
@@ -220,11 +222,19 @@ class AssistProgram:
             raise ValueError("an assist subroutine needs at least one instruction")
         if not 1 <= self.lanes <= 32:
             raise ValueError(f"lanes must be in [1, 32], got {self.lanes}")
-        object.__setattr__(
-            self,
-            "need",
-            tuple(i.src_mask | i.dst_mask for i in self.body),
-        )
+        deps = []
+        writer: dict[int, int] = {}  # register bit -> latest writer pc
+        for pc, instr in enumerate(self.body):
+            need = instr.src_mask | instr.dst_mask
+            deps.append(tuple(sorted(
+                {j for bit, j in writer.items() if need & bit}
+            )))
+            dst = instr.dst_mask
+            while dst:
+                bit = dst & -dst
+                writer[bit] = pc
+                dst ^= bit
+        object.__setattr__(self, "deps", tuple(deps))
 
     def __len__(self) -> int:
         return len(self.body)

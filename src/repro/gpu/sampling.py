@@ -514,6 +514,7 @@ class SamplingController:
                 warp.iteration = iteration + 1
             (instrs, alu, sfu, loads, stores, shared, rreads,
              rwrites) = credit
+            warp.mshr_stall_line = None  # the warp left its instruction
             stats.parent_instructions += instrs
             stats.alu_ops += alu
             stats.sfu_ops += sfu

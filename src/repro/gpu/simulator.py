@@ -1,12 +1,35 @@
 """Top-level GPU simulator: SMs + memory system + block dispatcher.
 
-The main loop is cycle-driven with event-based fast-forwarding: when no
-SM can issue and no assist-warp work is pending, the clock jumps to the
-next scheduled event (a writeback, a cache fill, a DRAM completion),
-with the skipped issue slots accounted under their last stall
-classification — memory-bound applications spend most of their wall
-clock inside these jumps, which is what makes a Python cycle-level
-model practical.
+The main loop is cycle-driven, and it ticks only what can change.
+
+* **Per-SM sleep.** An SM whose tick issued nothing, and whose
+  schedulers all hold a valid stall memo, would only replay that tick
+  until a memo lapses. So it leaves the tick list until its wake hint
+  or its earliest tier-2 memo expiry, whichever comes first
+  (``SM.quiet_until``). An event the SM itself scheduled wakes it
+  early: a register release, a fill's ``line_done``, ``complete_fill``
+  (the MSHR epoch), an assist warp's finish, a decompression trigger.
+  The block dispatch that follows a retirement lands on the same SM,
+  from one of its own events. Nothing on another SM can change its
+  scan: MSHR state and epochs are per SM. A CABA SM sleeps only while
+  its controller has nothing to deploy or spawn and no queued assist
+  warp is ready.
+* **Settling a sleep.** On waking, ``SM.replay_stall`` charges the
+  slept cycles to the last classification, and the controller replays
+  one ``observe(0, ...)`` per loop iteration that ran meanwhile (not
+  per slept cycle: the utilization EMA samples executed cycles), as a
+  float loop so the throttle stays byte-identical. Sleepers are settled
+  at the end of every ``_run_detailed`` call, so the sampling
+  controller's snapshots are exact.
+* **Fast-forward.** When no SM issues, the clock jumps to the next
+  scheduled event or SM wake hint (``_fast_forward``), with the skipped
+  slots accounted under their last classification. The jump rule is
+  the one the every-SM loop used, so the loop runs exactly the cycles
+  it ran; when every SM sleeps, this is the only way time moves.
+
+Memory-bound applications spend most of their wall clock inside these
+jumps and sleeps, which is what makes a Python cycle-level model
+practical.
 """
 
 from __future__ import annotations
@@ -14,6 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from functools import partial
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,7 +93,6 @@ class Simulator:
         caba_factory: Callable[[SM], object] | None = None,
         assist_regs_per_thread: int = 0,
         obs: object | None = None,
-        fast_forward: bool = True,
         sample: SampleConfig | None = None,
         capacity: object | None = None,
     ) -> None:
@@ -85,14 +108,6 @@ class Simulator:
                 the enabled assist subroutines (affects occupancy).
             obs: A ``repro.obs.RunObservation`` to attach to every
                 component, or None (the default) for the untraced path.
-            fast_forward: Disable to execute every cycle instead of
-                jumping uniform-stall gaps (results are identical for
-                designs without a CABA controller, whose utilization
-                monitor samples executed cycles). Kept for the checks
-                that pin the jump as exact:
-                ``tests/gpu/test_simulator.py::TestFastForwardIdentity``
-                and the random-program on/off test in
-                ``tests/gpu/test_simulator_fuzz.py``.
             sample: Interval-sampling knobs (repro.gpu.sampling), or
                 None (the default) for exact, byte-identical
                 simulation. The simulator never reads the environment
@@ -116,9 +131,12 @@ class Simulator:
         # Events are bucketed per cycle: the heap orders the distinct
         # cycles and each bucket preserves insertion (schedule) order,
         # so delivery order matches the old per-event heap while same-
-        # cycle events cost one push/pop instead of one each.
+        # cycle events cost one push/pop instead of one each. Each
+        # bucket also records, as a bitmask of SM ids, which SMs
+        # scheduled into it: delivering it wakes them.
         self._event_cycles: list[int] = []
         self._event_buckets: dict[int, list[Callable[[], None]]] = {}
+        self._event_owners: dict[int, int] = {}
         self._cycle = 0
 
         # Live screen codes of every resident warp slot machine-wide.
@@ -131,7 +149,7 @@ class Simulator:
                 sm_id=i,
                 config=config,
                 memory=self.memory,
-                schedule=self.schedule,
+                schedule=partial(self._schedule, 1 << i),
                 on_block_retired=self._on_block_retired,
                 soa=self._soa,
             )
@@ -149,9 +167,9 @@ class Simulator:
                 if sm.caba is not None:
                     sm.caba.obs = obs
 
-        self._ff_enabled = fast_forward
         self._sample = sample
         self._has_caba = caba_factory is not None
+        self._asleep = [0] * config.n_sms
 
         self._pending_blocks: deque[int] = deque(range(kernel.n_blocks))
         self._blocks_retired = 0
@@ -160,15 +178,23 @@ class Simulator:
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def schedule(self, cycle: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at the start of ``cycle`` (never before next cycle)."""
-        when = max(self._cycle + 1, math.ceil(cycle))
+    def _schedule(
+        self, owner: int, cycle: float, fn: Callable[[], None]
+    ) -> None:
+        """Run ``fn`` at the start of ``cycle`` (never before next
+        cycle), on behalf of the SMs in bitmask ``owner``. Each SM's
+        ``schedule`` is this method with its own bit bound."""
+        when = math.ceil(cycle)
+        if when <= self._cycle:
+            when = self._cycle + 1
         bucket = self._event_buckets.get(when)
         if bucket is None:
             self._event_buckets[when] = [fn]
+            self._event_owners[when] = owner
             heapq.heappush(self._event_cycles, when)
         else:
             bucket.append(fn)
+            self._event_owners[when] |= owner
 
     # ------------------------------------------------------------------
     # Block dispatch
@@ -235,28 +261,75 @@ class Simulator:
         work remaining. Exact mode is one call with
         ``limit = max_cycles``; the sampling controller calls this once
         per detailed interval, so the per-cycle body is identical in
-        both modes."""
+        both modes. Every SM is awake on entry and on return."""
         cycles = self._event_cycles
         buckets = self._event_buckets
+        owners = self._event_owners
         heappop = heapq.heappop
-        ticks = [sm.tick for sm in self.sms]
-        ff = self._ff_enabled
+        sms = self.sms
+        ticks = [sm.tick for sm in sms]
+        # Per SM: the cycle a sleeping SM must tick again, 0 = awake.
+        asleep = [0] * len(sms)
+        self._asleep = asleep
+        sleepers = 0  # bitmask of sleeping SM ids
+        iterations = 0  # loop iterations (cycles ticked) so far
+        last = self._cycle - 1  # cycle of the latest iteration
+        truncated = False
         while not self.done:
             cycle = self._cycle
             if cycle >= limit:
-                return True
+                truncated = True
+                break
             # Deliver events due this cycle. Callbacks can only schedule
             # for cycle+1 or later, so the bucket cannot grow mid-drain.
             while cycles and cycles[0] <= cycle:
-                for fn in buckets.pop(heappop(cycles)):
+                when = heappop(cycles)
+                woken = owners.pop(when) & sleepers
+                if woken:
+                    sleepers &= ~woken
+                    self._wake(woken, cycle, iterations, last)
+                for fn in buckets.pop(when):
                     fn()
             issued = 0
-            for tick in ticks:
-                issued += tick(cycle)
+            for i, tick in enumerate(ticks):
+                wake_at = asleep[i]
+                if wake_at:
+                    if wake_at > cycle:
+                        continue
+                    asleep[i] = 0
+                    sleepers &= ~(1 << i)
+                    sms[i].wake(cycle, iterations, last)
+                n = tick(cycle)
+                if n:
+                    issued += n
+                else:
+                    sm = sms[i]
+                    quiet = sm.quiet_until(cycle)
+                    if quiet > cycle + 1:
+                        asleep[i] = quiet
+                        sleepers |= 1 << i
+                        sm.sleep(cycle, iterations + 1)
+            iterations += 1
+            last = cycle
             self._cycle = cycle + 1
-            if issued == 0 and ff:
+            if issued == 0:
                 self._fast_forward(limit)
-        return False
+        if sleepers:
+            self._wake(sleepers, self._cycle, iterations, last)
+        return truncated
+
+    def _wake(self, mask: int, cycle: int, iterations: int,
+              last: int) -> None:
+        """Wake the sleeping SMs in bitmask ``mask`` before ``cycle`` is
+        ticked or its events run (see ``SM.wake``)."""
+        asleep = self._asleep
+        sms = self.sms
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            i = bit.bit_length() - 1
+            asleep[i] = 0
+            sms[i].wake(cycle, iterations, last)
 
     def _deliver_until(self, target: int) -> int:
         """Deliver every queued event due by ``target``, advancing the
@@ -272,6 +345,7 @@ class Simulator:
             when = heappop(cycles)
             if when > self._cycle:
                 self._cycle = when
+            del self._event_owners[when]  # no SM sleeps outside the loop
             for fn in buckets.pop(when):
                 fn()
         if not self.done and self._cycle < target:
@@ -315,8 +389,10 @@ class Simulator:
         skipped = target - cycle
         if skipped <= 0:
             return
-        for sm in self.sms:
-            sm.replay_stall(skipped)
+        # Sleepers are charged the jump when they wake.
+        for sm, asleep in zip(self.sms, self._asleep):
+            if not asleep:
+                sm.replay_stall(skipped)
         self._cycle = target
 
     def _drain(self) -> None:

@@ -15,12 +15,14 @@ the very same ALU/SFU/LSU resources as regular instructions.
 
 from __future__ import annotations
 
+import heapq
 import math
+from functools import partial
 from typing import Callable
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind
-from repro.gpu.soa import SoAState
+from repro.gpu.soa import KLASS_GLOAD, SoAState
 from repro.gpu.stats import STATE_ONLY_SLOTS, Slot, SmStats, UNIT_SLOTS
 from repro.gpu.warp import BlockContext, WarpContext, touch
 from repro.memory.hierarchy import MEM_SRC_DRAM, MEM_SRC_L1, MemorySystem
@@ -33,7 +35,8 @@ HEAVY_ALU_II = 2
 
 # Issue attempt outcomes (internal). The two structural-memory causes are
 # distinct codes so the traced path can tell MSHR pressure from LSU port
-# contention; both map to the same Figure-1 Memory Stall slot.
+# contention; both map to the same Figure-1 Memory Stall slot. A
+# scoreboard-blocked warp is screened out before any attempt (_DEP).
 _OK = 0
 _DEP = 1
 _STRUCT_ALU = 2
@@ -61,8 +64,10 @@ _CAT_DRAM = int(StallCat.DRAM)
 _CAT_ASSIST_WAIT = int(StallCat.ASSIST_WAIT)
 _CAT_IDLE = int(StallCat.IDLE)
 
-#: Refined category -> Figure-1 slot (indexable by the plain ints above).
-_CAT_SLOT = SLOT_OF_CAT
+#: Refined category -> Figure-1 slot, as plain ints (an IntEnum index
+#: costs a conversion on every counter update).
+_CAT_SLOT = tuple(int(slot) for slot in SLOT_OF_CAT)
+_ACTIVE = int(Slot.ACTIVE)
 
 #: Figure-1 slot -> stall-memo tier: 0 = not memoizable (an instruction
 #: issued), 1 = valid while the scheduler's warp state is unchanged,
@@ -73,6 +78,12 @@ _MEMO_KIND = tuple(
 )
 
 _INF = float("inf")
+
+# Assist-instruction execution units (``SM._assist_table``).
+_UNIT_ALU = 0
+_UNIT_HEAVY = 1
+_UNIT_SFU = 2
+_UNIT_LSU = 3
 
 
 class SM:
@@ -102,7 +113,7 @@ class SM:
         n = config.schedulers_per_sm
         self.sched_warps: list[list[WarpContext]] = [[] for _ in range(n)]
         self._current: list[WarpContext | None] = [None] * n
-        self._last_slots: list[Slot] = [Slot.IDLE] * n
+        self._last_slots: list[int] = [int(Slot.IDLE)] * n
         if config.scheduler not in ("gto", "lrr"):
             raise ValueError(f"unknown scheduler {config.scheduler!r}")
         self._greedy = config.scheduler == "gto"
@@ -139,16 +150,41 @@ class SM:
         #: Screen codes (repro.gpu.soa) and this SM's first scheduler id.
         self._soa = soa
         self._gid0 = sm_id * n
+        # Per-cycle reads, bound once.
+        self._scheds = range(n)
+        self._slot_counts = self.stats.slots
+        self._codes = soa.code
+        self._wakes = soa.wake
+        self._seq = soa.seq
+        self._epochs = memory.mshr_epoch
+        self._mshr_used = memory._mshr_used
+        self._inflight = memory._inflight[sm_id]
+        self._l1_mshrs = config.l1_mshrs
         #: Per-scheduler stall memos, rebuilt by every scanned slot:
         #: (seq, cat, warp_id, kind, lsu_free, sfu_free, heavy_free,
-        #:  mshr_epoch, expiry_cycle, scan_wake_hint); mshr_epoch -1
-        #: marks a stall whose outcome is independent of MSHR state.
+        #:  mshr_epoch, until); mshr_epoch -1 marks a stall whose
+        #: outcome is independent of MSHR state. ``until`` is the
+        #: scan's wake hint: the first cycle a unit that blocked a
+        #: candidate frees up. Only those units can change the outcome
+        #: by freeing, so it is also the memo's expiry.
         self._memos: list[tuple | None] = [None] * n
         # Scratch written by the scan for memo creation: whether the
         # outcome is replay-stable, and the scan's own wake-hint
         # contribution (excluding assist-warp issue attempts).
         self._scan_safe = False
         self._scan_hint = _INF
+        self._low_stall: tuple | None = None
+
+        #: Min-heap of the cycles at which assist-warp destination
+        #: registers free up (assist warps schedule no release events;
+        #: see try_issue_assist). Bounds next_wake.
+        self._releases: list[int] = []
+        # id(program) -> (program, per-pc issue table) for assist programs.
+        self._assist_tables: dict[int, tuple] = {}
+        # Sleep bookkeeping (see sleep/wake): the first cycle not ticked
+        # and the loop iteration of the last tick.
+        self._slept_at = 0
+        self._slept_iter = 0
 
     def attach_observer(self, obs) -> None:
         """Install the observability layer's stall ledger (must happen
@@ -208,32 +244,44 @@ class SM:
         A memo is valid while the scheduler's seq counter is unchanged
         (tier 1: scoreboard/idle outcomes) and, for unit-gated stalls
         (tier 2), while the LSU/SFU/heavy-ALU reservations and the SM's
-        MSHR epoch are also unchanged and no reserved unit has freed up
-        (``expiry``). Assist warps still get their scan-order chance at
-        every slot — ``issue_high``/``issue_low`` rotate their queues
-        and consume unit state even on stall cycles, so they are re-run
-        for real, never replayed.
+        MSHR epoch are also unchanged and no unit that blocked a
+        candidate has freed up (``until``). Assist warps still get their scan-order chance at
+        every slot — ``issue_high`` before the parents, ``issue_low``
+        after them — behind the controller's issue gates (a cycle with
+        no ready assist warp costs one comparison); they issue for
+        real, never replayed.
         """
         self.now = cycle
         self._wake_hint = _INF
         caba = self.caba
         if caba is not None:
             caba.tick(cycle)
+            high_gate = caba.high_gate
         issued = 0
-        slots = self.stats.slots
+        slots = self._slot_counts
         last = self._last_slots
         ledger = self._ledger
-        pend_n = self._pend_n
-        pend_cat = self._pend_cat
-        pend_wid = self._pend_wid
-        n_sched = self.config.schedulers_per_sm
-        soa = self._soa
-        seq = soa.seq
-        codes = soa.code
+        seq = self._seq
+        codes = self._codes
         memos = self._memos
-        gid0 = self._gid0
-        for s in range(n_sched):
-            g = gid0 + s
+        g = self._gid0
+        for s in self._scheds:
+            if (
+                caba is not None
+                and cycle >= high_gate[s]
+                and caba.issue_high(s, cycle)
+            ):
+                # A high-priority assist warp preempts the parents; the
+                # memo (valid or not) is left for the next slot.
+                self._attr_warp = ASSIST_WARP
+                slot = _ACTIVE
+                if ledger is not None:
+                    slot = _CAT_SLOT[self._charge(ledger, s, _CAT_ASSIST)]
+                slots[slot] += 1
+                last[s] = slot
+                issued += 1
+                g += 1
+                continue
             m = memos[s]
             if m is not None and m[0] == seq[g] and (
                 m[3] == 1
@@ -242,27 +290,28 @@ class SM:
                     and self._sfu_free == m[5]
                     and self._heavy_alu_free == m[6]
                     and cycle < m[8]
-                    and (
-                        m[7] < 0
-                        or self.memory.mshr_epoch[self.sm_id] == m[7]
-                    )
+                    and (m[7] < 0 or self._epochs[self.sm_id] == m[7])
                 )
             ):
-                if caba is not None and (
-                    caba.issue_high(s, cycle) or caba.issue_low(s, cycle)
+                g += 1
+                if (
+                    caba is not None
+                    and cycle >= caba.low_gate
+                    and caba.issue_low(s, cycle)
                 ):
                     # An assist warp took the slot, exactly as it would
                     # have after the (unchanged) parent scan stalled.
                     self._attr_warp = ASSIST_WARP
-                    cat = _CAT_ASSIST
+                    slot = _ACTIVE
                     if ledger is not None:
-                        cat = self._charge(ledger, s, cat)
-                    slot = _CAT_SLOT[cat]
+                        slot = _CAT_SLOT[
+                            self._charge(ledger, s, _CAT_ASSIST)
+                        ]
                     slots[slot] += 1
                     last[s] = slot
                     issued += 1
                     continue
-                hint = m[9]
+                hint = m[8]
                 if hint < self._wake_hint:
                     self._wake_hint = hint
                 cat = m[1]
@@ -274,11 +323,11 @@ class SM:
                     # consecutive cycles, and the call overhead itself
                     # is most of the traced-run cost at this site.
                     if (
-                        pend_n[s]
-                        and pend_cat[s] == cat
-                        and pend_wid[s] == wid
+                        self._pend_n[s]
+                        and self._pend_cat[s] == cat
+                        and self._pend_wid[s] == wid
                     ):
-                        pend_n[s] += 1
+                        self._pend_n[s] += 1
                     else:
                         self._charge_slot(s, cat, wid, 1)
                 slot = _CAT_SLOT[cat]
@@ -291,44 +340,50 @@ class SM:
             slot = _CAT_SLOT[cat]
             slots[slot] += 1
             last[s] = slot
-            if slot is Slot.ACTIVE:
+            if slot == _ACTIVE:
                 issued += 1
-                memos[s] = None
-                continue
+                low = self._low_stall
+                if low is None:
+                    memos[s] = None
+                    g += 1
+                    continue
+                # A low-priority assist warp took a slot the parent scan
+                # stalled on: memoize the scan, with the unit state it
+                # saw (the assist may have reserved a unit since).
+                self._low_stall = None
+                cat, lsu, sfu, heavy = low
+                wid = NO_WARP
+                if ledger is not None:
+                    cat, wid = self._refine(s, cat)
+                slot = _CAT_SLOT[cat]
+            else:
+                lsu = self._lsu_free
+                sfu = self._sfu_free
+                heavy = self._heavy_alu_free
+                wid = self._last_cats[s][1] if ledger is not None else NO_WARP
             kind = _MEMO_KIND[slot]
             if kind == 1:
                 # Scoreboard/idle: a pure function of seq-tracked warp
                 # state. No structural candidate was reached, so the
                 # parent scan contributed no wake hint.
-                wid = self._last_cats[s][1] if ledger is not None else NO_WARP
-                memos[s] = (seq[g], cat, wid, 1, 0, 0, 0, 0, 0, _INF)
+                memos[s] = (seq[g], cat, wid, 1, 0, 0, 0, 0, _INF)
             elif kind == 2 and self._scan_safe:
-                lsu = self._lsu_free
-                sfu = self._sfu_free
-                heavy = self._heavy_alu_free
-                expiry = _INF
-                if lsu > cycle:
-                    expiry = lsu
-                if cycle < sfu < expiry:
-                    expiry = sfu
-                if cycle < heavy < expiry:
-                    expiry = heavy
-                wid = self._last_cats[s][1] if ledger is not None else NO_WARP
                 # A stall that never saw an MSHR status is independent
                 # of MSHR state: every memory candidate failed on the
                 # LSU-port gate (or there were none), which an epoch
                 # bump cannot change. -1 marks the memo epoch-free.
                 memos[s] = (
                     seq[g], cat, wid, 2, lsu, sfu, heavy,
-                    self.memory.mshr_epoch[self.sm_id]
+                    self._epochs[self.sm_id]
                     if cat == _CAT_MSHR_FULL else -1,
-                    expiry, self._scan_hint,
+                    self._scan_hint,
                 )
             else:
                 memos[s] = None
+            g += 1
         if caba is not None:
-            caba.observe(issued, n_sched)
-        soa.wake[self.sm_id] = self._wake_hint
+            caba.observe(issued, len(memos))
+        self._wakes[self.sm_id] = self._wake_hint
         return issued
 
     # ------------------------------------------------------------------
@@ -336,10 +391,14 @@ class SM:
     # ------------------------------------------------------------------
     def _issue_slot(self, s: int, cycle: int, screen: list[int]) -> int:
         """Classify scheduler ``s``'s slot per Figure 1, issuing the
-        instruction that takes it if any: a high-priority assist warp,
-        else the greedy current warp (GTO) or the first issuable parent
-        warp in scan order, else a low-priority assist warp, else the
-        strongest stall seen (memory > compute > dependence > idle).
+        instruction that takes it if any (a high-priority assist warp
+        has already had its chance, in ``tick``): the greedy current
+        warp (GTO) or the first issuable parent warp in scan order, else
+        a low-priority assist warp, else the strongest stall seen
+        (memory > compute > dependence > idle). When a low-priority
+        assist warp takes the slot, the stall the parents showed and
+        the unit state they saw are left in ``_low_stall`` for the
+        memo.
 
         Warps are screened by their live screen codes
         (:mod:`repro.gpu.soa`): ``< SCREEN_BLOCKED`` is a candidate (the
@@ -364,12 +423,11 @@ class SM:
         memoized.
         """
         caba = self.caba
-        if caba is not None and caba.issue_high(s, cycle):
-            self._attr_warp = ASSIST_WARP
-            return _CAT_ASSIST
         self._scan_safe = True
         h0 = self._wake_hint
-        self._wake_hint = _INF
+        # The scan's pre-screen hints gather in ``hint``; an issue
+        # attempt that fails on a unit writes ``_wake_hint`` itself.
+        self._wake_hint = hint = _INF
         saw = 0
         lsu_free = self._lsu_free
         lsu_busy = lsu_free > cycle
@@ -377,9 +435,8 @@ class SM:
         sfu_busy = sfu_free > cycle
         heavy_free = self._heavy_alu_free
         heavy_busy = heavy_free > cycle
-        memory = self.memory
-        mshr_full = memory._mshr_used[self.sm_id] >= self.config.l1_mshrs
-        inflight = memory._inflight[self.sm_id]
+        mshr_full = self._mshr_used[self.sm_id] >= self._l1_mshrs
+        inflight = self._inflight
         current = self._current[s] if self._greedy else None
         # GTO: stay greedy on the current warp until it stalls. A warp
         # whose final issue retired its block stays current but is
@@ -390,27 +447,25 @@ class SM:
             if code < 16:
                 if (code == 1 or code == 4) and lsu_busy:
                     saw = _SAW_LSU
-                    if lsu_free < self._wake_hint:
-                        self._wake_hint = lsu_free
+                    hint = lsu_free
                 elif code == 4 and mshr_full and (
                     current.mshr_stall_line is not None
                     and current.mshr_stall_line not in inflight
-                    and current.coal_key == (current.pc, current.iteration)
                 ):
                     saw = _SAW_MSHR
                 elif code == 2 and sfu_busy:
                     saw = _SAW_ALU
-                    if sfu_free < self._wake_hint:
-                        self._wake_hint = sfu_free
+                    hint = sfu_free
                 elif code == 3 and heavy_busy:
                     saw = _SAW_ALU
-                    if heavy_free < self._wake_hint:
-                        self._wake_hint = heavy_free
+                    hint = heavy_free
                 else:
-                    status = self._try_issue(current, cycle)
+                    status = self._try_issue(current, code, cycle)
                     if status == _OK:
                         self._attr_warp = current.global_index
-                        self._merge_scan_hint(h0)
+                        self._scan_hint = hint = self._wake_hint
+                        if h0 < hint:
+                            self._wake_hint = h0
                         return _CAT_ISSUE
                     saw = 1 << status
                     if (
@@ -421,135 +476,97 @@ class SM:
             elif code < 32:
                 saw = _SAW_DEP
         warps = self.sched_warps[s]
-        n = len(warps)
         if self._greedy:
-            for warp in warps:
-                if warp is current:
-                    continue
-                code = screen[warp.slot]
-                if code:
-                    if code >= 32:
-                        continue
-                    if code >= 16:
-                        saw |= _SAW_DEP
-                        continue
-                    if code == 4:
-                        if lsu_busy:
-                            saw |= _SAW_LSU
-                            if lsu_free < self._wake_hint:
-                                self._wake_hint = lsu_free
-                            continue
-                        line = warp.mshr_stall_line
-                        if mshr_full and line is not None and (
-                            line not in inflight
-                            and warp.coal_key == (warp.pc, warp.iteration)
-                        ):
-                            saw |= _SAW_MSHR
-                            continue
-                    elif code == 1:
-                        if lsu_busy:
-                            saw |= _SAW_LSU
-                            if lsu_free < self._wake_hint:
-                                self._wake_hint = lsu_free
-                            continue
-                    elif code == 2:
-                        if sfu_busy:
-                            saw |= _SAW_ALU
-                            if sfu_free < self._wake_hint:
-                                self._wake_hint = sfu_free
-                            continue
-                    elif heavy_busy:  # code == 3
-                        saw |= _SAW_ALU
-                        if heavy_free < self._wake_hint:
-                            self._wake_hint = heavy_free
-                        continue
-                status = self._try_issue(warp, cycle)
-                if status == _OK:
-                    self._current[s] = warp
-                    self._attr_warp = warp.global_index
-                    self._merge_scan_hint(h0)
-                    return _CAT_ISSUE
-                saw |= 1 << status
-                if status == _STRUCT_MSHR and warp.mshr_stall_line is None:
-                    self._scan_safe = False
+            order = warps
         else:
             # LRR never has a greedy current warp.
+            n = len(warps)
             start = self._rr[s] % max(1, n)
-            for k in range(n):
-                warp = warps[(start + k) % n]
-                code = screen[warp.slot]
-                if code:
-                    if code >= 32:
+            order = warps[start:] + warps[:start]
+        # Global loads (code 4) stalled on the LSU port or on full MSHRs
+        # dominate scans, so they are tested first. The GTO current warp
+        # was tried above: screening it again repeats what it already
+        # contributed, so it is only skipped before an issue attempt.
+        for warp in order:
+            code = screen[warp.slot]
+            if code == 4:
+                if lsu_busy:
+                    saw |= _SAW_LSU
+                    if lsu_free < hint:
+                        hint = lsu_free
+                    continue
+                if mshr_full:
+                    line = warp.mshr_stall_line
+                    if line is not None and line not in inflight:
+                        saw |= _SAW_MSHR
                         continue
-                    if code >= 16:
-                        saw |= _SAW_DEP
-                        continue
-                    if code == 4:
-                        if lsu_busy:
-                            saw |= _SAW_LSU
-                            if lsu_free < self._wake_hint:
-                                self._wake_hint = lsu_free
-                            continue
-                        line = warp.mshr_stall_line
-                        if mshr_full and line is not None and (
-                            line not in inflight
-                            and warp.coal_key == (warp.pc, warp.iteration)
-                        ):
-                            saw |= _SAW_MSHR
-                            continue
-                    elif code == 1:
-                        if lsu_busy:
-                            saw |= _SAW_LSU
-                            if lsu_free < self._wake_hint:
-                                self._wake_hint = lsu_free
-                            continue
-                    elif code == 2:
-                        if sfu_busy:
-                            saw |= _SAW_ALU
-                            if sfu_free < self._wake_hint:
-                                self._wake_hint = sfu_free
-                            continue
-                    elif heavy_busy:  # code == 3
-                        saw |= _SAW_ALU
-                        if heavy_free < self._wake_hint:
-                            self._wake_hint = heavy_free
-                        continue
-                status = self._try_issue(warp, cycle)
-                if status == _OK:
-                    self._current[s] = warp
-                    self._attr_warp = warp.global_index
-                    self._rr[s] = (start + k + 1) % max(1, n)
-                    self._merge_scan_hint(h0)
-                    return _CAT_ISSUE
-                saw |= 1 << status
-                if status == _STRUCT_MSHR and warp.mshr_stall_line is None:
-                    self._scan_safe = False
-        self._merge_scan_hint(h0)
-        if caba is not None and caba.issue_low(s, cycle):
-            self._attr_warp = ASSIST_WARP
-            return _CAT_ASSIST
+            elif code >= 16:
+                if code < 32:
+                    saw |= _SAW_DEP
+                continue
+            elif code == 1:
+                if lsu_busy:
+                    saw |= _SAW_LSU
+                    if lsu_free < hint:
+                        hint = lsu_free
+                    continue
+            elif code == 2:
+                if sfu_busy:
+                    saw |= _SAW_ALU
+                    if sfu_free < hint:
+                        hint = sfu_free
+                    continue
+            elif code == 3 and heavy_busy:
+                saw |= _SAW_ALU
+                if heavy_free < hint:
+                    hint = heavy_free
+                continue
+            if warp is current:
+                continue
+            status = self._try_issue(warp, code, cycle)
+            if status == _OK:
+                self._current[s] = warp
+                self._attr_warp = warp.global_index
+                if not self._greedy:
+                    self._rr[s] = (start + order.index(warp) + 1) % n
+                if self._wake_hint < hint:
+                    hint = self._wake_hint
+                self._scan_hint = hint
+                self._wake_hint = h0 if h0 < hint else hint
+                return _CAT_ISSUE
+            saw |= 1 << status
+            if status == _STRUCT_MSHR and warp.mshr_stall_line is None:
+                self._scan_safe = False
+        # End the parent-scan wake-hint capture window: remember the
+        # scan's own contribution (for memo replay) and fold the
+        # pre-scan accumulator back in.
+        if self._wake_hint < hint:
+            hint = self._wake_hint
+        self._scan_hint = hint
+        self._wake_hint = h0 if h0 < hint else hint
         # Priority order matches the coarse Figure-1 classification
         # (memory > compute > dependence).
         if saw & _SAW_MEM:
-            return _CAT_MSHR_FULL if saw & _SAW_MSHR else _CAT_LSU
-        if saw & _SAW_ALU:
-            return _CAT_COMPUTE
-        if saw & _SAW_DEP:
-            return _CAT_SCOREBOARD
-        return _CAT_IDLE
-
-    def _merge_scan_hint(self, h0: float) -> None:
-        """End the parent-scan wake-hint capture window: remember the
-        scan's own contribution (for memo replay) and fold the
-        pre-scan accumulator back in."""
-        hint = self._wake_hint
-        self._scan_hint = hint
-        if h0 < hint:
-            self._wake_hint = h0
+            cat = _CAT_MSHR_FULL if saw & _SAW_MSHR else _CAT_LSU
+        elif saw & _SAW_ALU:
+            cat = _CAT_COMPUTE
+        elif saw & _SAW_DEP:
+            cat = _CAT_SCOREBOARD
+        else:
+            cat = _CAT_IDLE
+        if (
+            caba is not None
+            and cycle >= caba.low_gate
+            and caba.issue_low(s, cycle)
+        ):
+            self._attr_warp = ASSIST_WARP
+            self._low_stall = (cat, lsu_free, sfu_free, heavy_free)
+            return _CAT_ASSIST
+        return cat
 
     def replay_stall(self, skipped: int) -> None:
-        """Account ``skipped`` fast-forwarded cycles with the last
-        classification (no state changed during the gap)."""
+        """Account ``skipped`` fast-forwarded or slept cycles with the
+        last classification (no state changed during the gap)."""
         for s, slot in enumerate(self._last_slots):
             self.stats.slots[slot] += skipped
         if self._ledger is not None:
@@ -594,17 +611,69 @@ class SM:
 
     def next_wake(self, cycle: int) -> float:
         """Earliest cycle at which this SM might make progress without an
-        external event (used for fast-forwarding).
+        event it scheduled (used for fast-forwarding).
 
         ``cycle`` is the most recently *simulated* cycle (the caller has
         already advanced its clock past it, hence the ``cycle - 1`` at
         the call site): with assist work queued the SM must be ticked on
-        the very next cycle, and ``_wake_hint`` is an absolute cycle
-        collected from the scan's structural-hazard hints during that
-        same tick."""
-        if self.caba is not None and self.caba.has_pending_work():
+        the very next cycle. Otherwise it is the earlier of
+        ``_wake_hint``, an absolute cycle collected from the scan's
+        structural-hazard hints during the SM's last tick, and the next
+        pending assist-register release, which stands in for the
+        release event assist warps do not schedule. A sleeping SM
+        answers from its last tick, which its slept ticks would have
+        repeated."""
+        caba = self.caba
+        if caba is None:
+            return self._wake_hint
+        if caba.has_pending_work():
             return cycle + 1
+        releases = self._releases
+        while releases and releases[0] <= cycle:
+            heapq.heappop(releases)
+        if releases and releases[0] < self._wake_hint:
+            return releases[0]
         return self._wake_hint
+
+    # ------------------------------------------------------------------
+    # Sleep (driven by Simulator._run_detailed)
+    # ------------------------------------------------------------------
+    def quiet_until(self, cycle: int) -> float:
+        """After a tick of ``cycle`` that issued nothing: the first cycle
+        at which a tick could do anything but replay this one, unless an
+        event this SM scheduled fires first (the simulator wakes it for
+        those). Every scheduler must hold a memo; the memos stay valid
+        until the wake hint (the earliest ``until`` among them), and the
+        controller bounds it by its own work. At most ``cycle + 1``
+        means the SM must keep ticking."""
+        if None in self._memos:
+            return 0
+        until = self._wake_hint
+        if self.caba is not None:
+            quiet = self.caba.quiet_until(cycle)
+            if quiet < until:
+                until = quiet
+        return until
+
+    def sleep(self, cycle: int, iteration: int) -> None:
+        """Stop ticking after the tick of ``cycle``, the loop's
+        ``iteration``-th."""
+        self._slept_at = cycle + 1
+        self._slept_iter = iteration
+
+    def wake(self, cycle: int, iterations: int, last: int) -> None:
+        """Settle a sleep before ``cycle`` is ticked or its events run:
+        charge the slept cycles to the last classification, and replay
+        one idle tick to the controller per loop iteration that ran
+        since the SM's last tick (``iterations`` ran in all; the latest
+        was at cycle ``last``)."""
+        span = cycle - self._slept_at
+        if span > 0:
+            self.replay_stall(span)
+        self.now = last
+        owed = iterations - self._slept_iter
+        if self.caba is not None and owed > 0:
+            self.caba.replay_idle(owed, self.config.schedulers_per_sm)
 
     # ------------------------------------------------------------------
     # Traced-path refinement (never reached with tracing off)
@@ -614,14 +683,8 @@ class SM:
         in the stall ledger, and return the refined category."""
         if cat == _CAT_ISSUE or cat == _CAT_ASSIST:
             wid = self._attr_warp
-        elif cat == _CAT_SCOREBOARD:
-            cat, wid = self._refine_dep(s)
-        elif cat == _CAT_IDLE:
-            cat, wid = self._refine_idle(s)
         else:
-            # Structural stalls (pipe/LSU/MSHR) are a shared-resource
-            # property of the SM, not of one warp.
-            wid = NO_WARP
+            cat, wid = self._refine(s, cat)
         self._last_cats[s] = (cat, wid)
         # Inlined _charge_slot fast path (see tick): consecutive
         # identical charges dominate, and this runs once per scheduler
@@ -635,6 +698,16 @@ class SM:
         else:
             self._charge_slot(s, cat, wid, 1)
         return cat
+
+    def _refine(self, s: int, cat: int) -> tuple[int, int]:
+        """The refined (category, warp) of stall ``cat``."""
+        if cat == _CAT_SCOREBOARD:
+            return self._refine_dep(s)
+        if cat == _CAT_IDLE:
+            return self._refine_idle(s)
+        # Structural stalls (pipe/LSU/MSHR) are a shared-resource
+        # property of the SM, not of one warp.
+        return cat, NO_WARP
 
     def _refine_dep(self, s: int) -> tuple[int, int]:
         """Split a data-dependence stall by what the dependence waits
@@ -669,25 +742,26 @@ class SM:
     # ------------------------------------------------------------------
     # Parent-warp instruction issue
     # ------------------------------------------------------------------
-    def _try_issue(self, warp: WarpContext, cycle: int) -> int:
+    def _try_issue(self, warp: WarpContext, code: int, cycle: int) -> int:
+        """Attempt to issue a candidate warp's next instruction. ``code``
+        is its screen code, below ``SCREEN_BLOCKED``: the instruction's
+        class, with the scoreboard clear."""
         instr = warp.program.body[warp.pc]
-        if warp.pending_mask & (instr.src_mask | instr.dst_mask):
-            return _DEP
-
         kind = instr.kind
-        if kind is OpKind.ALU or kind is OpKind.NOP:
+        if code == KLASS_GLOAD:
+            # Replayed (stalled) global loads dominate this path.
+            status = self._issue_global_load(warp, instr, cycle)
+        elif kind is OpKind.ALU or kind is OpKind.NOP:
             status = self._issue_alu(warp, instr, cycle)
         elif kind is OpKind.SFU:
             status = self._issue_sfu(warp, instr, cycle)
-        elif kind is OpKind.LOAD or kind is OpKind.STORE:
-            # Replayed (stalled) memory instructions dominate this
-            # path, so the space/kind dispatch is inline.
-            if instr.space is not MemSpace.GLOBAL:
-                status = self._issue_onchip_memory(warp, instr, cycle)
-            elif kind is OpKind.LOAD:
-                status = self._issue_global_load(warp, instr, cycle)
-            else:
+        elif kind is OpKind.LOAD:
+            status = self._issue_onchip_memory(warp, instr, cycle)
+        elif kind is OpKind.STORE:
+            if instr.space is MemSpace.GLOBAL:
                 status = self._issue_global_store(warp, instr, cycle)
+            else:
+                status = self._issue_onchip_memory(warp, instr, cycle)
         elif kind is OpKind.SYNC:
             status = self._issue_sync(warp, cycle)
         elif kind is OpKind.MEMO:
@@ -696,18 +770,15 @@ class SM:
             raise AssertionError(f"unhandled op kind {kind}")
 
         if status == _OK:
-            self.stats.parent_instructions += 1
-            self._count_regs(instr)
-            finished = warp.advance()
-            if finished:
+            stats = self.stats
+            stats.parent_instructions += 1
+            stats.register_reads += instr.src_mask.bit_count()
+            stats.register_writes += instr.dst_mask.bit_count()
+            if warp.advance():
                 self._on_warp_finished(warp)
             elif kind is OpKind.MEMO and self.caba is not None:
                 self.caba.on_memo_point(warp, instr.meta, cycle)
         return status
-
-    def _count_regs(self, instr: Instr) -> None:
-        self.stats.register_reads += instr.src_mask.bit_count()
-        self.stats.register_writes += instr.dst_mask.bit_count()
 
     # --- ALU / SFU ---------------------------------------------------
     def _issue_alu(self, ctx, instr: Instr, cycle: int) -> int:
@@ -729,18 +800,18 @@ class SM:
         self._hold_registers(ctx, instr.dst_mask, cycle + instr.latency)
         return _OK
 
-    def _hold_registers(self, ctx, dst_mask: int, until: int) -> None:
-        """Mark ``dst_mask`` pending on ``ctx`` (warp or assist warp) and
-        release it at ``until``."""
+    def _hold_registers(self, warp, dst_mask: int, until: int) -> None:
+        """Mark ``dst_mask`` pending on parent ``warp`` and release it at
+        ``until``."""
         if not dst_mask:
             return
-        ctx.pending_mask |= dst_mask
-        if ctx.soa is not None:
-            touch(ctx)
+        warp.pending_mask |= dst_mask
+        touch(warp)
         def release() -> None:
-            ctx.pending_mask &= ~dst_mask
-            if ctx.soa is not None:
-                touch(ctx)
+            warp.pending_mask &= ~dst_mask
+            # A retired warp's slot may belong to a new warp by now.
+            if warp.soa is not None:
+                touch(warp)
         self.schedule(until, release)
 
     # --- Memory --------------------------------------------------------
@@ -768,13 +839,12 @@ class SM:
         line = warp.mshr_stall_line
         if (
             line is not None
-            and memory._mshr_used[sm_id] >= self.config.l1_mshrs
-            and line not in memory._inflight[sm_id]
-            and warp.coal_key == (warp.pc, warp.iteration)
+            and self._mshr_used[sm_id] >= self._l1_mshrs
+            and line not in self._inflight
         ):
-            # Same instruction, every MSHR still taken and the line the
-            # last attempt failed on still not in flight: the pre-check
-            # below would fail again.
+            # Every MSHR still taken and the line this instruction last
+            # failed on still not in flight: the pre-check below would
+            # fail again.
             return _STRUCT_MSHR
         lines = self._coalesce(instr, warp)
         for line in lines:
@@ -795,9 +865,7 @@ class SM:
             if not fill.merged and not fill.from_l1:
                 self.schedule(
                     math.ceil(fill.fill_time),
-                    lambda line=fill.line: self.memory.complete_fill(
-                        self.sm_id, line
-                    ),
+                    partial(memory.complete_fill, sm_id, fill.line),
                 )
             fills.append(fill)
         self._lsu_free = cycle + len(lines)
@@ -911,30 +979,109 @@ class SM:
     # Assist-warp instruction issue (called by the CABA controller)
     # ------------------------------------------------------------------
     def try_issue_assist(self, assist, cycle: int) -> bool:
-        """Attempt to issue the next deployed instruction of an assist
-        warp through the regular pipelines; returns True on issue."""
-        if assist.pc >= assist.deployed or assist.pc >= len(assist.program.body):
-            return False
-        instr = assist.program.body[assist.pc]
-        if assist.pending_mask & (instr.src_mask | instr.dst_mask):
-            return False
+        """Issue ``assist``'s next instruction through the regular
+        pipelines if its execution unit is free; returns True on issue.
 
-        kind = instr.kind
-        if kind is OpKind.ALU or kind is OpKind.NOP:
-            status = self._issue_alu(assist, instr, cycle)
-        elif kind is OpKind.SFU:
-            status = self._issue_sfu(assist, instr, cycle)
-        elif kind in (OpKind.LOAD, OpKind.STORE):
-            status = self._issue_onchip_memory(assist, instr, cycle)
-        else:  # pragma: no cover - subroutines never contain SYNC
-            raise AssertionError(f"assist warps cannot execute {kind}")
-        if status != _OK:
-            return False
-
-        self.stats.assist_instructions += 1
-        self._count_regs(instr)
-        assist.pc += 1
-        if assist.pc >= len(assist.program.body):
-            done_at = cycle + max(1, instr.latency)
-            self.schedule(done_at, lambda: self.caba.finish(assist))
+        The caller has checked that the instruction is deployed and its
+        scoreboard clear (``cycle >= assist.ready``). Issue records when
+        the destination registers free up (``assist.rel``, and this SM's
+        ``_releases`` heap) and derives the next instruction's ``ready``
+        from its producers, instead of scheduling a release event."""
+        ops = assist.ops
+        if ops is None:
+            ops = assist.ops = self._assist_table(assist.program)
+        pc = assist.pc
+        unit, hold, reads, writes, done, next_deps = ops[pc]
+        stats = self.stats
+        if unit == _UNIT_ALU:
+            stats.alu_ops += 1
+        elif unit == _UNIT_LSU:
+            free = self._lsu_free
+            if free > cycle:
+                if free < self._wake_hint:
+                    self._wake_hint = free
+                return False
+            self._lsu_free = cycle + 1
+            stats.shared_accesses += 1
+        elif unit == _UNIT_HEAVY:
+            free = self._heavy_alu_free
+            if free > cycle:
+                if free < self._wake_hint:
+                    self._wake_hint = free
+                return False
+            self._heavy_alu_free = cycle + HEAVY_ALU_II
+            stats.alu_ops += 1
+        else:
+            free = self._sfu_free
+            if free > cycle:
+                if free < self._wake_hint:
+                    self._wake_hint = free
+                return False
+            self._sfu_free = cycle + self.config.sfu_initiation_interval
+            stats.sfu_ops += 1
+        stats.assist_instructions += 1
+        stats.register_reads += reads
+        stats.register_writes += writes
+        rel = assist.rel
+        if hold:
+            when = cycle + hold
+            rel[pc] = when
+            releases = self._releases
+            if releases and releases[0] <= cycle:
+                heapq.heapreplace(releases, when)
+            else:
+                heapq.heappush(releases, when)
+        assist.pc = pc + 1
+        if done:
+            self.schedule(cycle + done, partial(self.caba.finish, assist))
+        else:
+            ready = 0
+            for j in next_deps:
+                if rel[j] > ready:
+                    ready = rel[j]
+            assist.ready = ready
         return True
+
+    def _assist_table(self, program) -> tuple:
+        """Per-pc issue table of an assist program on this machine:
+        ``(unit, hold, reads, writes, done, next_deps)``. ``hold`` is
+        the cycles until the destination registers free up (0 without
+        destinations), ``done`` the cycles until the warp finishes
+        (last instruction only, else 0) and ``next_deps`` the next
+        instruction's producers."""
+        entry = self._assist_tables.get(id(program))
+        if entry is None:
+            config = self.config
+            body = program.body
+            ops = []
+            for pc, instr in enumerate(body):
+                kind = instr.kind
+                latency = instr.latency
+                if kind is OpKind.ALU or kind is OpKind.NOP:
+                    unit = (
+                        _UNIT_HEAVY if latency >= HEAVY_ALU_LATENCY
+                        else _UNIT_ALU
+                    )
+                elif kind is OpKind.SFU:
+                    unit = _UNIT_SFU
+                elif kind is OpKind.LOAD or kind is OpKind.STORE:
+                    unit = _UNIT_LSU
+                    latency = (
+                        config.shared_mem_latency
+                        if instr.space is MemSpace.SHARED
+                        else config.assist_l1_latency
+                    )
+                else:
+                    raise AssertionError(f"assist warps cannot execute {kind}")
+                last = pc + 1 == len(body)
+                ops.append((
+                    unit,
+                    max(1, latency) if instr.dst_mask else 0,
+                    instr.src_mask.bit_count(),
+                    instr.dst_mask.bit_count(),
+                    max(1, instr.latency) if last else 0,
+                    () if last else program.deps[pc + 1],
+                ))
+            # The program is held so its id cannot be reused.
+            entry = self._assist_tables[id(program)] = (program, tuple(ops))
+        return entry[1]

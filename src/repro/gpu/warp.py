@@ -81,7 +81,9 @@ class WarpContext:
         #: Line on which this warp's current load last failed the MSHR
         #: pre-check (None = unarmed). While every MSHR is still taken
         #: and that line is still not in flight, the pre-check would
-        #: fail again, so the SM skips the retry.
+        #: fail again, so the SM skips the retry. Every site that moves
+        #: ``pc`` or ``iteration`` disarms it, so an armed line always
+        #: belongs to the instruction at ``pc``.
         self.mshr_stall_line: int | None = None
         #: Deepest memory level the warp's most recent load reached
         #: (repro.memory.hierarchy.MEM_SRC_*); only maintained while the
@@ -93,6 +95,7 @@ class WarpContext:
         """Move past the just-issued instruction; True when the warp is
         executing its final instruction of the final iteration."""
         self.pc += 1
+        self.mshr_stall_line = None
         finished = False
         if self.pc >= len(self.program.body):
             self.pc = 0

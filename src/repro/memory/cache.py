@@ -36,6 +36,12 @@ class AccessResult:
     evicted_dirty: bool = False
 
 
+# Results are immutable, so the two outcomes without a victim are shared
+# (tag accesses run several times per memory request).
+_HIT = AccessResult(hit=True)
+_MISS = AccessResult(hit=False)
+
+
 class Cache:
     """A set-associative cache tag store.
 
@@ -83,10 +89,10 @@ class Cache:
             target.move_to_end(line)
             if is_write:
                 target[line] = True
-            return AccessResult(hit=True)
+            return _HIT
         self.stats.misses += 1
         if not allocate:
-            return AccessResult(hit=False)
+            return _MISS
         evicted_line: int | None = None
         evicted_dirty = False
         if len(target) >= self.assoc:
@@ -95,6 +101,8 @@ class Cache:
             if evicted_dirty:
                 self.stats.dirty_evictions += 1
         target[line] = is_write
+        if evicted_line is None:
+            return _MISS
         return AccessResult(
             hit=False, evicted_line=evicted_line, evicted_dirty=evicted_dirty
         )
@@ -113,7 +121,7 @@ class Cache:
         if line in target:
             target.move_to_end(line)
             target[line] = target[line] or dirty
-            return AccessResult(hit=True)
+            return _HIT
         evicted_line: int | None = None
         evicted_dirty = False
         if len(target) >= self.assoc:

@@ -91,6 +91,10 @@ class MemoryController:
         self.mc_id = mc_id
         self.burst_cycles = burst_cycles
         self.timing = timing
+        # The derived row latencies, read on every access.
+        self._row_hit = timing.row_hit_latency
+        self._row_miss = timing.row_miss_latency
+        self._row_empty = timing.row_empty_latency
         self.bus = Timeline()
         self.banks = [_Bank() for _ in range(n_banks)]
         self.metadata_cache = metadata_cache
@@ -109,12 +113,10 @@ class MemoryController:
         if last is not None and at - last <= ROW_HIT_WINDOW:
             self.stats.row_hits += 1
             bank.rows[row] = at
-            return self.timing.row_hit_latency
+            return self._row_hit
         self.stats.row_misses += 1
         latency = (
-            self.timing.row_empty_latency
-            if not bank.rows
-            else self.timing.row_miss_latency
+            self._row_empty if not bank.rows else self._row_miss
         )
         if last is not None:
             del bank.rows[row]
@@ -149,7 +151,7 @@ class MemoryController:
         # Bank occupancy throttles throughput: back-to-back column accesses
         # on an open row are tCCD apart; a row change holds the bank for
         # the activate-to-activate window (~tRC); writes add recovery.
-        row_hit = latency == self.timing.row_hit_latency
+        row_hit = latency == self._row_hit
         hold = self.timing.tCDLR if row_hit else self.timing.tRC
         bank.ready_at = start + hold + (self.timing.tWR if is_write else 0)
         if is_write:

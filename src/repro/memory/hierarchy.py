@@ -21,6 +21,7 @@ SM schedules completion events from the returned times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.design import DesignPoint
 from repro.gpu.config import GPUConfig
@@ -42,14 +43,15 @@ MEM_SRC_L2 = 1
 MEM_SRC_DRAM = 2
 
 
-@dataclass(frozen=True, slots=True)
-class LineFill:
+class LineFill(NamedTuple):
     """Timing outcome for one line of a load.
 
     ``ready_time`` is when the requesting load may complete — unless
     ``needs_assist`` is set, in which case the CABA controller must run a
     decompression assist warp starting at ``fill_time`` and the load
-    completes when the subroutine does.
+    completes when the subroutine does. Immutable; a named tuple because
+    every load builds one, and a frozen dataclass costs several times
+    as much to construct.
     """
 
     line: int

@@ -51,6 +51,12 @@ class MetadataCache:
         self._cache = Cache(n_sets=n_sets, assoc=assoc, name="md-cache")
         self.lines_per_entry = lines_per_entry
         self.entry_bytes = entry_bytes
+        # The two (immutable) lookup outcomes: a miss fetches one
+        # metadata line, rounded up to whole 32 B bursts.
+        self._hit = MdLookup(hit=True, extra_bursts=0)
+        self._miss = MdLookup(
+            hit=False, extra_bursts=max(1, -(-entry_bytes // 32))
+        )
 
     def lookup(self, line: int) -> MdLookup:
         """Consult the metadata for data line ``line``.
@@ -60,11 +66,9 @@ class MetadataCache:
         bursts; we charge the transfer rounded up from ``entry_bytes``).
         """
         entry = line // self.lines_per_entry
-        result = self._cache.access(entry)
-        if result.hit:
-            return MdLookup(hit=True, extra_bursts=0)
-        extra = max(1, -(-self.entry_bytes // 32))
-        return MdLookup(hit=False, extra_bursts=extra)
+        if self._cache.access(entry).hit:
+            return self._hit
+        return self._miss
 
     @property
     def hit_rate(self) -> float:

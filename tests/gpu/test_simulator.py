@@ -8,6 +8,7 @@ from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.kernel import Kernel
 from repro.gpu.simulator import Simulator
 from repro.gpu.stats import Slot
+from tests.gpu.stepping import forced_ticks
 from tests.images import make_image
 
 
@@ -124,24 +125,31 @@ class TestDeterminism:
 
 
 class TestFastForwardIdentity:
-    """Fast-forwarding is an accounting shortcut, not a model change.
+    """Per-SM sleep and fast-forwarding are accounting shortcuts, not
+    model changes.
 
-    The jump must resume on exactly the cycle the full-tick loop would
-    next make progress on — this pins the ``next_wake(cycle - 1)``
-    contract in ``Simulator._fast_forward`` (the caller's clock has
-    already advanced past the zero-issue tick) against off-by-ones.
-    Identity is contractual for designs without a CABA controller; the
-    controller's utilization EMA samples *executed* cycles, so CABA
-    designs define their semantics with fast-forward on.
+    A sleeping SM must wake on exactly the cycle a ticking one would
+    next do something other than replay its stall, and the jump must
+    resume on exactly the cycle the full-tick loop would next make
+    progress on — this pins the ``next_wake(cycle - 1)`` contract in
+    ``Simulator._fast_forward`` (the caller's clock has already
+    advanced past the zero-issue tick) against off-by-ones. The oracle
+    is ``forced_ticks`` (``tests/gpu/stepping.py``). Sleep identity
+    holds for every design; jump identity is contractual for designs
+    without a CABA controller, whose utilization EMA samples the cycles
+    the loop runs, so CABA designs define their semantics with
+    fast-forward on.
     """
 
     @staticmethod
     def _fingerprint(sim, result):
         return repr(result.stats) + "".join(
-            repr(sm.stats.__dict__) for sm in sim.sms
+            repr(sm.stats.__dict__)
+            + repr(getattr(sm.caba, "stats", None))
+            for sm in sim.sms
         )
 
-    def _run_synthetic(self, fast_forward):
+    def _run_synthetic(self):
         body = [
             Instr(OpKind.LOAD, dst_mask=reg_mask(3), src_mask=reg_mask(0),
                   space=MemSpace.GLOBAL,
@@ -155,18 +163,18 @@ class TestFastForwardIdentity:
             make_kernel(body, iterations=6),
             designs.base(),
             plain_image(config),
-            fast_forward=fast_forward,
         )
         result = sim.run()
         return result, self._fingerprint(sim, result)
 
     def test_synthetic_memory_kernel(self):
-        full, full_key = self._run_synthetic(fast_forward=False)
-        jumped, jumped_key = self._run_synthetic(fast_forward=True)
+        with forced_ticks(fast_forward=False):
+            full, full_key = self._run_synthetic()
+        jumped, jumped_key = self._run_synthetic()
         assert jumped.cycles == full.cycles
         assert jumped_key == full_key
 
-    def _run_workload(self, fast_forward, traced):
+    def _run_workload(self, traced, app="MM", point=None):
         from repro.core.params import CabaParams
         from repro.harness.runner import _make_caba_factory, build_image
         from repro.obs import RunObservation
@@ -175,8 +183,8 @@ class TestFastForwardIdentity:
 
         config = GPUConfig.small()
         scale = TraceScale(work=0.1)
-        point = designs.base()
-        profile = get_app("MM")
+        point = point or designs.base()
+        profile = get_app(app)
         image = build_image(profile, point, config, scale)
         kernel = build_kernel(profile, config, scale)
         factory, regs = _make_caba_factory(
@@ -188,7 +196,6 @@ class TestFastForwardIdentity:
             caba_factory=factory,
             assist_regs_per_thread=regs,
             obs=obs,
-            fast_forward=fast_forward,
         )
         result = sim.run()
         payload = obs.export() if traced else None
@@ -196,14 +203,35 @@ class TestFastForwardIdentity:
 
     @pytest.mark.parametrize("traced", [False, True])
     def test_workload_identity(self, traced):
-        full, full_key, full_obs = self._run_workload(False, traced)
-        jumped, jumped_key, jumped_obs = self._run_workload(True, traced)
+        with forced_ticks(fast_forward=False):
+            full, full_key, full_obs = self._run_workload(traced)
+        jumped, jumped_key, jumped_obs = self._run_workload(traced)
         assert jumped.cycles == full.cycles
         assert jumped_key == full_key
         # The stall ledger charges skipped slots during a jump; traced
         # runs must attribute them to the same (category, warp) pairs
         # the full-tick loop would have.
         assert jumped_obs == full_obs
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("app,point", [
+        ("MM", designs.base()),
+        ("PVC", designs.caba("bdi")),
+    ], ids=["MM-Base", "PVC-CABA-BDI"])
+    def test_sleep_identity(self, app, point, traced):
+        """Sleeping SMs replay exactly what their ticks would have done,
+        down to the CABA controller's counters (its throttle EMA is
+        replayed once per loop iteration slept through) and every
+        ledger charge."""
+        with forced_ticks():
+            ticked, ticked_key, ticked_obs = self._run_workload(
+                traced, app, point
+            )
+        slept, slept_key, slept_obs = self._run_workload(traced, app, point)
+        assert slept.cycles == ticked.cycles
+        assert slept_key == ticked_key
+        assert slept_obs == ticked_obs
+
     def test_caba_design_requires_factory(self):
         config = GPUConfig.small()
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 Generates random (but well-formed) warp programs and checks the
 system-level invariants: every run terminates, executes exactly the
 expected dynamic instruction count, is deterministic, and simulates
-the same machine with fast-forwarding on or off.
+the same machine with per-SM sleep and fast-forwarding on or off.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.kernel import Kernel
 from repro.gpu.simulator import Simulator
 from repro.obs import RunObservation
+from tests.gpu.stepping import forced_ticks
 from tests.images import make_image
 
 
@@ -58,7 +59,7 @@ bodies = st.lists(
 )
 
 
-def run_program(kinds, iterations, design, trace=False, fast_forward=True):
+def run_program(kinds, iterations, design, trace=False):
     """Simulate the random program on three blocks of two warps; a
     design with assist warps gets a CABA controller and an image
     compressed with its algorithm."""
@@ -85,8 +86,7 @@ def run_program(kinds, iterations, design, trace=False, fast_forward=True):
     # Loads touch lines [0, 400), stores [1000, 1300).
     image = make_image(algo, line_size, lines=1300)
     obs = RunObservation.for_config(config) if trace else None
-    return Simulator(config, kernel, design, image, obs=obs,
-                     fast_forward=fast_forward, **caba).run()
+    return Simulator(config, kernel, design, image, obs=obs, **caba).run()
 
 
 @settings(max_examples=15, deadline=None)
@@ -150,11 +150,13 @@ def test_tracing_preserves_simulation_outcome(kinds, iterations):
 @settings(max_examples=10, deadline=None)
 @given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
 def test_fast_forward_preserves_per_sm_stats(kinds, iterations):
-    """Jumping uniform-stall gaps is exact: every SM's stats match the
-    run that executes every cycle. The jump target is the minimum of
-    the SMs' wake hints, including the ones a replayed stall memo
-    carries instead of a fresh scan, so a stale hint shows up here."""
-    full = run_program(kinds, iterations, designs.base(), fast_forward=False)
+    """Sleeping SMs and jumping uniform-stall gaps are exact: every SM's
+    stats match the run that ticks every SM on every cycle. The jump
+    target is the minimum of the SMs' wake hints, including the ones a
+    replayed stall memo or a sleeping SM carries instead of a fresh
+    scan, so a stale hint shows up here."""
+    with forced_ticks(fast_forward=False):
+        full = run_program(kinds, iterations, designs.base())
     jumped = run_program(kinds, iterations, designs.base())
     assert jumped.cycles == full.cycles
     assert [repr(sm) for sm in jumped.stats.sms] == [

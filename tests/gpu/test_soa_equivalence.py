@@ -68,13 +68,16 @@ def forced_rescan(enabled=True, stale_seq_every=None):
     global id is a multiple of ``k``: their seq counter is bumped,
     exactly what an event callback flipping a scoreboard bit between
     two ticks does. Yields a one-element list counting the memos
-    dropped or made stale. With ``enabled`` false the block runs
-    unpatched."""
+    dropped or made stale, plus the ticks SMs slept through: a sleeping
+    SM replays its memos without ticking (``SM.quiet_until``), so a
+    run can exercise the replay path without a memo ever surviving to
+    a tick. With ``enabled`` false the block runs unpatched."""
     invalidated = [0]
     if not enabled:
         yield invalidated
         return
     real_tick = SM.tick
+    real_wake = SM.wake
 
     def tick(self, cycle):
         memos = self._memos
@@ -92,8 +95,13 @@ def forced_rescan(enabled=True, stale_seq_every=None):
                 invalidated[0] += 1
         return real_tick(self, cycle)
 
+    def wake(self, cycle, iterations, last):
+        invalidated[0] += iterations - self._slept_iter
+        return real_wake(self, cycle, iterations, last)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SM, "tick", tick)
+        mp.setattr(SM, "wake", wake)
         yield invalidated
 
 
@@ -188,7 +196,7 @@ def _agree_across_modes(kinds, iterations, design):
     memoized = _fingerprint(run_program(kinds, iterations, design))
     with forced_rescan() as invalidated:
         rescanned = run_program(kinds, iterations, design)
-    assert invalidated[0] > 0, "no memo was ever valid"
+    assert invalidated[0] > 0, "no memo was ever valid or slept on"
     assert _fingerprint(rescanned) == memoized
 
 

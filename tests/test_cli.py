@@ -60,6 +60,22 @@ class TestRun:
         assert main(["run", "PVC"]) == 2
         assert "accepted: 1, on, true, yes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "PVC"],
+        ["figure", "fig7"],
+        ["trace", "PVC"],
+    ], ids=["compare", "figure", "trace"])
+    def test_bad_sample_env_is_a_usage_error_everywhere(
+        self, capsys, monkeypatch, argv
+    ):
+        """Every command that simulates validates ``REPRO_SAMPLE``
+        before its first run, instead of failing inside one."""
+        monkeypatch.setenv("REPRO_SAMPLE", "bogus")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_SAMPLE='bogus'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--capacity", "--capacity-bytes"])
     def test_scenario_rejects_capacity(self, capsys, flag):
         value = "0.5" if flag == "--capacity" else "65536"
@@ -186,20 +202,25 @@ class TestCheck:
         assert "roundtrip" in out
         assert "all" in out and "passed" in out
 
+    # The fuzz-focused tests skip the sampling differential and the
+    # scenario pass, which they never assert on (both stay covered by
+    # tests/verify/test_sampling_differential.py and CI's check steps).
+    FUZZ_ONLY = ["check", "--skip-differential", "--skip-invariants",
+                 "--skip-sampling", "--skip-scenarios"]
+
     def test_lines_knob_scales_units(self, capsys):
-        assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--algorithms", "bdi", "--lines", "5"]) == 0
+        assert main(self.FUZZ_ONLY + ["--algorithms", "bdi",
+                                      "--lines", "5"]) == 0
         first = capsys.readouterr().out
-        assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--algorithms", "bdi", "--lines", "10"]) == 0
+        assert main(self.FUZZ_ONLY + ["--algorithms", "bdi",
+                                      "--lines", "10"]) == 0
         second = capsys.readouterr().out
         units = lambda text: int(text.split("checks, ")[1].split(" units")[0])
         assert units(second) == 2 * units(first)
 
     def test_seed_knob_accepted(self, capsys):
-        assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--algorithms", "bdi", "--lines", "4",
-                     "--seed", "99"]) == 0
+        assert main(self.FUZZ_ONLY + ["--algorithms", "bdi", "--lines", "4",
+                                      "--seed", "99"]) == 0
 
     def test_apps_knob_limits_differential(self, capsys):
         assert main(["check", "--skip-fuzz", "--skip-invariants",
@@ -234,15 +255,15 @@ class TestCheck:
             return make_algorithm(name, line_size)
 
         monkeypatch.setattr(fuzz_mod, "make_algorithm", fake_make)
-        assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--algorithms", "bdi", "--lines", "4"]) == 1
+        assert main(self.FUZZ_ONLY + ["--algorithms", "bdi",
+                                      "--lines", "4"]) == 1
         out = capsys.readouterr().out
         assert "FAILED" in out
         assert "roundtrip.bdi" in out
 
     def test_verbose_lists_passing_checks(self, capsys):
-        assert main(["check", "--skip-differential", "--skip-invariants",
-                     "--algorithms", "bdi", "--lines", "4", "-v"]) == 0
+        assert main(self.FUZZ_ONLY + ["--algorithms", "bdi", "--lines", "4",
+                                      "-v"]) == 0
         assert "pass roundtrip.bdi" in capsys.readouterr().out
 
     def test_check_command_is_dispatchable(self):

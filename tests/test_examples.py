@@ -79,6 +79,17 @@ class TestExperimentsDriver:
         valid = capsys.readouterr().err.split("valid: ", 1)[1]
         assert valid.rstrip().rstrip(")") == ", ".join(EXPERIMENTS)
 
+    def test_bad_sample_env_is_a_usage_error(self, monkeypatch, capsys):
+        import runpy
+
+        module = runpy.run_path(str(REPO / "scripts" / "run_experiments.py"))
+        monkeypatch.setenv("REPRO_SAMPLE", "bogus")
+        monkeypatch.setattr("sys.argv", ["run_experiments.py", "--only", "fig7"])
+        with pytest.raises(SystemExit) as exc:
+            module["main"]()
+        assert exc.value.code == 2
+        assert "REPRO_SAMPLE='bogus'" in capsys.readouterr().err
+
     def test_negative_retries_is_a_usage_error(self, monkeypatch, capsys):
         import runpy
 
