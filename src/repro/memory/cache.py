@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass
@@ -27,19 +28,18 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one tag access."""
+class AccessResult(NamedTuple):
+    """Outcome of one tag access. A named tuple, not a frozen dataclass:
+    most misses evict, and a tuple is several times cheaper to build."""
 
     hit: bool
     evicted_line: int | None = None
     evicted_dirty: bool = False
 
 
-# Results are immutable, so the two outcomes without a victim are shared
-# (tag accesses run several times per memory request).
-_HIT = AccessResult(hit=True)
-_MISS = AccessResult(hit=False)
+# The two outcomes without a victim are shared.
+_HIT = AccessResult(True)
+_MISS = AccessResult(False)
 
 
 class Cache:
@@ -82,30 +82,27 @@ class Cache:
         the victim line and its dirty bit (the caller turns dirty
         victims into writeback traffic).
         """
-        target = self._set_for(line)
-        self.stats.accesses += 1
+        target = self._sets[(line ^ (line >> 7) ^ (line >> 15)) % self.n_sets]
+        stats = self.stats
+        stats.accesses += 1
         if line in target:
-            self.stats.hits += 1
+            stats.hits += 1
             target.move_to_end(line)
             if is_write:
                 target[line] = True
             return _HIT
-        self.stats.misses += 1
+        stats.misses += 1
         if not allocate:
             return _MISS
-        evicted_line: int | None = None
-        evicted_dirty = False
-        if len(target) >= self.assoc:
-            evicted_line, evicted_dirty = target.popitem(last=False)
-            self.stats.evictions += 1
-            if evicted_dirty:
-                self.stats.dirty_evictions += 1
-        target[line] = is_write
-        if evicted_line is None:
+        if len(target) < self.assoc:
+            target[line] = is_write
             return _MISS
-        return AccessResult(
-            hit=False, evicted_line=evicted_line, evicted_dirty=evicted_dirty
-        )
+        evicted_line, evicted_dirty = target.popitem(last=False)
+        stats.evictions += 1
+        if evicted_dirty:
+            stats.dirty_evictions += 1
+        target[line] = is_write
+        return AccessResult(False, evicted_line, evicted_dirty)
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present (write-evict policy); returns presence."""
@@ -114,25 +111,6 @@ class Cache:
             del target[line]
             return True
         return False
-
-    def fill(self, line: int, dirty: bool = False) -> AccessResult:
-        """Insert ``line`` without counting a demand access (e.g. refills)."""
-        target = self._set_for(line)
-        if line in target:
-            target.move_to_end(line)
-            target[line] = target[line] or dirty
-            return _HIT
-        evicted_line: int | None = None
-        evicted_dirty = False
-        if len(target) >= self.assoc:
-            evicted_line, evicted_dirty = target.popitem(last=False)
-            self.stats.evictions += 1
-            if evicted_dirty:
-                self.stats.dirty_evictions += 1
-        target[line] = dirty
-        return AccessResult(
-            hit=False, evicted_line=evicted_line, evicted_dirty=evicted_dirty
-        )
 
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets)

@@ -13,17 +13,21 @@ paper cites from BDI/Adaptive Cache Compression.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.memory.cache import CacheStats
 
 
-@dataclass(frozen=True)
-class CompressedAccessResult:
+class CompressedAccessResult(NamedTuple):
     """Outcome of a compressed-cache access; may evict several victims."""
 
     hit: bool
     evicted: tuple[tuple[int, bool], ...] = ()  # (line, dirty)
+
+
+_HIT = CompressedAccessResult(True)
+_MISS = CompressedAccessResult(False)
 
 
 @dataclass(slots=True)
@@ -88,7 +92,7 @@ class CompressedCache:
         byte budget fit."""
         if not 1 <= size <= self.line_size:
             raise ValueError(f"bad compressed size {size}")
-        index = self._set_index(line)
+        index = (line ^ (line >> 7) ^ (line >> 15)) % self.n_sets
         target = self._sets[index]
         self.stats.accesses += 1
         entry = target.get(line)
@@ -100,7 +104,7 @@ class CompressedCache:
             self._used[index] += size - entry.size
             entry.size = size
             if self._used[index] <= self.data_budget:
-                return CompressedAccessResult(hit=True)
+                return _HIT
             # A line growing in place can push the set over its byte
             # budget; evict LRU lines until it fits again. The hit line
             # is MRU and fits on its own, so it is never its own victim.
@@ -114,14 +118,16 @@ class CompressedCache:
                 if victim.dirty:
                     self.stats.dirty_evictions += 1
             self._used[index] = used
-            return CompressedAccessResult(hit=True, evicted=tuple(evicted))
+            return CompressedAccessResult(True, tuple(evicted))
         self.stats.misses += 1
         if not allocate:
-            return CompressedAccessResult(hit=False)
+            return _MISS
         evicted = self._make_room(index, size)
-        target[line] = _Entry(dirty=is_write, size=size)
+        target[line] = _Entry(is_write, size)
         self._used[index] += size
-        return CompressedAccessResult(hit=False, evicted=tuple(evicted))
+        if evicted:
+            return CompressedAccessResult(False, tuple(evicted))
+        return _MISS
 
     def _make_room(self, index: int, size: int) -> list[tuple[int, bool]]:
         target = self._sets[index]

@@ -103,11 +103,6 @@ class MemoryController:
         self.obs = None
 
     # ------------------------------------------------------------------
-    def _bank_and_row(self, local_line: int) -> tuple[_Bank, int]:
-        bank_index = (local_line // LINES_PER_ROW) % len(self.banks)
-        row = local_line // (LINES_PER_ROW * len(self.banks))
-        return self.banks[bank_index], row
-
     def _row_latency(self, bank: _Bank, row: int, at: float) -> int:
         last = bank.rows.get(row)
         if last is not None and at - last <= ROW_HIT_WINDOW:
@@ -137,9 +132,13 @@ class MemoryController:
         """
         if bursts < 1:
             raise ValueError(f"bursts must be >= 1, got {bursts}")
-        at = self._metadata_fetch(at, local_line)
-        bank, row = self._bank_and_row(local_line)
-        start = max(at, bank.ready_at)
+        if self.metadata_cache is not None:
+            at = self._metadata_fetch(at, local_line)
+        banks = self.banks
+        bank = banks[(local_line // LINES_PER_ROW) % len(banks)]
+        row = local_line // (LINES_PER_ROW * len(banks))
+        ready = bank.ready_at
+        start = ready if ready > at else at
         latency = self._row_latency(bank, row, start)
         transfer = bursts * self.burst_cycles
         # Column-access latency pipelines with data movement (the next CAS
@@ -167,8 +166,6 @@ class MemoryController:
 
     def _metadata_fetch(self, at: float, local_line: int) -> float:
         """Consult the MD cache; a miss fetches metadata from DRAM first."""
-        if self.metadata_cache is None:
-            return at
         lookup = self.metadata_cache.lookup(local_line)
         if lookup.hit:
             return at

@@ -16,11 +16,20 @@ the design-point-specific compression placement:
 Timing uses reservation timelines (see :mod:`repro.memory.timeline`), so
 a load's entire downstream trajectory is computed at request time; the
 SM schedules completion events from the returned times.
+
+The design point is resolved once, at construction, into plain
+attributes the request paths read: whether lines carry compressed sizes,
+whether L2 and its replies are compressed, where a compressed fill is
+decompressed and the fixed latency that adds, the store-side
+compression rule, and whether each tag store is a plain
+:class:`~repro.memory.cache.Cache` or a Fig. 13
+:class:`~repro.memory.compressed_cache.CompressedCache` (which takes a
+size on every access and may evict several lines).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.design import DesignPoint
@@ -106,6 +115,50 @@ class MemorySystem:
         #: Observability layer (repro.obs.RunObservation); None = off.
         self.obs = None
 
+        # The design, resolved once: the request paths below read plain
+        # attributes instead of re-deriving these per request.
+        self._line_size = config.line_size
+        self._n_mcs = config.n_mcs
+        self._l1_latency = config.l1_latency
+        self._l2_latency = config.l2_latency
+        self._l1_mshrs = config.l1_mshrs
+        self._line_bursts = config.bursts_per_line
+        self._burst_bytes = image.burst_bytes
+        self._compression = design.compression_enabled
+        self._compress_dram = design.compress_dram
+        # Fig. 13 tag-extended stores take each line's size on access.
+        self._l1_sized = design.l1_tag_mult > 1
+        self._l2_sized = design.l2_tag_mult > 1
+        # L2 banks and their interconnect replies hold compressed sizes.
+        self._l2_compressed = (
+            design.compress_interconnect and not design.l2_store_uncompressed
+        )
+        self._l2_store_uncompressed = design.l2_store_uncompressed
+        # Who decompresses a compressed fill, and the fixed hardware
+        # latency each place adds (0 where it adds none).
+        algo = image.algorithm
+        hw = algo.hw_decompression_latency if algo and not design.ideal else 0
+        where = design.decompress_at
+        self._l1_assist = self._l1_sized and where == "core_assist"
+        self._l1_decompress = hw if self._l1_sized and where == "core_hw" else 0
+        self._mc_decompress = hw if where == "mc" else 0
+        self._core_decompress = (
+            hw if where == "core_hw" and design.compress_interconnect else 0
+        )
+        self._assist_decompress = where == "core_assist"
+        self._counts_decompress = where != "none"
+        # Whether a store is kept compressed, and travels compressed, no
+        # matter what the core did; a store the core compressed is also
+        # kept compressed (and, with a compressed L2, travels so).
+        self._store_compressed = design.compression_enabled and (
+            design.ideal or design.compress_at in ("mc_hw", "core_hw")
+        )
+        self._wire_compressed = self._l2_compressed and (
+            design.ideal or design.compress_at == "core_hw"
+        )
+        # Partial writes into compressed DRAM lines read them first.
+        self._rmw = design.compress_dram and not design.ideal
+
         # Capacity mode: lines the placement plan spilled to host memory
         # bypass the GDDR5 controllers and travel the host link instead.
         self.capacity = capacity
@@ -146,10 +199,6 @@ class MemorySystem:
             for i in range(config.n_mcs)
         ]
 
-        algo = image.algorithm
-        self._hw_decompress = algo.hw_decompression_latency if algo else 0
-        self._hw_compress = algo.hw_compression_latency if algo else 0
-
     def attach_observer(self, obs) -> None:
         """Install the observability layer on the hierarchy and its
         components (crossbar, memory controllers)."""
@@ -163,7 +212,7 @@ class MemorySystem:
     # ------------------------------------------------------------------
     def _make_l1(self, sm_id: int):
         cfg = self.config
-        if self.design.l1_tag_mult > 1:
+        if self._l1_sized:
             return CompressedCache(
                 cfg.l1_sets, cfg.l1_assoc, cfg.line_size,
                 tag_mult=self.design.l1_tag_mult,
@@ -172,7 +221,7 @@ class MemorySystem:
 
     def _make_l2(self, mc: int):
         cfg = self.config
-        if self.design.l2_tag_mult > 1:
+        if self._l2_sized:
             return CompressedCache(
                 cfg.l2_sets_per_mc, cfg.l2_assoc, cfg.line_size,
                 tag_mult=self.design.l2_tag_mult,
@@ -190,220 +239,159 @@ class MemorySystem:
         )
 
     # ------------------------------------------------------------------
-    # Address mapping
-    # ------------------------------------------------------------------
-    def mc_of(self, line: int) -> int:
-        return line % self.config.n_mcs
-
-    def _local(self, line: int) -> int:
-        return line // self.config.n_mcs
-
-    # ------------------------------------------------------------------
-    # Size helpers
-    # ------------------------------------------------------------------
-    def _stored_size(self, line: int) -> tuple[int, str]:
-        """Size/encoding of ``line`` as held in the compressed levels."""
-        if not self.design.compression_enabled:
-            return self.config.line_size, "uncompressed"
-        info = self.image.info(line)
-        return info.size_bytes, info.encoding
-
-    def _dram_bursts(self, line: int) -> int:
-        if self.design.compress_dram:
-            return self.image.bursts_of(line)
-        return self.config.bursts_per_line
-
-    def _l1_fill_size(self, size_bytes: int) -> int:
-        """Bytes the L1 stores for a line of compressed size ``size_bytes``."""
-        if self.design.l1_compressed:
-            return size_bytes
-        return self.config.line_size
-
-    # ------------------------------------------------------------------
-    # Cache access adapters (plain vs. compressed tag stores)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _cache_access(cache, line, size, is_write, allocate=True):
-        """Uniform (hit, victims) access over Cache / CompressedCache."""
-        if isinstance(cache, CompressedCache):
-            result = cache.access(line, size, is_write=is_write, allocate=allocate)
-            return result.hit, list(result.evicted)
-        result = cache.access(line, is_write=is_write, allocate=allocate)
-        victims = []
-        if result.evicted_line is not None:
-            victims.append((result.evicted_line, result.evicted_dirty))
-        return result.hit, victims
-
-    # ------------------------------------------------------------------
     # Load path
     # ------------------------------------------------------------------
     def mshr_available(self, sm_id: int, line: int) -> bool:
         """Whether a miss on ``line`` could be tracked right now."""
         return (
             line in self._inflight[sm_id]
-            or self._mshr_used[sm_id] < self.config.l1_mshrs
+            or self._mshr_used[sm_id] < self._l1_mshrs
         )
 
     def load(self, sm_id: int, line: int, now: float) -> LineFill | None:
         """Issue a load for one line; ``None`` means MSHRs are full
         (structural memory stall — the SM must replay the instruction)."""
-        cfg = self.config
-        design = self.design
-        self.stats.l1_loads += 1
+        stats = self.stats
+        stats.l1_loads += 1
 
         # In-flight lines first: the L1 tag is allocated at request time,
         # so a probe would otherwise claim the data already arrived.
         pending = self._inflight[sm_id].get(line)
         if pending is not None:
             return LineFill(
-                line=pending.line,
-                fill_time=pending.fill_time,
-                ready_time=pending.ready_time,
-                needs_assist=pending.needs_assist,
-                encoding=pending.encoding,
-                size_bytes=pending.size_bytes,
-                merged=True,
-                source=pending.source,
+                pending.line, pending.fill_time, pending.ready_time,
+                pending.needs_assist, pending.encoding, pending.size_bytes,
+                True, False, pending.source,
             )
 
         l1 = self._l1s[sm_id]
         if l1.probe(line):
-            self.stats.l1_load_hits += 1
-            size, encoding = self._stored_size(line)
-            needs_assist = (
-                design.l1_compressed
-                and design.decompress_at == "core_assist"
-                and encoding != "uncompressed"
-            )
-            ready = now + cfg.l1_latency
-            if (
-                design.l1_compressed
-                and design.decompress_at == "core_hw"
-                and encoding != "uncompressed"
-                and not design.ideal
-            ):
-                ready += self._hw_decompress
+            stats.l1_load_hits += 1
+            if self._compression:
+                info = self.image.info(line)
+                size = info.size_bytes
+                encoding = info.encoding
+            else:
+                size = self._line_size
+                encoding = "uncompressed"
+            fill_time = now + self._l1_latency
+            ready = fill_time
+            needs_assist = False
+            if encoding != "uncompressed":
+                needs_assist = self._l1_assist
+                ready += self._l1_decompress
             # Touch LRU state.
-            self._cache_access(l1, line, self._l1_fill_size(size), False)
+            if self._l1_sized:
+                l1.access(line, size)
+            else:
+                l1.access(line)
             fill = LineFill(
-                line=line,
-                fill_time=now + cfg.l1_latency,
-                ready_time=ready,
-                needs_assist=needs_assist,
-                encoding=encoding,
-                size_bytes=size,
-                from_l1=True,
-                source=MEM_SRC_L1,
+                line, fill_time, ready, needs_assist, encoding, size,
+                False, True, MEM_SRC_L1,
             )
             if self.obs is not None:
                 self.obs.record_fill(fill, now)
             return fill
 
-        if self._mshr_used[sm_id] >= cfg.l1_mshrs:
-            self.stats.mshr_stalls += 1
+        if self._mshr_used[sm_id] >= self._l1_mshrs:
+            stats.mshr_stalls += 1
             return None
 
-        fill = self._miss_path(sm_id, line, now)
+        fill = self._miss_path(line, now)
         self._mshr_used[sm_id] += 1
-        self.stats.mshr_allocs += 1
+        stats.mshr_allocs += 1
         self._inflight[sm_id][line] = fill
         self.mshr_epoch[sm_id] += 1
-        self._cache_access(
-            l1, line, self._l1_fill_size(fill.size_bytes), False
-        )
+        if self._l1_sized:
+            l1.access(line, fill.size_bytes)
+        else:
+            l1.access(line)
         if self.obs is not None:
             self.obs.record_fill(fill, now)
         return fill
 
-    def _miss_path(self, sm_id: int, line: int, now: float) -> LineFill:
+    def _miss_path(self, line: int, now: float) -> LineFill:
         """Compute the full downstream trajectory of an L1 miss."""
-        cfg = self.config
-        design = self.design
-        mc = self.mc_of(line)
-        size, encoding = self._stored_size(line)
+        stats = self.stats
+        mc = line % self._n_mcs
+        if self._compression:
+            info = self.image.info(line)
+            size = info.size_bytes
+            encoding = info.encoding
+        else:
+            size = self._line_size
+            encoding = "uncompressed"
         compressed = encoding != "uncompressed"
 
         t_mc = self.crossbar.send_request(mc, now + 1.0, CONTROL_BYTES)
         t_tag = self._l2_tag[mc].reserve(t_mc, L2_TAG_CYCLES) + L2_TAG_CYCLES
-        self.stats.l2_accesses += 1
-        l2_compressed = (
-            design.compress_interconnect and not design.l2_store_uncompressed
-        )
-        l2_size = size if l2_compressed else cfg.line_size
-        hit, victims = self._cache_access(
-            self._l2_banks[mc], line, l2_size, is_write=False
-        )
-        if hit:
-            self.stats.l2_hits += 1
-            t_data = t_tag + cfg.l2_latency
+        stats.l2_accesses += 1
+        l2_size = size if self._l2_compressed else self._line_size
+        if self._l2_sized:
+            hit, victims = self._l2_banks[mc].access(line, l2_size)
         else:
+            hit, victim, dirty = self._l2_banks[mc].access(line)
+            victims = ((victim, True),) if dirty else ()
+        if hit:
+            stats.l2_hits += 1
+            t_data = t_tag + self._l2_latency
+        else:
+            bursts = (
+                -(-size // self._burst_bytes)
+                if self._compress_dram else self._line_bursts
+            )
             if line in self._spilled:
-                t_dram = self.host.transfer(
-                    t_tag + cfg.l2_latency, self._dram_bursts(line),
+                t_data = self.host.transfer(
+                    t_tag + self._l2_latency, bursts, is_write=False
+                )
+                stats.host_reads += 1
+            else:
+                t_data = self.mcs[mc].access(
+                    t_tag + self._l2_latency, line // self._n_mcs, bursts,
                     is_write=False,
                 )
-                self.stats.host_reads += 1
-            else:
-                t_dram = self.mcs[mc].access(
-                    t_tag + cfg.l2_latency, self._local(line),
-                    self._dram_bursts(line), is_write=False,
-                )
-                self.stats.dram_reads += 1
-            if design.decompress_at == "mc" and compressed and not design.ideal:
-                t_dram += self._hw_decompress
-            t_data = t_dram
+                stats.dram_reads += 1
+            if compressed:
+                t_data += self._mc_decompress
         # Compressed L2 banks can evict on hits too (a line growing in
         # place pushes LRU lines over the data budget).
-        self._write_back_victims(mc, victims, t_tag)
+        if victims:
+            self._write_back_victims(mc, victims, t_tag)
 
-        reply_bytes = size if l2_compressed else cfg.line_size
-        fill_time = self.crossbar.send_reply(mc, t_data, reply_bytes)
+        fill_time = self.crossbar.send_reply(mc, t_data, l2_size)
 
         # With the Section 6.5 uncompressed-L2 option, only fills that
         # actually came from (compressed) DRAM need expanding; L2 hits
         # serve ready-to-use data.
-        needs_expansion = compressed and (
-            not design.l2_store_uncompressed or not hit
-        )
-        if needs_expansion and design.decompress_at != "none":
-            self.stats.lines_decompressed += 1
-        needs_assist = (
-            design.decompress_at == "core_assist" and needs_expansion
-        )
-        source = MEM_SRC_L2 if hit else MEM_SRC_DRAM
         ready = fill_time
-        if (
-            design.decompress_at == "core_hw"
-            and needs_expansion
-            and design.compress_interconnect
-            and not design.ideal
-        ):
-            ready += self._hw_decompress
+        needs_assist = False
+        if compressed and (not self._l2_store_uncompressed or not hit):
+            if self._counts_decompress:
+                stats.lines_decompressed += 1
+            needs_assist = self._assist_decompress
+            ready += self._core_decompress
         return LineFill(
-            line=line,
-            fill_time=fill_time,
-            ready_time=ready,
-            needs_assist=needs_assist,
-            encoding=encoding,
-            size_bytes=size,
-            source=source,
+            line, fill_time, ready, needs_assist, encoding, size,
+            False, False, MEM_SRC_L2 if hit else MEM_SRC_DRAM,
         )
 
     def _write_back_victims(
-        self, mc: int, victims: list[tuple[int, bool]], at: float
+        self, mc: int, victims: tuple[tuple[int, bool], ...], at: float
     ) -> None:
         """Send dirty L2 victims to DRAM (off the critical path)."""
         for victim, dirty in victims:
             if not dirty:
                 continue
+            bursts = (
+                self.image.bursts_of(victim)
+                if self._compress_dram else self._line_bursts
+            )
             if victim in self._spilled:
-                self.host.transfer(
-                    at, self._dram_bursts(victim), is_write=True
-                )
+                self.host.transfer(at, bursts, is_write=True)
                 self.stats.host_writes += 1
                 continue
             self.mcs[mc].access(
-                at, self._local(victim), self._dram_bursts(victim), is_write=True
+                at, victim // self._n_mcs, bursts, is_write=True
             )
             self.stats.dram_writes += 1
 
@@ -445,67 +433,52 @@ class MemorySystem:
         assist warp). With MC-side compression the line travels
         uncompressed on the interconnect but is recorded compressed.
         """
-        cfg = self.config
-        design = self.design
-        self.stats.l1_stores += 1
-        mc = self.mc_of(line)
+        stats = self.stats
+        stats.l1_stores += 1
+        mc = line % self._n_mcs
 
         # Write-evict L1 (global stores do not allocate in the L1).
         self._l1s[sm_id].invalidate(line)
 
-        stored_compressed = (
-            design.ideal
-            or compressed_by_core
-            or design.compress_at in ("mc_hw", "core_hw")
-        ) and design.compression_enabled
+        stored_compressed = self._store_compressed or (
+            compressed_by_core and self._compression
+        )
         if stored_compressed:
-            self.stats.lines_compressed += 1
+            stats.lines_compressed += 1
         info = self.image.record_store(line, compressed=stored_compressed)
 
-        wire_compressed = (
-            design.compress_interconnect
-            and not design.l2_store_uncompressed
-            and (compressed_by_core or design.compress_at == "core_hw"
-                 or design.ideal)
+        wire_compressed = self._wire_compressed or (
+            compressed_by_core and self._l2_compressed
         )
-        wire_bytes = info.size_bytes if wire_compressed else cfg.line_size
+        wire_bytes = info.size_bytes if wire_compressed else self._line_size
         t_mc = self.crossbar.send_request(mc, now, wire_bytes)
         t_tag = self._l2_tag[mc].reserve(t_mc, L2_TAG_CYCLES) + L2_TAG_CYCLES
 
-        l2_size = (
-            info.size_bytes
-            if design.compress_interconnect and not design.l2_store_uncompressed
-            else cfg.line_size
-        )
-        self.stats.l2_accesses += 1
-        hit, victims = self._cache_access(
-            self._l2_banks[mc], line, l2_size, is_write=True
-        )
+        stats.l2_accesses += 1
+        if self._l2_sized:
+            l2_size = info.size_bytes if self._l2_compressed else self._line_size
+            hit, victims = self._l2_banks[mc].access(line, l2_size, True)
+        else:
+            hit, victim, dirty = self._l2_banks[mc].access(line, True)
+            victims = ((victim, True),) if dirty else ()
         done = t_tag
         if hit:
-            self.stats.l2_hits += 1
-        else:
-            if (
-                not full_line
-                and design.compress_dram
-                and not design.ideal
-                and self.image.info(line).is_compressed
-            ):
-                # Partial write into a compressed line: fetch + decompress
-                # before merging (the Section 4.2.2 worst case).
-                if line in self._spilled:
-                    done = self.host.transfer(
-                        t_tag, self._dram_bursts(line), is_write=False
-                    )
-                else:
-                    done = self.mcs[mc].access(
-                        t_tag, self._local(line), self._dram_bursts(line),
-                        is_write=False,
-                    )
-                self.stats.rmw_reads += 1
+            stats.l2_hits += 1
+        elif not full_line and self._rmw and info.is_compressed:
+            # Partial write into a compressed line: fetch + decompress
+            # before merging (the Section 4.2.2 worst case).
+            bursts = -(-info.size_bytes // self._burst_bytes)
+            if line in self._spilled:
+                done = self.host.transfer(t_tag, bursts, is_write=False)
+            else:
+                done = self.mcs[mc].access(
+                    t_tag, line // self._n_mcs, bursts, is_write=False
+                )
+            stats.rmw_reads += 1
         # Hits may evict as well: a store that grows a compressed line in
         # place can push the set's LRU lines over the data budget.
-        self._write_back_victims(mc, victims, done)
+        if victims:
+            self._write_back_victims(mc, victims, done)
         return done
 
     # ------------------------------------------------------------------

@@ -174,8 +174,3 @@ class HostLink:
             self.stats.reads += 1
             self.stats.read_bursts += bursts
         return start + duration
-
-    def utilization(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return self.bus.busy_time / elapsed

@@ -11,8 +11,6 @@ applications like BFS (Section 6.1).
 
 from __future__ import annotations
 
-import math
-
 from repro.memory.timeline import Timeline
 
 #: Control-message size (a read request / write ack header).
@@ -38,7 +36,7 @@ class Crossbar:
         self.obs = None
 
     def _flits(self, n_bytes: int) -> int:
-        return max(1, math.ceil(n_bytes / self.flit_bytes))
+        return -(-n_bytes // self.flit_bytes) or 1
 
     def send_request(self, mc: int, at: float, n_bytes: int = CONTROL_BYTES) -> float:
         """Send a request (or write data) towards MC ``mc``; returns the

@@ -97,23 +97,6 @@ class TestDirty:
         result = cache.access(b)
         assert result.evicted_dirty
 
-    def test_fill_merges_dirty(self):
-        cache = Cache(n_sets=1, assoc=2)
-        cache.fill(7, dirty=False)
-        cache.fill(7, dirty=True)
-        a = [l for l in same_set_lines(cache, 4) if l != 7]
-        cache.access(a[0])
-        result = cache.access(a[1])
-        evicted = {result.evicted_line}
-        # Keep evicting until 7 leaves; it must be dirty.
-        while 7 not in evicted:
-            result = cache.access(a.pop())
-            evicted.add(result.evicted_line)
-            if result.evicted_line == 7:
-                assert result.evicted_dirty
-                return
-        assert result.evicted_dirty
-
 
 class TestStats:
     def test_hit_rate(self):

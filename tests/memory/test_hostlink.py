@@ -151,9 +151,3 @@ class TestHostLink:
         assert link.stats.read_bursts == 2
         assert link.stats.write_bursts == 3
         assert link.stats.total_bursts == 5
-
-    def test_utilization(self):
-        link = self.make(latency=0.0, scale=1.0, dram_burst_cycles=2.0)
-        link.transfer(0.0, 5, is_write=False)
-        assert link.utilization(20.0) == pytest.approx(0.5)
-        assert link.utilization(0.0) == 0.0

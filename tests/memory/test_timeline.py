@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory.timeline import MAX_FREE_INTERVALS, Timeline
 
+INF = float("inf")
+
 
 class TestBasicReservation:
     def test_empty_timeline_serves_immediately(self):
@@ -60,7 +62,53 @@ class TestGapFilling:
         t = Timeline()
         for i in range(200):
             t.reserve(i * 10.0 + 5.0, 1.0)
-        assert len(t._free) <= MAX_FREE_INTERVALS + 1
+        assert len(t.free_intervals) <= MAX_FREE_INTERVALS + 1
+
+
+class TestTailBoundary:
+    """Reservations at the edge between the closed gaps and the open tail."""
+
+    def test_at_tail_start_appends_no_gap(self):
+        t = Timeline()
+        t.reserve(0.0, 5.0)
+        assert t.reserve(5.0, 3.0) == 5.0
+        assert t.free_intervals == [(8.0, INF)]
+
+    def test_just_below_tail_with_no_fitting_gap_takes_tail(self):
+        t = Timeline()
+        t.reserve(10.0, 5.0)  # gap [0, 10), tail from 15
+        assert t.reserve(14.0, 3.0) == 15.0  # no gap ends after 14
+        assert t.reserve(9.0, 2.0) == 18.0  # [9, 11) overruns the gap
+        assert t.free_intervals == [(0.0, 10.0), (20.0, INF)]
+        assert t.reserve(22.0, 3.0) == 22.0  # gap [20, 22), tail from 25
+        # Ends before the last gap does, yet fits neither gap.
+        assert t.reserve(8.0, 2.5) == 25.0
+        assert t.free_intervals == [(0.0, 10.0), (20.0, 22.0), (27.5, INF)]
+
+    def test_no_zero_length_gap_is_kept(self):
+        t = Timeline()
+        t.reserve(10.0, 5.0)  # gap [0, 10)
+        assert t.reserve(0.0, 4.0) == 0.0  # starts at the gap start
+        assert t.reserve(6.0, 4.0) == 6.0  # ends at the gap end
+        assert t.free_intervals == [(4.0, 6.0), (15.0, INF)]
+        assert t.reserve(4.0, 2.0) == 4.0  # fills the gap exactly
+        assert t.free_intervals == [(15.0, INF)]
+
+    def test_overflow_from_tail_appends_alone(self):
+        t = Timeline()
+        oracle = FirstFitOracle()
+        for i in range(MAX_FREE_INTERVALS + 5):
+            at = i * 10.0 + 5.0
+            assert t.reserve(at, 1.0) == oracle.reserve(at, 1.0) == at
+            assert t.free_intervals == oracle.free
+        assert oracle.overflowed
+        free = t.free_intervals
+        assert len(free) == MAX_FREE_INTERVALS
+        # The oldest gaps went first; the newest ones survive.
+        assert free[-2] == (
+            (MAX_FREE_INTERVALS + 3) * 10.0 + 6.0,
+            (MAX_FREE_INTERVALS + 4) * 10.0 + 5.0,
+        )
 
 
 class TestUtilization:
@@ -121,8 +169,9 @@ def test_busy_time_equals_total_duration(requests):
 
 
 class FirstFitOracle:
-    """Linear first-fit over every free gap: the reservation rule
-    ``Timeline.reserve`` implements, without the bisected start."""
+    """Linear first-fit over one list of every free interval: the
+    reservation rule ``Timeline.reserve`` implements, without the
+    separate tail, its shortcuts or the bisected start."""
 
     def __init__(self) -> None:
         self.free = [(0.0, float("inf"))]
@@ -155,9 +204,10 @@ class FirstFitOracle:
     data=st.data(),
 )
 def test_bisected_reserve_matches_linear_first_fit(spread, data):
-    """Skipping the gaps that end before ``at`` changes nothing: same
-    start times, same busy time, same free list, including after the
-    gap list overflows and drops its oldest entries."""
+    """Keeping the tail apart and skipping the gaps that end before
+    ``at`` change nothing: same start times, same busy time, same free
+    intervals (gaps and tail) after every reservation, including after
+    the list overflows and drops its oldest gaps."""
     t = Timeline()
     oracle = FirstFitOracle()
     # A run of spaced-out reservations first, so every example overflows
@@ -184,4 +234,4 @@ def test_bisected_reserve_matches_linear_first_fit(spread, data):
         ))
         assert t.reserve(at, duration) == oracle.reserve(at, duration)
         assert t.busy_time == oracle.busy_time
-        assert t._free == oracle.free
+        assert t.free_intervals == oracle.free
