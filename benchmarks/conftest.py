@@ -3,8 +3,9 @@
 Each benchmark regenerates one table/figure of the paper and prints the
 rows/series the paper reports. By default a representative application
 subset runs on the fast scaled machine so the whole suite finishes in
-minutes; set ``REPRO_BENCH_FULL=1`` to run every application on the
-medium machine (as used for EXPERIMENTS.md).
+minutes; set ``REPRO_BENCH_FULL=1`` (an on/off knob, see
+``repro.knobs``) to run every application on the medium machine (as
+used for EXPERIMENTS.md).
 
 Every test asserts through one table: the claims of its experiment id
 in ``repro.verify.parity``, the same table ``repro check --parity``
@@ -18,17 +19,16 @@ invocations skip simulation.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.gpu.config import GPUConfig
 from repro.harness import parallel
 from repro.harness.report import print_figure
+from repro.knobs import env_flag
 from repro.verify import parity
 from repro.workloads.apps import COMPRESSION_APPS, FIGURE1_APPS
 
-FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
+FULL = env_flag("REPRO_BENCH_FULL")
 
 
 def pytest_addoption(parser):

@@ -39,8 +39,11 @@ import sys
 
 from repro.gpu.sampling import SampleConfig
 from repro.harness import parallel
+from repro.harness.cache import cache_enabled
 from repro.harness.figures import CONFIGS, EXPERIMENTS
 from repro.harness.report import run_experiment
+from repro.knobs import KnobError
+from repro.obs import trace_enabled
 
 
 def main() -> int:
@@ -58,9 +61,11 @@ def main() -> int:
                         help="per-run wall-clock timeout in seconds under "
                              "--jobs > 1 (default and 0: none)")
     args = parser.parse_args()
-    try:
-        SampleConfig.from_env()  # validated before the first run
-    except ValueError as exc:
+    try:  # the on/off knobs, validated before the first run
+        cache_enabled()
+        trace_enabled()
+        SampleConfig.from_env()
+    except KnobError as exc:
         parser.error(str(exc))
     config = CONFIGS[args.config]()
     wanted = set(args.only.split(",")) if args.only else None

@@ -30,6 +30,7 @@ from repro.compression import ALGORITHMS, make_algorithm
 from repro.harness.figures import CONFIGS, EXPERIMENTS
 from repro.harness.parallel import jobs_arg, retries_arg, timeout_arg
 from repro.harness.runner import run_app
+from repro.knobs import KnobError
 from repro.workloads.apps import APPLICATIONS, get_app
 
 DESIGNS = {
@@ -244,20 +245,18 @@ def _print_run(run, sample) -> None:
         print("warning: run hit the max-cycle guard (results truncated)")
 
 
-class _UsageError(Exception):
-    """A bad command line or environment: ``main`` prints it and exits 2."""
-
-
-def _env_sample():
-    """``REPRO_SAMPLE``'s setting (``SampleConfig.from_env``). Commands
-    that simulate call it before their first run, so a bad value is a
-    usage error rather than a traceback from inside a run."""
+def _env_knobs():
+    """Read the on/off knobs and return ``REPRO_SAMPLE``'s setting
+    (``SampleConfig.from_env``). Commands that simulate call it before
+    their first run, so a bad value is a :class:`KnobError` (``main``
+    exits 2) rather than a failure inside a run."""
     from repro.gpu.sampling import SampleConfig
+    from repro.harness.cache import cache_enabled
+    from repro.obs import trace_enabled
 
-    try:
-        return SampleConfig.from_env()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cache_enabled()
+    trace_enabled()
+    return SampleConfig.from_env()
 
 
 def _cmd_run(args) -> int:
@@ -267,7 +266,8 @@ def _cmd_run(args) -> int:
     if args.bandwidth_scale != 1.0:
         config = config.with_bandwidth_scale(args.bandwidth_scale)
 
-    sample = SampleConfig() if args.sample else _env_sample()
+    env_sample = _env_knobs()
+    sample = SampleConfig() if args.sample else env_sample
 
     if args.scenario is not None:
         if args.capacity is not None or args.capacity_bytes is not None:
@@ -325,7 +325,7 @@ def _cmd_trace(args) -> int:
     from repro.harness.cache import get_cache
     from repro.obs.export import render_ledger, write_trace_files
 
-    _env_sample()
+    _env_knobs()
     get_app(args.app)
     config = CONFIGS[args.config]()
     design = _resolve_design(args.design, args.algorithm)
@@ -348,7 +348,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _env_sample()
+    _env_knobs()
     get_app(args.app)
     config = CONFIGS[args.config]()
     points = designs.figure7_designs(args.algorithm)
@@ -366,7 +366,7 @@ def _cmd_figure(args) -> int:
     from repro.harness import parallel
     from repro.harness.report import run_experiment
 
-    _env_sample()
+    _env_knobs()
     parallel.configure(jobs=args.jobs, retries=args.retries,
                        timeout=args.timeout)
     try:
@@ -404,6 +404,7 @@ def _cmd_parity(path: str, verbose: bool) -> int:
 def _cmd_cache(args) -> int:
     from repro.harness.cache import DEFAULT_TMP_AGE, RunCache, cache_enabled
 
+    enabled = cache_enabled()
     cache = RunCache()
     if args.action == "info":
         info = cache.info()
@@ -425,8 +426,8 @@ def _cmd_cache(args) -> int:
             print(f"  young (kept) : {info['tmp_young_entries']} newer "
                   f"than {info['tmp_age_threshold']:.0f}s — possible "
                   f"in-flight writes, skipped by 'cache sweep'")
-        if not cache_enabled():
-            print("note: persistent caching is disabled (REPRO_CACHE=0)")
+        if not enabled:
+            print("note: persistent caching is disabled (REPRO_CACHE is off)")
         return 0
     if args.action == "sweep":
         removed = cache.sweep_tmp()
@@ -553,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return handler(args)
-    except (KeyError, _UsageError) as exc:
+    except (KeyError, KnobError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

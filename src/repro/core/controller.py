@@ -64,7 +64,7 @@ class ActiveAssistWarp(AssistWarp):
     ) -> None:
         super().__init__(parent, program, task, line)
         self.priority = priority
-        #: Cycle the instance entered the AWT (observability only).
+        #: Cycle the instance entered the AWT (chrome timeline only).
         self.spawn_cycle = 0
 
 
@@ -120,8 +120,9 @@ class CabaController(AssistController):
         self.algorithm = algorithm
         self.aws = aws if aws is not None else AssistWarpStore()
         self.stats = CabaStats()
-        #: Observability layer (repro.obs.RunObservation); None = off.
-        self.obs = None
+        #: Chrome timeline of a traced run (repro.obs.chrome), fed one
+        #: event per retired or cancelled assist warp; None = off.
+        self.chrome = None
         #: Decompression program per encoding. Prebuilt from the image's
         #: compression plane when one exists (every encoding in the image
         #: is known upfront); unseen encodings fall back to the library
@@ -553,8 +554,8 @@ class CabaController(AssistController):
         self.stats.assist_warps_completed += 1
         self.sm.stats.assist_warps_completed += 1
         now = self.sm.now + 1
-        if self.obs is not None:
-            self.obs.assist_event(
+        if self.chrome is not None:
+            self.chrome.assist_event(
                 self.sm.sm_id, aw.task, aw.line, aw.spawn_cycle, now,
                 completed=True,
             )
@@ -596,8 +597,8 @@ class CabaController(AssistController):
         self._busy_compress_parents.discard(id(aw.parent))
         self.stats.assist_warps_cancelled += 1
         self.sm.stats.assist_warps_cancelled += 1
-        if self.obs is not None:
-            self.obs.assist_event(
+        if self.chrome is not None:
+            self.chrome.assist_event(
                 self.sm.sm_id, aw.task, aw.line, aw.spawn_cycle, self.sm.now,
                 completed=False,
             )

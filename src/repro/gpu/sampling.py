@@ -57,11 +57,11 @@ and is byte-identical to pre-sampling builds.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from repro.gpu.isa import MemSpace, OpKind
 from repro.gpu.warp import touch
+from repro.knobs import env_flag
 from repro.obs.ledger import EXTRAP_WARP, N_CATS, SLOT_OF_CAT
 from repro.gpu.stats import Slot
 
@@ -72,9 +72,6 @@ ENV_VAR = "REPRO_SAMPLE"
 #: utilization-normalized warmed service time instead of the rate-based
 #: span (see ``SamplingController._skip``).
 _UTIL_BOUND = 0.5
-
-_OFF_VALUES = frozenset({"", "0", "off", "false", "no"})
-_ON_VALUES = frozenset({"1", "on", "true", "yes"})
 
 #: Refined ledger categories belonging to each Figure-1 slot, in
 #: category order (the inverse of SLOT_OF_CAT; used to split an
@@ -124,19 +121,10 @@ class SampleConfig:
         ``REPRO_SAMPLE`` turns sampling on, at the default period.
 
         Any other value (e.g. a ``WARMUP:MEASURE:SKIP`` triple) raises
-        rather than silently running exact or at an uncertified period.
+        :class:`~repro.knobs.KnobError` rather than silently running
+        exact or at an uncertified period.
         """
-        value = os.environ.get(ENV_VAR, "").strip().lower()
-        if value in _OFF_VALUES:
-            return None
-        if value in _ON_VALUES:
-            return cls()
-        raise ValueError(
-            f"{ENV_VAR}={value!r} is not an on/off value; accepted: "
-            f"{', '.join(sorted(_ON_VALUES))} (sample at the default "
-            f"period) or {', '.join(sorted(_OFF_VALUES - {''}))} or unset "
-            f"(exact)"
-        )
+        return cls() if env_flag(ENV_VAR) else None
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +318,8 @@ class SamplingController:
         """Capture the counters whose measure-window deltas drive the
         extrapolation (issue rates and the slot/category mix)."""
         sim = self._sim
-        traced = sim.obs is not None
-        if traced:
+        ledger = sim.ledger
+        if ledger is not None:
             for sm in sim.sms:
                 sm.flush_ledger()
         sms = []
@@ -339,7 +327,8 @@ class SamplingController:
             sms.append((
                 sm.stats.parent_instructions,
                 list(sm.stats.slots),
-                list(sim.obs.ledger.sm_counts[sm.sm_id]) if traced else None,
+                (list(ledger.sm_counts[sm.sm_id]) if ledger is not None
+                 else None),
             ))
         return sms
 
@@ -598,9 +587,8 @@ class SamplingController:
         reconciliation invariant holds bit-exactly."""
         sim = self._sim
         before_sms = before
-        traced = sim.obs is not None
-        ledger = sim.obs.ledger if traced else None
-        if traced:
+        ledger = sim.ledger
+        if ledger is not None:
             for sm in sim.sms:
                 sm.flush_ledger()
         n_sched = sim.config.schedulers_per_sm
@@ -612,7 +600,7 @@ class SamplingController:
                 if count:
                     st.slots[slot] += count * n_sched
             st.extrapolated_slots += used * n_sched
-            if not traced:
+            if ledger is None:
                 continue
             cat_w = [
                 a - b for a, b in zip(ledger.sm_counts[sm.sm_id], cats0)

@@ -52,6 +52,7 @@ from repro.gpu.stats import SimStats
 from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.image import MemoryImage
+from repro.obs.ledger import StallLedger
 
 _INF = float("inf")
 
@@ -66,8 +67,8 @@ class SimulationResult:
     memory: MemorySystem
     occupancy: Occupancy
     truncated: bool
-    #: RunObservation when the run was traced, else None.
-    obs: object | None = None
+    #: The stall ledger when the run was traced, else None.
+    ledger: StallLedger | None = None
 
     @property
     def cycles(self) -> int:
@@ -92,7 +93,7 @@ class Simulator:
         image: MemoryImage,
         caba_factory: Callable[[SM], object] | None = None,
         assist_regs_per_thread: int = 0,
-        obs: object | None = None,
+        ledger: StallLedger | None = None,
         sample: SampleConfig | None = None,
         capacity: object | None = None,
     ) -> None:
@@ -106,8 +107,9 @@ class Simulator:
                 when the design uses assist warps.
             assist_regs_per_thread: Extra per-thread register demand of
                 the enabled assist subroutines (affects occupancy).
-            obs: A ``repro.obs.RunObservation`` to attach to every
-                component, or None (the default) for the untraced path.
+            ledger: A stall ledger charged with every issue slot, or
+                None (the default) for the untraced path. Its chrome
+                collector, if any, also receives assist-warp lifetimes.
             sample: Interval-sampling knobs (repro.gpu.sampling), or
                 None (the default) for exact, byte-identical
                 simulation. The simulator never reads the environment
@@ -159,13 +161,12 @@ class Simulator:
             for sm in self.sms:
                 sm.caba = caba_factory(sm)
 
-        self.obs = obs
-        if obs is not None:
-            self.memory.attach_observer(obs)
+        self.ledger = ledger
+        if ledger is not None:
             for sm in self.sms:
-                sm.attach_observer(obs)
-                if sm.caba is not None:
-                    sm.caba.obs = obs
+                sm.attach_ledger(ledger)
+                if sm.caba is not None and ledger.chrome is not None:
+                    sm.caba.chrome = ledger.chrome
 
         self._sample = sample
         self._has_caba = caba_factory is not None
@@ -243,8 +244,9 @@ class Simulator:
         stats = SimStats(
             cycles=self._cycle, sms=[sm.stats for sm in self.sms]
         )
-        if self.obs is not None:
-            self.obs.finalize(stats, self.memory, self.sms)
+        ledger = self.ledger
+        if ledger is not None and ledger.chrome is not None:
+            ledger.chrome.flush()
         return SimulationResult(
             kernel=self.kernel.name,
             design=self.design.name,
@@ -252,7 +254,7 @@ class Simulator:
             memory=self.memory,
             occupancy=self.occupancy,
             truncated=truncated,
-            obs=self.obs,
+            ledger=ledger,
         )
 
     def _run_detailed(self, limit: int) -> bool:

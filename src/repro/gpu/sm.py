@@ -186,10 +186,10 @@ class SM:
         self._slept_at = 0
         self._slept_iter = 0
 
-    def attach_observer(self, obs) -> None:
-        """Install the observability layer's stall ledger (must happen
-        before the first tick so attribution is complete)."""
-        self._ledger = obs.ledger
+    def attach_ledger(self, ledger) -> None:
+        """Install the stall ledger (must happen before the first tick
+        so attribution is complete)."""
+        self._ledger = ledger
 
     # ------------------------------------------------------------------
     # Block / warp management

@@ -25,7 +25,8 @@ workers once they are older than :data:`DEFAULT_TMP_AGE` (an hour).
 Knobs (also documented in README.md):
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-caba``).
-* ``REPRO_CACHE=0`` — disable the persistent cache entirely.
+* ``REPRO_CACHE`` — on/off (:mod:`repro.knobs`; default on); off
+  disables the persistent cache entirely.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
+
+from repro.knobs import env_flag
 
 #: Bump manually on cache-format changes (key scheme, pickle layout).
 #: 2: stamp hashes package-relative paths, not bare file names (a module
@@ -69,7 +72,9 @@ def version_stamp() -> str:
 
 
 def cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") != "0"
+    """Whether ``REPRO_CACHE`` (read now; default on) allows the
+    persistent cache."""
+    return env_flag("REPRO_CACHE", default=True)
 
 
 #: Minimum age (seconds) a ``.tmp`` file must reach before ``sweep_tmp``

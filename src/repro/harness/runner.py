@@ -58,7 +58,7 @@ from repro.memory import plane as plane_mod
 from repro.memory.hostlink import CapacityConfig, CapacityModel, plan_capacity
 from repro.memory.image import MemoryImage
 from repro.memory.plane import CompressionPlane
-from repro.obs import RunObservation, trace_enabled
+from repro.obs import ChromeTraceCollector, StallLedger, trace_enabled
 from repro.workloads.apps import AppProfile, get_app
 from repro.workloads.data_patterns import (
     make_block_generator,
@@ -136,8 +136,9 @@ class RunResult:
     capacity: dict | None = None
     #: Scenario outcome (controller stats); None for compression runs.
     scenario: dict | None = None
-    #: Observability payload (``RunObservation.export()``) for traced
-    #: runs; persisted without its (large, optional) chrome section.
+    #: Trace payload of a traced run: ``{"ledger": ...}`` (the stall
+    #: ledger's export), plus ``"chrome"`` (the timeline) when one was
+    #: asked for; persisted without its large, optional chrome section.
     obs: dict | None = field(repr=False, default=None)
     #: Full simulation state; only populated for ``keep_raw=True`` runs
     #: and never persisted (it holds the whole memory system).
@@ -368,9 +369,12 @@ def _simulate(
             capacity_model = _plan_capacity_model(
                 profile, effective_design, config, spec, image
             )
-    obs = (
-        RunObservation.for_config(config, chrome=chrome) if trace else None
-    )
+    ledger = None
+    if trace:
+        ledger = StallLedger(
+            config.n_sms, config.schedulers_per_sm,
+            chrome=ChromeTraceCollector() if chrome else None,
+        )
     simulator = Simulator(
         config,
         kernel,
@@ -378,7 +382,7 @@ def _simulate(
         image,
         caba_factory=caba_factory,
         assist_regs_per_thread=assist_regs,
-        obs=obs,
+        ledger=ledger,
         sample=spec.sample,
         capacity=capacity_model,
     )
@@ -402,7 +406,7 @@ def _simulate(
         instructions=sim_result.stats.instructions,
         assist_instructions=sim_result.stats.assist_instructions,
         bandwidth_utilization=sim_result.bandwidth_utilization(),
-        compression_ratio=memory.image.observed_compression_ratio(),
+        compression_ratio=memory.image.touched_compression_ratio(),
         energy=energy,
         slot_breakdown=sim_result.stats.slot_breakdown(),
         md_cache_hit_rate=memory.md_cache_hit_rate(),
@@ -415,9 +419,19 @@ def _simulate(
         rmw_reads=stats.rmw_reads,
         capacity=_capacity_payload(memory, sim_result.cycles),
         scenario=scenario,
-        obs=obs.export() if obs is not None else None,
+        obs=_trace_payload(ledger),
         raw=sim_result,
     )
+
+
+def _trace_payload(ledger: StallLedger | None) -> dict | None:
+    """``RunResult.obs`` for a run traced with ``ledger`` (None if not)."""
+    if ledger is None:
+        return None
+    payload = {"ledger": ledger.export()}
+    if ledger.chrome is not None:
+        payload["chrome"] = ledger.chrome.export()
+    return payload
 
 
 def _plan_capacity_model(
@@ -570,11 +584,11 @@ def run_spec(
     set ``persist=False`` since an unregistered profile's name is not a
     sound content address across processes.
 
-    ``trace`` attaches the observability layer (stall ledger + metrics
-    registry) and populates ``RunResult.obs``; the default (``None``)
-    follows the ``REPRO_TRACE`` environment knob. ``chrome`` additionally
-    collects a Chrome trace_event timeline (implies ``trace``); chrome
-    payloads are kept out of the persistent cache.
+    ``trace`` attaches the stall ledger and populates ``RunResult.obs``
+    with its export; the default (``None``) follows the ``REPRO_TRACE``
+    environment knob. ``chrome`` additionally collects a Chrome
+    trace_event timeline (implies ``trace``); chrome payloads are kept
+    out of the persistent cache.
     """
     if trace is None:
         trace = trace_enabled()
@@ -626,8 +640,8 @@ def run_app(
         keep_raw: Attach the full :class:`SimulationResult` to the
             returned result. Raw state is big (it holds the memory
             system), so it is opt-in and never cached on disk.
-        trace: Attach the observability layer and populate
-            ``RunResult.obs``; ``None`` (default) follows ``REPRO_TRACE``.
+        trace: Attach the stall ledger and populate ``RunResult.obs``
+            with its export; ``None`` (default) follows ``REPRO_TRACE``.
         chrome: Also collect a Chrome trace_event timeline (implies
             ``trace``).
         sample: Interval-sampling knobs: a

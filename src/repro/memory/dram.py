@@ -40,11 +40,6 @@ class DramStats:
     def total_bursts(self) -> int:
         return self.read_bursts + self.write_bursts + self.metadata_bursts
 
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
-
 
 #: FR-FCFS approximation: a request counts as a row hit if its row was
 #: served on the same bank within this many cycles. The reservation-based
@@ -99,8 +94,6 @@ class MemoryController:
         self.banks = [_Bank() for _ in range(n_banks)]
         self.metadata_cache = metadata_cache
         self.stats = DramStats()
-        #: Observability layer (repro.obs.RunObservation); None = off.
-        self.obs = None
 
     # ------------------------------------------------------------------
     def _row_latency(self, bank: _Bank, row: int, at: float) -> int:
@@ -159,9 +152,6 @@ class MemoryController:
         else:
             self.stats.reads += 1
             self.stats.read_bursts += bursts
-        if self.obs is not None:
-            self.obs.record_dram(self.mc_id, bursts, is_write,
-                                 bus_start - at)
         return done
 
     def _metadata_fetch(self, at: float, local_line: int) -> float:

@@ -71,7 +71,7 @@ class LineFill(NamedTuple):
     size_bytes: int
     merged: bool = False
     from_l1: bool = False
-    #: Deepest level serving the line (MEM_SRC_*; observability only).
+    #: Deepest level serving the line (MEM_SRC_*; read by the stall ledger).
     source: int = MEM_SRC_L2
 
 
@@ -112,8 +112,6 @@ class MemorySystem:
         self.design = design
         self.image = image
         self.stats = TrafficStats()
-        #: Observability layer (repro.obs.RunObservation); None = off.
-        self.obs = None
 
         # The design, resolved once: the request paths below read plain
         # attributes instead of re-deriving these per request.
@@ -199,14 +197,6 @@ class MemorySystem:
             for i in range(config.n_mcs)
         ]
 
-    def attach_observer(self, obs) -> None:
-        """Install the observability layer on the hierarchy and its
-        components (crossbar, memory controllers)."""
-        self.obs = obs
-        self.crossbar.obs = obs
-        for mc in self.mcs:
-            mc.obs = obs
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -285,13 +275,10 @@ class MemorySystem:
                 l1.access(line, size)
             else:
                 l1.access(line)
-            fill = LineFill(
+            return LineFill(
                 line, fill_time, ready, needs_assist, encoding, size,
                 False, True, MEM_SRC_L1,
             )
-            if self.obs is not None:
-                self.obs.record_fill(fill, now)
-            return fill
 
         if self._mshr_used[sm_id] >= self._l1_mshrs:
             stats.mshr_stalls += 1
@@ -306,8 +293,6 @@ class MemorySystem:
             l1.access(line, fill.size_bytes)
         else:
             l1.access(line)
-        if self.obs is not None:
-            self.obs.record_fill(fill, now)
         return fill
 
     def _miss_path(self, line: int, now: float) -> LineFill:
@@ -508,13 +493,3 @@ class MemorySystem:
         if self.host is not None:
             out["host"] = self.host.stats.total_bursts
         return out
-
-    def l1_stats(self):
-        return [l1.stats for l1 in self._l1s]
-
-    def l2_stats(self):
-        return [l2.stats for l2 in self._l2_banks]
-
-    @property
-    def l1_caches(self):
-        return self._l1s

@@ -29,7 +29,7 @@ from repro.memory.timeline import Timeline
 
 @dataclass(frozen=True)
 class CapacityConfig:
-    """Knobs of the capacity model (content-addressed via RunSpec).
+    """Settings of the capacity model (content-addressed via RunSpec).
 
     device_bytes: device-memory budget the stored footprint must fit in.
     host_latency: fixed one-way cycles added to every host transfer
@@ -120,7 +120,7 @@ def plan_capacity(
 
 @dataclass(frozen=True)
 class CapacityModel:
-    """What the hierarchy needs: the knobs plus the computed plan."""
+    """What the hierarchy needs: the settings plus the computed plan."""
 
     config: CapacityConfig
     plan: CapacityPlan
@@ -150,7 +150,7 @@ class HostLink:
     non-divisor ``host_bw_scale`` (e.g. 0.3) would otherwise yield
     fractional burst cycles, whose repeated float accumulation drifts
     the conservation identity and charges sub-cycle bus occupancy the
-    integer-cycle core never observes. Rounding up keeps the link
+    integer-cycle core never sees. Rounding up keeps the link
     conservatively no faster than the configured fraction.
     """
 

@@ -145,7 +145,7 @@ class MemoryImage:
     # ------------------------------------------------------------------
     # Aggregate statistics (used by the Fig. 11 harness)
     # ------------------------------------------------------------------
-    def observed_compression_ratio(self) -> float:
+    def touched_compression_ratio(self) -> float:
         """Burst-weighted compression ratio over every line touched so far."""
         seen = {**self._cache, **self._overrides}
         if not seen:

@@ -32,8 +32,6 @@ class Crossbar:
         self._reply_ports = [Timeline() for _ in range(n_mcs)]
         self.request_flits = 0
         self.reply_flits = 0
-        #: Observability layer (repro.obs.RunObservation); None = off.
-        self.obs = None
 
     def _flits(self, n_bytes: int) -> int:
         return -(-n_bytes // self.flit_bytes) or 1
@@ -52,8 +50,6 @@ class Crossbar:
         flits = self._flits(n_bytes)
         self.reply_flits += flits
         start = self._reply_ports[mc].reserve(at, float(flits))
-        if self.obs is not None:
-            self.obs.record_icnt_reply(mc, flits, start - at)
         return start + flits + self.latency
 
     def total_flits(self) -> int:

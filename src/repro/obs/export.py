@@ -15,12 +15,12 @@ from repro.obs.ledger import CAT_LABELS, StallCat
 
 
 def payload_json(payload: dict) -> str:
-    """Canonical JSON for an ``RunResult.obs`` payload."""
+    """Canonical JSON for a ``RunResult.obs`` payload."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def payload_csv(payload: dict) -> str:
-    """Flat CSV: ledger rows, then counters, then histograms."""
+    """Flat CSV of the ledger: totals, then per-SM counts."""
     lines = ["kind,name,field,value"]
     ledger = payload.get("ledger", {})
     for cat, total in sorted(ledger.get("totals", {}).items()):
@@ -28,14 +28,6 @@ def payload_csv(payload: dict) -> str:
     for sm_id, counts in enumerate(ledger.get("per_sm", [])):
         for cat, count in zip(ledger.get("categories", []), counts):
             lines.append(f"ledger,sm{sm_id},{cat},{count}")
-    metrics = payload.get("metrics", {})
-    for name, value in sorted(metrics.get("counters", {}).items()):
-        lines.append(f"counter,{name},value,{value}")
-    for name, hist in sorted(metrics.get("histograms", {}).items()):
-        for field in ("count", "total", "min", "max"):
-            lines.append(f"histogram,{name},{field},{hist[field]}")
-        for i, n in enumerate(hist["bins"]):
-            lines.append(f"histogram,{name},bin{i},{n}")
     return "\n".join(lines) + "\n"
 
 

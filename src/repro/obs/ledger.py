@@ -105,7 +105,7 @@ class StallLedger:
     completeness invariant holds by construction.
     """
 
-    def __init__(self, n_sms: int, n_schedulers: int) -> None:
+    def __init__(self, n_sms: int, n_schedulers: int, chrome=None) -> None:
         self.n_sms = n_sms
         self.n_schedulers = n_schedulers
         #: counts[sm][cat] — the invariant-bearing aggregate.
@@ -120,7 +120,7 @@ class StallLedger:
         self.extrapolated: list[int] = [0] * n_sms
         #: Optional chrome-trace collector fed per charge (see
         #: :mod:`repro.obs.chrome`).
-        self.chrome = None
+        self.chrome = chrome
 
     # ------------------------------------------------------------------
     def charge(self, sm_id: int, sched: int, cat: int, warp_id: int,

@@ -61,20 +61,20 @@ def _check_run(
     raw = result.raw
     memory = raw.memory
     stats = raw.stats
-    obs = raw.obs
+    ledger = raw.ledger
     out: list[CheckResult] = []
 
     # 1. Issue-slot conservation (ledger vs stats, and total attribution).
     failure = ""
     for sm_id, sm in enumerate(stats.sms):
-        if obs.ledger.slot_view(sm_id) != sm.slots:
+        if ledger.slot_view(sm_id) != sm.slots:
             failure = (
-                f"SM {sm_id}: ledger {obs.ledger.slot_view(sm_id)} != "
+                f"SM {sm_id}: ledger {ledger.slot_view(sm_id)} != "
                 f"stats {sm.slots}"
             )
             break
         expected = stats.cycles * config.schedulers_per_sm
-        attributed = obs.ledger.attributed_slots(sm_id)
+        attributed = ledger.attributed_slots(sm_id)
         if attributed != expected:
             failure = (
                 f"SM {sm_id}: {attributed} slots attributed, expected "

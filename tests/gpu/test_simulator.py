@@ -177,7 +177,7 @@ class TestFastForwardIdentity:
     def _run_workload(self, traced, app="MM", point=None):
         from repro.core.params import CabaParams
         from repro.harness.runner import _make_caba_factory, build_image
-        from repro.obs import RunObservation
+        from repro.obs import StallLedger
         from repro.workloads.apps import get_app
         from repro.workloads.tracegen import TraceScale, build_kernel
 
@@ -190,15 +190,16 @@ class TestFastForwardIdentity:
         factory, regs = _make_caba_factory(
             point, config, CabaParams(), plane=image.plane
         )
-        obs = RunObservation.for_config(config) if traced else None
+        ledger = (StallLedger(config.n_sms, config.schedulers_per_sm)
+                  if traced else None)
         sim = Simulator(
             config, kernel, point, image,
             caba_factory=factory,
             assist_regs_per_thread=regs,
-            obs=obs,
+            ledger=ledger,
         )
         result = sim.run()
-        payload = obs.export() if traced else None
+        payload = ledger.export() if traced else None
         return result, self._fingerprint(sim, result), payload
 
     @pytest.mark.parametrize("traced", [False, True])

@@ -18,7 +18,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.kernel import Kernel
 from repro.gpu.simulator import Simulator
-from repro.obs import RunObservation
+from repro.obs import StallLedger
 from tests.gpu.stepping import forced_ticks
 from tests.images import make_image
 
@@ -85,8 +85,10 @@ def run_program(kinds, iterations, design, trace=False):
         )
     # Loads touch lines [0, 400), stores [1000, 1300).
     image = make_image(algo, line_size, lines=1300)
-    obs = RunObservation.for_config(config) if trace else None
-    return Simulator(config, kernel, design, image, obs=obs, **caba).run()
+    ledger = (StallLedger(config.n_sms, config.schedulers_per_sm)
+              if trace else None)
+    return Simulator(config, kernel, design, image, ledger=ledger,
+                     **caba).run()
 
 
 @settings(max_examples=15, deadline=None)
@@ -123,7 +125,7 @@ def test_ledger_invariants_on_random_programs(kinds, iterations):
     """The stall ledger stays complete, non-negative and reconciled with
     the coarse slot stats for arbitrary well-formed programs."""
     result = run_program(kinds, iterations, designs.base(), trace=True)
-    ledger = result.obs.ledger
+    ledger = result.ledger
     config = GPUConfig.small()
     for sm_id, sm_stats in enumerate(result.stats.sms):
         counts = ledger.sm_counts[sm_id]

@@ -22,7 +22,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import Simulator
 from repro.gpu.sm import SM
 from repro.harness.runner import _make_caba_factory, build_image
-from repro.obs import RunObservation, trace_enabled
+from repro.obs import StallLedger, trace_enabled
 from repro.workloads.apps import get_app
 from repro.workloads.tracegen import TraceScale, build_kernel
 from tests.gpu.stepping import forced_ticks
@@ -37,10 +37,11 @@ def _run(app, point):
     factory, regs = _make_caba_factory(
         point, config, CabaParams(), plane=image.plane
     )
-    obs = RunObservation.for_config(config) if trace_enabled() else None
+    ledger = (StallLedger(config.n_sms, config.schedulers_per_sm)
+              if trace_enabled() else None)
     sim = Simulator(config, build_kernel(profile, config, SCALE), point,
                     image, caba_factory=factory,
-                    assist_regs_per_thread=regs, obs=obs)
+                    assist_regs_per_thread=regs, ledger=ledger)
     result = sim.run()
     assert not result.truncated
     fingerprint = {
@@ -53,8 +54,8 @@ def _run(app, point):
         ],
         "memory": repr(result.memory.stats),
     }
-    if obs is not None:
-        fingerprint["ledger"] = obs.export()
+    if ledger is not None:
+        fingerprint["ledger"] = ledger.export()
     return fingerprint
 
 

@@ -155,7 +155,7 @@ def test_modes_agree_head_to_head(app, algorithm):
             raw = run_app(app, _design_for(algorithm), GPUConfig.small(),
                           scale=scale, use_cache=False, keep_raw=True,
                           trace=True).raw
-        ledger = raw.obs.ledger
+        ledger = raw.ledger
         prints[memo] = _fingerprint(raw)
         prints[memo]["ledger"] = (
             [list(counts) for counts in ledger.sm_counts],

@@ -98,9 +98,9 @@ class TestAggregates:
         image = bdi_image()
         for line in range(10):
             image.size_of(line)
-        assert image.observed_compression_ratio() > 1.0
+        assert image.touched_compression_ratio() > 1.0
         assert image.lines_touched() == 10
 
     def test_ratio_of_untouched_image_is_one(self):
         image = bdi_image()
-        assert image.observed_compression_ratio() == 1.0
+        assert image.touched_compression_ratio() == 1.0

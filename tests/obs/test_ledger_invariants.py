@@ -48,25 +48,25 @@ def _untraced(app, design):
 @pytest.mark.parametrize("app", ["PVC", "MM"])
 def test_attribution_is_complete(app, design):
     run = _traced(app, design)
-    obs = run.raw.obs
+    ledger = run.raw.ledger
     n_sched = GPUConfig.small().schedulers_per_sm
     for sm_id in range(len(run.raw.stats.sms)):
-        assert obs.ledger.attributed_slots(sm_id) == run.cycles * n_sched
+        assert ledger.attributed_slots(sm_id) == run.cycles * n_sched
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 @pytest.mark.parametrize("app", ["PVC", "MM"])
 def test_ledger_reconciles_with_slot_stats(app, design):
     run = _traced(app, design)
-    obs = run.raw.obs
+    ledger = run.raw.ledger
     for sm_id, sm_stats in enumerate(run.raw.stats.sms):
-        assert obs.ledger.slot_view(sm_id) == list(sm_stats.slots)
+        assert ledger.slot_view(sm_id) == list(sm_stats.slots)
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_per_warp_rows_sum_to_sm_counts(design):
     run = _traced("CONS", design)
-    ledger = run.raw.obs.ledger
+    ledger = run.raw.ledger
     for sm_id, rows in enumerate(ledger.warp_counts):
         summed = [0] * len(StallCat)
         for row in rows.values():
@@ -95,16 +95,16 @@ def test_tracing_does_not_perturb_the_simulation(app, design):
 def test_traced_runs_are_deterministic():
     first = _traced("PVC", designs.caba("bdi"))
     second = _traced("PVC", designs.caba("bdi"))
-    a = json.dumps(first.raw.obs.export(), sort_keys=True)
-    b = json.dumps(second.raw.obs.export(), sort_keys=True)
+    a = json.dumps(first.raw.ledger.export(), sort_keys=True)
+    b = json.dumps(second.raw.ledger.export(), sort_keys=True)
     assert a == b
 
 
 def test_assist_categories_only_appear_under_caba():
     base = _traced("PVC", designs.base())
     caba = _traced("PVC", designs.caba("bdi"))
-    base_totals = base.raw.obs.ledger.totals()
-    caba_totals = caba.raw.obs.ledger.totals()
+    base_totals = base.raw.ledger.totals()
+    caba_totals = caba.raw.ledger.totals()
     assert base_totals[StallCat.ASSIST] == 0
     assert base_totals[StallCat.ASSIST_WAIT] == 0
     # The CABA design on a compressible app must actually run assist
@@ -114,7 +114,7 @@ def test_assist_categories_only_appear_under_caba():
 
 def test_memory_refinement_attributes_dram_waits():
     run = _traced("PVC", designs.base())
-    totals = run.raw.obs.ledger.totals()
+    totals = run.raw.ledger.totals()
     # PVC is memory-bound (Fig. 1): a real share of its data stalls must
     # be refined into DRAM waits, not left as generic scoreboard stalls.
     assert totals[StallCat.DRAM] > 0
@@ -127,7 +127,7 @@ def test_slot_of_cat_covers_every_category():
 
 def test_export_shape_and_no_warp_rows():
     run = _traced("MM", designs.caba("bdi"))
-    payload = run.raw.obs.ledger.export()
+    payload = run.raw.ledger.export()
     assert payload["categories"] == [c.name.lower() for c in StallCat]
     assert len(payload["per_sm"]) == GPUConfig.small().n_sms
     total = sum(payload["totals"].values())

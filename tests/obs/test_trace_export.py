@@ -72,7 +72,6 @@ class TestPayloadWriters:
         assert lines[0] == "kind,name,field,value"
         assert any(line.startswith("ledger,total,dram,") for line in lines)
         assert any(line.startswith("ledger,sm0,") for line in lines)
-        assert any(line.startswith("counter,sim.cycles,") for line in lines)
 
     def test_write_trace_files(self, tmp_path):
         payload = _traced_payload(chrome=True)
@@ -106,14 +105,23 @@ class TestRunnerObsPayload:
     def test_runresult_obs_counters_match_scalars(self):
         run = run_app("MM", designs.caba("bdi"), GPUConfig.small(),
                       scale=SCALE, use_cache=False, trace=True)
-        counters = run.obs["metrics"]["counters"]
-        assert counters["sim.cycles"] == run.cycles
-        assert counters["dram.read_bursts"] == run.dram_bursts["read"]
-        assert counters["dram.write_bursts"] == run.dram_bursts["write"]
         total_slots = sum(run.obs["ledger"]["totals"].values())
         n_sched = GPUConfig.small().schedulers_per_sm
         n_sms = GPUConfig.small().n_sms
         assert total_slots == run.cycles * n_sched * n_sms
+
+    def test_payload_is_the_ledger_plus_optional_chrome(self):
+        assert set(_traced_payload()) == {"ledger"}
+        assert set(_traced_payload(chrome=True)) == {"ledger", "chrome"}
+
+    def test_chrome_trace_carries_assist_warp_events(self):
+        """The CABA controller feeds assist-warp lifetimes straight to
+        the chrome collector, on their own row of each SM."""
+        events = _traced_payload(chrome=True)["chrome"]["traceEvents"]
+        assist = [e for e in events if e["tid"] == ASSIST_TID]
+        assert assist
+        assert all(e["cat"] == "assist" for e in assist)
+        assert any(e["name"].startswith("decompress:") for e in assist)
 
     def test_untraced_run_has_no_obs(self):
         run = run_app("MM", designs.base(), GPUConfig.small(),

@@ -88,7 +88,7 @@ class TestTamperedCountersAreCaught:
             mc.stats.read_bursts -= 1
 
     def test_slot_imbalance(self, traced_run):
-        ledger = traced_run.raw.obs.ledger
+        ledger = traced_run.raw.ledger
         ledger.sm_counts[0][0] += 1
         try:
             result = self._failing(traced_run, "slots")
