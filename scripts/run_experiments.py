@@ -43,7 +43,6 @@ from repro.harness.cache import cache_enabled
 from repro.harness.figures import CONFIGS, EXPERIMENTS
 from repro.harness.report import run_experiment
 from repro.knobs import KnobError
-from repro.obs import trace_enabled
 
 
 def main() -> int:
@@ -63,7 +62,6 @@ def main() -> int:
     args = parser.parse_args()
     try:  # the on/off knobs, validated before the first run
         cache_enabled()
-        trace_enabled()
         SampleConfig.from_env()
     except KnobError as exc:
         parser.error(str(exc))

@@ -3,7 +3,7 @@
 Commands:
     list-apps            show the workload pool and its characteristics
     run APP              simulate one application under one design
-    trace APP            traced run: stall attribution + metric export
+    trace APP            stall-category table + JSON/CSV (and timeline) export
     compare APP          compare all five Figure-7 designs on one app
     figure ID            regenerate one paper figure/table or study
     compress FILE|-      compress raw bytes line by line and report ratios
@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace_p = sub.add_parser(
         "trace",
-        help="run one application with the observability layer and "
-             "export stall-attribution / metric artifacts",
+        help="run (or recall) one application and export its stall "
+             "counts per category",
     )
     trace_p.add_argument("app", help="application name (see list-apps)")
     trace_p.add_argument("--design", choices=sorted(DESIGNS), default="caba")
@@ -252,10 +252,8 @@ def _env_knobs():
     exits 2) rather than a failure inside a run."""
     from repro.gpu.sampling import SampleConfig
     from repro.harness.cache import cache_enabled
-    from repro.obs import trace_enabled
 
     cache_enabled()
-    trace_enabled()
     return SampleConfig.from_env()
 
 
@@ -323,26 +321,31 @@ def _cmd_trace(args) -> int:
     from pathlib import Path
 
     from repro.harness.cache import get_cache
-    from repro.obs.export import render_ledger, write_trace_files
+    from repro.obs.export import (
+        render_ledger,
+        trace_payload,
+        write_trace_files,
+    )
 
     _env_knobs()
     get_app(args.app)
     config = CONFIGS[args.config]()
     design = _resolve_design(args.design, args.algorithm)
-    run = run_app(args.app, design, config, trace=True, chrome=args.chrome)
+    run = run_app(args.app, design, config, chrome=args.chrome)
+    payload = trace_payload(run)
     print(f"app    : {run.app}")
     print(f"design : {run.design}")
     print(f"cycles : {run.cycles}")
     print(f"IPC    : {run.ipc:.4f}")
     print()
-    print(render_ledger(run.obs))
+    print(render_ledger(payload))
     if args.out is not None:
         out_dir = Path(args.out)
     else:
         cache = get_cache()
         out_dir = cache.trace_dir() if cache is not None else Path("traces")
     base = f"{run.app}-{run.design}".replace("/", "_")
-    for path in write_trace_files(run.obs, out_dir, base):
+    for path in write_trace_files(payload, out_dir, base):
         print(f"wrote {path}")
     return 0
 

@@ -120,8 +120,8 @@ class CabaController(AssistController):
         self.algorithm = algorithm
         self.aws = aws if aws is not None else AssistWarpStore()
         self.stats = CabaStats()
-        #: Chrome timeline of a traced run (repro.obs.chrome), fed one
-        #: event per retired or cancelled assist warp; None = off.
+        #: Chrome timeline (repro.obs.chrome), fed one event per retired
+        #: or cancelled assist warp; None (the default) = off.
         self.chrome = None
         #: Decompression program per encoding. Prebuilt from the image's
         #: compression plane when one exists (every encoding in the image

@@ -5,7 +5,7 @@ cycle of every SM runs in detail. This module trades a bounded amount of
 accuracy for asymptotic speed by alternating:
 
 * **detailed intervals** — ``warmup + measure`` cycles of full
-  execution (the issue path, stats/ledger charging, real memory
+  execution (the issue path, slot counting, real memory
   timing), exactly as the exact simulator would run them; then
 * **skipped intervals** — ``skip`` cycles whose issue slots and stall
   mix are *extrapolated* from the rates observed during the most recent
@@ -31,12 +31,11 @@ Queued events (cache fills, MSHR releases, register writebacks) are
 delivered while the clock advances through the skipped window, so
 in-flight state is realistic when the next detailed interval resumes.
 
-Extrapolated slots are tagged separately (``SmStats.extrapolated_slots``
-and the ledger's :data:`~repro.obs.ledger.EXTRAP_WARP` synthetic warp)
-but charged so every conservation invariant still closes: per-SM slot
-counts sum to ``cycles * schedulers``, the ledger reconciles bit-exactly
-with ``SmStats.slots``, MSHR allocs balance releases, and crossbar/DRAM
-byte counters stay consistent with their reserved bus cycles.
+Extrapolated slots are tagged separately (``SmStats.extrapolated_slots``)
+but charged so every conservation invariant still closes: per-SM stall
+counts sum to ``cycles * schedulers``, MSHR allocs balance releases, and
+crossbar/DRAM byte counters stay consistent with their reserved bus
+cycles.
 
 Error model (documented bound: **≤2 %** on IPC / bandwidth utilization /
 compression-figure metrics at the default 10 % detail, enforced by
@@ -62,8 +61,7 @@ from dataclasses import dataclass
 from repro.gpu.isa import MemSpace, OpKind
 from repro.gpu.warp import touch
 from repro.knobs import env_flag
-from repro.obs.ledger import EXTRAP_WARP, N_CATS, SLOT_OF_CAT
-from repro.gpu.stats import Slot
+from repro.gpu.stats import SLOT_OF_CAT, Slot, slots_of
 
 ENV_VAR = "REPRO_SAMPLE"
 
@@ -73,11 +71,11 @@ ENV_VAR = "REPRO_SAMPLE"
 #: span (see ``SamplingController._skip``).
 _UTIL_BOUND = 0.5
 
-#: Refined ledger categories belonging to each Figure-1 slot, in
-#: category order (the inverse of SLOT_OF_CAT; used to split an
-#: extrapolated slot's charge across its member categories).
+#: Refined categories belonging to each Figure-1 slot, in category
+#: order (the inverse of SLOT_OF_CAT; used to split an extrapolated
+#: slot's charge across its member categories).
 _CATS_OF_SLOT = tuple(
-    tuple(c for c in range(N_CATS) if SLOT_OF_CAT[c] is slot)
+    tuple(c for c, of in enumerate(SLOT_OF_CAT) if of is slot)
     for slot in Slot
 )
 
@@ -317,20 +315,10 @@ class SamplingController:
     def _snapshot(self) -> list:
         """Capture the counters whose measure-window deltas drive the
         extrapolation (issue rates and the slot/category mix)."""
-        sim = self._sim
-        ledger = sim.ledger
-        if ledger is not None:
-            for sm in sim.sms:
-                sm.flush_ledger()
-        sms = []
-        for sm in sim.sms:
-            sms.append((
-                sm.stats.parent_instructions,
-                list(sm.stats.slots),
-                (list(ledger.sm_counts[sm.sm_id]) if ledger is not None
-                 else None),
-            ))
-        return sms
+        return [
+            (sm.stats.parent_instructions, list(sm.stats.stalls))
+            for sm in self._sim.sms
+        ]
 
     # ------------------------------------------------------------------
     def _skip(self, span: int, before: list, measured: int,
@@ -579,38 +567,25 @@ class SamplingController:
     # Extrapolated charging
     # ------------------------------------------------------------------
     def _charge(self, before: list, used: int) -> None:
-        """Charge ``used`` skipped cycles' issue slots (and, when
-        traced, refined ledger categories) from the measured mix. Slot
-        charges are apportioned from the coarse slot mix first and the
-        refined categories are split within each slot, so traced and
-        untraced sampled runs stay slot-identical and the ledger's
-        reconciliation invariant holds bit-exactly."""
+        """Charge ``used`` skipped cycles' issue slots from the measured
+        mix. Slot charges are apportioned from the coarse slot mix
+        first and the refined categories are split within each slot, so
+        the Figure-1 slots follow the measured slot mix exactly."""
         sim = self._sim
-        before_sms = before
-        ledger = sim.ledger
-        if ledger is not None:
-            for sm in sim.sms:
-                sm.flush_ledger()
         n_sched = sim.config.schedulers_per_sm
-        for sm, (_, slots0, cats0) in zip(sim.sms, before_sms):
+        for sm, (_, cats0) in zip(sim.sms, before):
             st = sm.stats
-            slot_w = [a - b for a, b in zip(st.slots, slots0)]
-            per_sched = apportion(used, slot_w)
-            for slot, count in enumerate(per_sched):
-                if count:
-                    st.slots[slot] += count * n_sched
+            cat_w = [a - b for a, b in zip(st.stalls, cats0)]
             st.extrapolated_slots += used * n_sched
-            if ledger is None:
-                continue
-            cat_w = [
-                a - b for a, b in zip(ledger.sm_counts[sm.sm_id], cats0)
-            ]
-            for slot, count in enumerate(per_sched):
+            chrome = sm.chrome
+            for slot, count in enumerate(apportion(used, slots_of(cat_w))):
                 if not count:
                     continue
                 members = _CATS_OF_SLOT[slot]
                 shares = apportion(count, [cat_w[c] for c in members])
                 for cat, share in zip(members, shares):
                     if share:
-                        for s in range(n_sched):
-                            ledger.charge_extrapolated(sm.sm_id, s, cat, share)
+                        st.stalls[cat] += share * n_sched
+                        if chrome is not None:
+                            for s in range(n_sched):
+                                chrome.note_slot(sm.sm_id, s, cat, share)

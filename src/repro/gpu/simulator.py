@@ -52,7 +52,7 @@ from repro.gpu.stats import SimStats
 from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.image import MemoryImage
-from repro.obs.ledger import StallLedger
+from repro.obs.chrome import ChromeTraceCollector
 
 _INF = float("inf")
 
@@ -67,8 +67,6 @@ class SimulationResult:
     memory: MemorySystem
     occupancy: Occupancy
     truncated: bool
-    #: The stall ledger when the run was traced, else None.
-    ledger: StallLedger | None = None
 
     @property
     def cycles(self) -> int:
@@ -93,7 +91,7 @@ class Simulator:
         image: MemoryImage,
         caba_factory: Callable[[SM], object] | None = None,
         assist_regs_per_thread: int = 0,
-        ledger: StallLedger | None = None,
+        chrome: ChromeTraceCollector | None = None,
         sample: SampleConfig | None = None,
         capacity: object | None = None,
     ) -> None:
@@ -107,9 +105,9 @@ class Simulator:
                 when the design uses assist warps.
             assist_regs_per_thread: Extra per-thread register demand of
                 the enabled assist subroutines (affects occupancy).
-            ledger: A stall ledger charged with every issue slot, or
-                None (the default) for the untraced path. Its chrome
-                collector, if any, also receives assist-warp lifetimes.
+            chrome: A timeline collector fed every issue slot and
+                assist-warp lifetime, or None (the default) to collect
+                no timeline.
             sample: Interval-sampling knobs (repro.gpu.sampling), or
                 None (the default) for exact, byte-identical
                 simulation. The simulator never reads the environment
@@ -161,12 +159,12 @@ class Simulator:
             for sm in self.sms:
                 sm.caba = caba_factory(sm)
 
-        self.ledger = ledger
-        if ledger is not None:
+        self.chrome = chrome
+        if chrome is not None:
             for sm in self.sms:
-                sm.attach_ledger(ledger)
-                if sm.caba is not None and ledger.chrome is not None:
-                    sm.caba.chrome = ledger.chrome
+                sm.chrome = chrome
+                if sm.caba is not None:
+                    sm.caba.chrome = chrome
 
         self._sample = sample
         self._has_caba = caba_factory is not None
@@ -239,14 +237,11 @@ class Simulator:
             truncated = self._run_detailed(self.config.max_cycles)
         if self.done:
             self._drain()
-        for sm in self.sms:
-            sm.flush_ledger()
         stats = SimStats(
             cycles=self._cycle, sms=[sm.stats for sm in self.sms]
         )
-        ledger = self.ledger
-        if ledger is not None and ledger.chrome is not None:
-            ledger.chrome.flush()
+        if self.chrome is not None:
+            self.chrome.flush()
         return SimulationResult(
             kernel=self.kernel.name,
             design=self.design.name,
@@ -254,7 +249,6 @@ class Simulator:
             memory=self.memory,
             occupancy=self.occupancy,
             truncated=truncated,
-            ledger=ledger,
         )
 
     def _run_detailed(self, limit: int) -> bool:

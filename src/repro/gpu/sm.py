@@ -23,10 +23,15 @@ from typing import Callable
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind
 from repro.gpu.soa import KLASS_GLOAD, SoAState
-from repro.gpu.stats import STATE_ONLY_SLOTS, Slot, SmStats, UNIT_SLOTS
+from repro.gpu.stats import (
+    SLOT_OF_CAT,
+    STATE_ONLY_SLOTS,
+    SmStats,
+    StallCat,
+    UNIT_SLOTS,
+)
 from repro.gpu.warp import BlockContext, WarpContext, touch
 from repro.memory.hierarchy import MEM_SRC_DRAM, MEM_SRC_L1, MemorySystem
-from repro.obs.ledger import ASSIST_WARP, NO_WARP, SLOT_OF_CAT, StallCat
 
 #: ALU latency at or above which the op uses the narrow "heavy" pipe.
 HEAVY_ALU_LATENCY = 8
@@ -34,7 +39,7 @@ HEAVY_ALU_LATENCY = 8
 HEAVY_ALU_II = 2
 
 # Issue attempt outcomes (internal). The two structural-memory causes are
-# distinct codes so the traced path can tell MSHR pressure from LSU port
+# distinct codes so the slot count can tell MSHR pressure from LSU port
 # contention; both map to the same Figure-1 Memory Stall slot. A
 # scoreboard-blocked warp is screened out before any attempt (_DEP).
 _OK = 0
@@ -52,7 +57,7 @@ _SAW_MSHR = 1 << _STRUCT_MSHR
 _SAW_MEM = _SAW_LSU | _SAW_MSHR
 
 # Refined slot categories (plain ints in the hot path; see
-# repro.obs.ledger.StallCat for semantics).
+# repro.gpu.stats.StallCat for semantics).
 _CAT_ISSUE = int(StallCat.ISSUE)
 _CAT_ASSIST = int(StallCat.ASSIST)
 _CAT_COMPUTE = int(StallCat.COMPUTE)
@@ -64,17 +69,13 @@ _CAT_DRAM = int(StallCat.DRAM)
 _CAT_ASSIST_WAIT = int(StallCat.ASSIST_WAIT)
 _CAT_IDLE = int(StallCat.IDLE)
 
-#: Refined category -> Figure-1 slot, as plain ints (an IntEnum index
-#: costs a conversion on every counter update).
-_CAT_SLOT = tuple(int(slot) for slot in SLOT_OF_CAT)
-_ACTIVE = int(Slot.ACTIVE)
-
-#: Figure-1 slot -> stall-memo tier: 0 = not memoizable (an instruction
-#: issued), 1 = valid while the scheduler's warp state is unchanged,
-#: 2 = additionally requires unchanged execution-unit/MSHR state.
+#: Refined category -> stall-memo tier, by its Figure-1 slot: 0 = not
+#: memoizable (an instruction issued), 1 = valid while the scheduler's
+#: warp state is unchanged, 2 = additionally requires unchanged
+#: execution-unit/MSHR state.
 _MEMO_KIND = tuple(
     1 if slot in STATE_ONLY_SLOTS else (2 if slot in UNIT_SLOTS else 0)
-    for slot in Slot
+    for slot in SLOT_OF_CAT
 )
 
 _INF = float("inf")
@@ -109,11 +110,16 @@ class SM:
         self.stats = SmStats()
         #: CABA controller; installed by the simulator for CABA designs.
         self.caba = None
+        #: Chrome timeline (repro.obs.chrome) fed every counted slot, or
+        #: None (the default) to collect none.
+        self.chrome = None
 
         n = config.schedulers_per_sm
         self.sched_warps: list[list[WarpContext]] = [[] for _ in range(n)]
         self._current: list[WarpContext | None] = [None] * n
-        self._last_slots: list[int] = [int(Slot.IDLE)] * n
+        #: Each scheduler's category of its last ticked cycle, which
+        #: slept and fast-forwarded cycles repeat.
+        self._last_cats: list[int] = [_CAT_IDLE] * n
         if config.scheduler not in ("gto", "lrr"):
             raise ValueError(f"unknown scheduler {config.scheduler!r}")
         self._greedy = config.scheduler == "gto"
@@ -131,28 +137,12 @@ class SM:
         #: whose callbacks fire from the event queue).
         self.now = 0
 
-        #: Stall-attribution ledger (repro.obs); None = tracing off, the
-        #: default, in which case the traced refinements are never run.
-        self._ledger = None
-        #: Refined (category, warp) of each scheduler's last real cycle,
-        #: mirrored alongside _last_slots for fast-forward replay.
-        self._last_cats: list[tuple[int, int]] = [(_CAT_IDLE, NO_WARP)] * n
-        #: Warp charged for the most recent ACTIVE slot (traced path).
-        self._attr_warp = NO_WARP
-        # Pending ledger charge per scheduler: consecutive identical
-        # (category, warp) charges coalesce into one ledger call
-        # (stall runs dominate traced runs), flushed on change and by
-        # flush_ledger() at run end / sampling snapshots.
-        self._pend_cat: list[int] = [_CAT_IDLE] * n
-        self._pend_wid: list[int] = [NO_WARP] * n
-        self._pend_n: list[int] = [0] * n
-
         #: Screen codes (repro.gpu.soa) and this SM's first scheduler id.
         self._soa = soa
         self._gid0 = sm_id * n
         # Per-cycle reads, bound once.
         self._scheds = range(n)
-        self._slot_counts = self.stats.slots
+        self._stalls = self.stats.stalls
         self._codes = soa.code
         self._wakes = soa.wake
         self._seq = soa.seq
@@ -161,10 +151,10 @@ class SM:
         self._inflight = memory._inflight[sm_id]
         self._l1_mshrs = config.l1_mshrs
         #: Per-scheduler stall memos, rebuilt by every scanned slot:
-        #: (seq, cat, warp_id, kind, lsu_free, sfu_free, heavy_free,
-        #:  mshr_epoch, until); mshr_epoch -1 marks a stall whose
-        #: outcome is independent of MSHR state. ``until`` is the
-        #: scan's wake hint: the first cycle a unit that blocked a
+        #: (seq, cat, kind, lsu_free, sfu_free, heavy_free, mshr_epoch,
+        #:  until); ``cat`` is the refined category; mshr_epoch -1 marks
+        #: a stall whose outcome is independent of MSHR state. ``until``
+        #: is the scan's wake hint: the first cycle a unit that blocked a
         #: candidate frees up. Only those units can change the outcome
         #: by freeing, so it is also the memo's expiry.
         self._memos: list[tuple | None] = [None] * n
@@ -185,11 +175,6 @@ class SM:
         # and the loop iteration of the last tick.
         self._slept_at = 0
         self._slept_iter = 0
-
-    def attach_ledger(self, ledger) -> None:
-        """Install the stall ledger (must happen before the first tick
-        so attribution is complete)."""
-        self._ledger = ledger
 
     # ------------------------------------------------------------------
     # Block / warp management
@@ -258,9 +243,8 @@ class SM:
             caba.tick(cycle)
             high_gate = caba.high_gate
         issued = 0
-        slots = self._slot_counts
-        last = self._last_slots
-        ledger = self._ledger
+        stalls = self._stalls
+        last = self._last_cats
         seq = self._seq
         codes = self._codes
         memos = self._memos
@@ -273,24 +257,20 @@ class SM:
             ):
                 # A high-priority assist warp preempts the parents; the
                 # memo (valid or not) is left for the next slot.
-                self._attr_warp = ASSIST_WARP
-                slot = _ACTIVE
-                if ledger is not None:
-                    slot = _CAT_SLOT[self._charge(ledger, s, _CAT_ASSIST)]
-                slots[slot] += 1
-                last[s] = slot
+                stalls[_CAT_ASSIST] += 1
+                last[s] = _CAT_ASSIST
                 issued += 1
                 g += 1
                 continue
             m = memos[s]
             if m is not None and m[0] == seq[g] and (
-                m[3] == 1
+                m[2] == 1
                 or (
-                    self._lsu_free == m[4]
-                    and self._sfu_free == m[5]
-                    and self._heavy_alu_free == m[6]
-                    and cycle < m[8]
-                    and (m[7] < 0 or self._epochs[self.sm_id] == m[7])
+                    self._lsu_free == m[3]
+                    and self._sfu_free == m[4]
+                    and self._heavy_alu_free == m[5]
+                    and cycle < m[7]
+                    and (m[6] < 0 or self._epochs[self.sm_id] == m[6])
                 )
             ):
                 g += 1
@@ -301,46 +281,21 @@ class SM:
                 ):
                     # An assist warp took the slot, exactly as it would
                     # have after the (unchanged) parent scan stalled.
-                    self._attr_warp = ASSIST_WARP
-                    slot = _ACTIVE
-                    if ledger is not None:
-                        slot = _CAT_SLOT[
-                            self._charge(ledger, s, _CAT_ASSIST)
-                        ]
-                    slots[slot] += 1
-                    last[s] = slot
+                    stalls[_CAT_ASSIST] += 1
+                    last[s] = _CAT_ASSIST
                     issued += 1
                     continue
-                hint = m[8]
+                hint = m[7]
                 if hint < self._wake_hint:
                     self._wake_hint = hint
                 cat = m[1]
-                if ledger is not None:
-                    wid = m[2]
-                    self._last_cats[s] = (cat, wid)
-                    # Inlined _charge_slot fast path: stall runs repeat
-                    # the same (category, warp) for thousands of
-                    # consecutive cycles, and the call overhead itself
-                    # is most of the traced-run cost at this site.
-                    if (
-                        self._pend_n[s]
-                        and self._pend_cat[s] == cat
-                        and self._pend_wid[s] == wid
-                    ):
-                        self._pend_n[s] += 1
-                    else:
-                        self._charge_slot(s, cat, wid, 1)
-                slot = _CAT_SLOT[cat]
-                slots[slot] += 1
-                last[s] = slot
+                stalls[cat] += 1
+                last[s] = cat
                 continue
             cat = self._issue_slot(s, cycle, codes)
-            if ledger is not None:
-                cat = self._charge(ledger, s, cat)
-            slot = _CAT_SLOT[cat]
-            slots[slot] += 1
-            last[s] = slot
-            if slot == _ACTIVE:
+            stalls[cat] += 1
+            last[s] = cat
+            if cat <= _CAT_ASSIST:  # an instruction issued
                 issued += 1
                 low = self._low_stall
                 if low is None:
@@ -352,28 +307,24 @@ class SM:
                 # saw (the assist may have reserved a unit since).
                 self._low_stall = None
                 cat, lsu, sfu, heavy = low
-                wid = NO_WARP
-                if ledger is not None:
-                    cat, wid = self._refine(s, cat)
-                slot = _CAT_SLOT[cat]
+                cat = self._refine(s, cat)
             else:
                 lsu = self._lsu_free
                 sfu = self._sfu_free
                 heavy = self._heavy_alu_free
-                wid = self._last_cats[s][1] if ledger is not None else NO_WARP
-            kind = _MEMO_KIND[slot]
+            kind = _MEMO_KIND[cat]
             if kind == 1:
                 # Scoreboard/idle: a pure function of seq-tracked warp
                 # state. No structural candidate was reached, so the
                 # parent scan contributed no wake hint.
-                memos[s] = (seq[g], cat, wid, 1, 0, 0, 0, 0, _INF)
+                memos[s] = (seq[g], cat, 1, 0, 0, 0, 0, _INF)
             elif kind == 2 and self._scan_safe:
                 # A stall that never saw an MSHR status is independent
                 # of MSHR state: every memory candidate failed on the
                 # LSU-port gate (or there were none), which an epoch
                 # bump cannot change. -1 marks the memo epoch-free.
                 memos[s] = (
-                    seq[g], cat, wid, 2, lsu, sfu, heavy,
+                    seq[g], cat, 2, lsu, sfu, heavy,
                     self._epochs[self.sm_id]
                     if cat == _CAT_MSHR_FULL else -1,
                     self._scan_hint,
@@ -381,6 +332,9 @@ class SM:
             else:
                 memos[s] = None
             g += 1
+        if self.chrome is not None:
+            for s, cat in enumerate(last):
+                self.chrome.note_slot(self.sm_id, s, cat, 1)
         if caba is not None:
             caba.observe(issued, len(memos))
         self._wakes[self.sm_id] = self._wake_hint
@@ -395,10 +349,10 @@ class SM:
         has already had its chance, in ``tick``): the greedy current
         warp (GTO) or the first issuable parent warp in scan order, else
         a low-priority assist warp, else the strongest stall seen
-        (memory > compute > dependence > idle). When a low-priority
-        assist warp takes the slot, the stall the parents showed and
-        the unit state they saw are left in ``_low_stall`` for the
-        memo.
+        (memory > compute > dependence > idle), refined. Returns the
+        slot's :class:`StallCat`. When a low-priority assist warp takes
+        the slot, the (unrefined) stall the parents showed and the unit
+        state they saw are left in ``_low_stall`` for the memo.
 
         Warps are screened by their live screen codes
         (:mod:`repro.gpu.soa`): ``< SCREEN_BLOCKED`` is a candidate (the
@@ -462,7 +416,6 @@ class SM:
                 else:
                     status = self._try_issue(current, code, cycle)
                     if status == _OK:
-                        self._attr_warp = current.global_index
                         self._scan_hint = hint = self._wake_hint
                         if h0 < hint:
                             self._wake_hint = h0
@@ -526,7 +479,6 @@ class SM:
             status = self._try_issue(warp, code, cycle)
             if status == _OK:
                 self._current[s] = warp
-                self._attr_warp = warp.global_index
                 if not self._greedy:
                     self._rr[s] = (start + order.index(warp) + 1) % n
                 if self._wake_hint < hint:
@@ -559,55 +511,23 @@ class SM:
             and cycle >= caba.low_gate
             and caba.issue_low(s, cycle)
         ):
-            self._attr_warp = ASSIST_WARP
             self._low_stall = (cat, lsu_free, sfu_free, heavy_free)
             return _CAT_ASSIST
+        if cat == _CAT_SCOREBOARD:
+            return self._refine_dep(s)
+        if cat == _CAT_IDLE:
+            return self._refine_idle(s)
         return cat
 
     def replay_stall(self, skipped: int) -> None:
         """Account ``skipped`` fast-forwarded or slept cycles with the
         last classification (no state changed during the gap)."""
-        for s, slot in enumerate(self._last_slots):
-            self.stats.slots[slot] += skipped
-        if self._ledger is not None:
-            for s, (cat, wid) in enumerate(self._last_cats):
-                self._charge_slot(s, cat, wid, skipped)
-
-    def _charge_slot(self, s: int, cat: int, wid: int, n: int) -> None:
-        """Queue ``n`` ledger slots for scheduler ``s``, coalescing
-        consecutive identical (category, warp) charges into one ledger
-        call. Never called with the ledger detached."""
-        if (
-            self._pend_n[s]
-            and self._pend_cat[s] == cat
-            and self._pend_wid[s] == wid
-        ):
-            self._pend_n[s] += n
-            return
-        pn = self._pend_n[s]
-        if pn:
-            self._ledger.charge(
-                self.sm_id, s, self._pend_cat[s], self._pend_wid[s], pn
-            )
-        self._pend_cat[s] = cat
-        self._pend_wid[s] = wid
-        self._pend_n[s] = n
-
-    def flush_ledger(self) -> None:
-        """Push queued ledger charges through — called at run end and
-        around sampling snapshots so ledger reads observe a complete
-        account. Safe (and free) with tracing off."""
-        ledger = self._ledger
-        if ledger is None:
-            return
-        pend = self._pend_n
-        for s in range(self.config.schedulers_per_sm):
-            pn = pend[s]
-            if pn:
-                ledger.charge(
-                    self.sm_id, s, self._pend_cat[s], self._pend_wid[s], pn
-                )
-                pend[s] = 0
+        stalls = self._stalls
+        for cat in self._last_cats:
+            stalls[cat] += skipped
+        if self.chrome is not None:
+            for s, cat in enumerate(self._last_cats):
+                self.chrome.note_slot(self.sm_id, s, cat, skipped)
 
     def next_wake(self, cycle: int) -> float:
         """Earliest cycle at which this SM might make progress without an
@@ -676,68 +596,38 @@ class SM:
             self.caba.replay_idle(owed, self.config.schedulers_per_sm)
 
     # ------------------------------------------------------------------
-    # Traced-path refinement (never reached with tracing off)
+    # Stall refinement (scanned slots only; memos keep the result)
     # ------------------------------------------------------------------
-    def _charge(self, ledger, s: int, cat: int) -> int:
-        """Refine ``cat`` where the issue scan was too coarse, record it
-        in the stall ledger, and return the refined category."""
-        if cat == _CAT_ISSUE or cat == _CAT_ASSIST:
-            wid = self._attr_warp
-        else:
-            cat, wid = self._refine(s, cat)
-        self._last_cats[s] = (cat, wid)
-        # Inlined _charge_slot fast path (see tick): consecutive
-        # identical charges dominate, and this runs once per scheduler
-        # per traced cycle.
-        if (
-            self._pend_n[s]
-            and self._pend_cat[s] == cat
-            and self._pend_wid[s] == wid
-        ):
-            self._pend_n[s] += 1
-        else:
-            self._charge_slot(s, cat, wid, 1)
-        return cat
-
-    def _refine(self, s: int, cat: int) -> tuple[int, int]:
-        """The refined (category, warp) of stall ``cat``."""
+    def _refine(self, s: int, cat: int) -> int:
+        """The refined category of stall ``cat``. Structural stalls
+        (pipe/LSU/MSHR) are already as fine as they get."""
         if cat == _CAT_SCOREBOARD:
             return self._refine_dep(s)
         if cat == _CAT_IDLE:
             return self._refine_idle(s)
-        # Structural stalls (pipe/LSU/MSHR) are a shared-resource
-        # property of the SM, not of one warp.
-        return cat, NO_WARP
+        return cat
 
-    def _refine_dep(self, s: int) -> tuple[int, int]:
+    def _refine_dep(self, s: int) -> int:
         """Split a data-dependence stall by what the dependence waits
         on: an outstanding DRAM round trip, an on-chip (L1/L2 hit or
         interconnect) round trip, or a plain scoreboard hazard."""
-        onchip = None
-        first = None
+        onchip = False
         for warp in self.sched_warps[s]:
             if warp.finished or warp.at_barrier or warp.assist_block:
                 continue
-            if first is None:
-                first = warp
             if warp.outstanding_mem:
                 if warp.mem_source == MEM_SRC_DRAM:
-                    return _CAT_DRAM, warp.global_index
-                if onchip is None:
-                    onchip = warp
-        if onchip is not None:
-            return _CAT_INTERCONNECT, onchip.global_index
-        if first is not None:
-            return _CAT_SCOREBOARD, first.global_index
-        return _CAT_SCOREBOARD, NO_WARP
+                    return _CAT_DRAM
+                onchip = True
+        return _CAT_INTERCONNECT if onchip else _CAT_SCOREBOARD
 
-    def _refine_idle(self, s: int) -> tuple[int, int]:
+    def _refine_idle(self, s: int) -> int:
         """An idle slot where a warp is parked behind an assist warp
         (store-buffer back-pressure) is CABA overhead, not true idle."""
         for warp in self.sched_warps[s]:
             if warp.assist_block and not warp.finished:
-                return _CAT_ASSIST_WAIT, warp.global_index
-        return _CAT_IDLE, NO_WARP
+                return _CAT_ASSIST_WAIT
+        return _CAT_IDLE
 
     # ------------------------------------------------------------------
     # Parent-warp instruction issue
@@ -875,14 +765,13 @@ class SM:
         warp.pending_mask |= instr.dst_mask
         touch(warp)
         warp.outstanding_mem += 1
-        if self._ledger is not None:
-            # Deepest level any of this warp's fills travelled to; used
-            # by _refine_dep to split DRAM from on-chip waits.
-            source = MEM_SRC_L1
-            for fill in fills:
-                if fill.source > source:
-                    source = fill.source
-            warp.mem_source = source
+        # Deepest level any of this warp's fills travelled to; used by
+        # _refine_dep to split DRAM from on-chip waits.
+        source = MEM_SRC_L1
+        for fill in fills:
+            if fill.source > source:
+                source = fill.source
+        warp.mem_source = source
 
         remaining = len(fills)
         def line_done() -> None:

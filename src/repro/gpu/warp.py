@@ -86,8 +86,8 @@ class WarpContext:
         #: belongs to the instruction at ``pc``.
         self.mshr_stall_line: int | None = None
         #: Deepest memory level the warp's most recent load reached
-        #: (repro.memory.hierarchy.MEM_SRC_*); only maintained while the
-        #: observability ledger is attached.
+        #: (repro.memory.hierarchy.MEM_SRC_*); splits DRAM from on-chip
+        #: waits in the SM's stall counts.
         self.mem_source = 0
 
     # ------------------------------------------------------------------
@@ -131,7 +131,7 @@ def touch(warp) -> None:
     ``pending_mask``/``pc`` millions of times per run), whereas
     mutations are comparatively rare events.
 
-    Fields that never influence the issue scan or its traced
+    Fields that never influence the issue scan or its stall
     refinements independently of a tracked field (``iteration``,
     ``outstanding_mem``, ``mem_source``, the coalescer memo,
     ``mshr_stall_line``) are untracked: every behavioural write to

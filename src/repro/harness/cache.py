@@ -139,18 +139,13 @@ class RunCache:
         """Cached RunResult for ``spec``, or None."""
         return self._load(self._path(self.key(spec)))
 
-    def put(self, spec, result, overwrite: bool = False) -> None:
-        """Persist ``result`` (which must not carry ``raw`` state).
-
-        Existing entries are left untouched unless ``overwrite`` is set
-        (used when a traced recompute carries strictly more data than
-        the untraced entry it replaces).
-        """
+    def put(self, spec, result) -> None:
+        """Persist ``result`` (which must not carry ``raw`` state); an
+        existing entry is left untouched."""
         if result.raw is not None:
             raise ValueError("refusing to persist a RunResult with raw "
                              "simulation state; strip it first")
-        self._write_atomic(self._path(self.key(spec)), result,
-                           overwrite=overwrite)
+        self._write_atomic(self._path(self.key(spec)), result)
 
     def get_plane(self, key: str):
         """Cached :class:`CompressionPlane` for ``key``, or None.
@@ -166,10 +161,11 @@ class RunCache:
         self._write_atomic(self._plane_path(key), plane)
 
     @staticmethod
-    def _write_atomic(path: Path, obj, overwrite: bool = False) -> None:
+    def _write_atomic(path: Path, obj) -> None:
         """Pickle ``obj`` to a temp file beside ``path`` and rename it
-        into place, so readers never observe a partial entry."""
-        if not overwrite and path.exists():
+        into place, so readers never observe a partial entry. An
+        existing entry is kept."""
+        if path.exists():
             return
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ study:
   partition, and decompression priority.
 
 The scenario studies run through the same RunSpec engine as every
-figure (parallel dispatch, persistent caching, sampling, tracing); the
+figure (parallel dispatch, persistent caching, sampling, stall counts); the
 kernel builders themselves live in :mod:`repro.harness.scenarios`.
 """
 

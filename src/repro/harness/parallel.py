@@ -50,7 +50,6 @@ from typing import Iterable, Sequence
 
 from repro.harness import runner
 from repro.harness.runner import RunResult, RunSpec
-from repro.obs import trace_enabled
 
 #: Retry budget per spec when none is given: one retry.
 DEFAULT_RETRIES = 1
@@ -281,12 +280,9 @@ class ExperimentEngine:
         if self.jobs <= 1:
             failures = self._run_serial(unique, resolved)
         else:
-            # The same trace flag run_spec resolves: an untraced cache
-            # entry must not stand in for a traced run.
-            trace = trace_enabled()
             pending = []
             for spec in unique:
-                hit = runner.cached_result(spec, trace=trace)
+                hit = runner.cached_result(spec)
                 if hit is not None:
                     resolved[spec] = hit
                 else:

@@ -58,7 +58,7 @@ from repro.memory import plane as plane_mod
 from repro.memory.hostlink import CapacityConfig, CapacityModel, plan_capacity
 from repro.memory.image import MemoryImage
 from repro.memory.plane import CompressionPlane
-from repro.obs import ChromeTraceCollector, StallLedger, trace_enabled
+from repro.obs import ChromeTraceCollector
 from repro.workloads.apps import AppProfile, get_app
 from repro.workloads.data_patterns import (
     make_block_generator,
@@ -136,10 +136,12 @@ class RunResult:
     capacity: dict | None = None
     #: Scenario outcome (controller stats); None for compression runs.
     scenario: dict | None = None
-    #: Trace payload of a traced run: ``{"ledger": ...}`` (the stall
-    #: ledger's export), plus ``"chrome"`` (the timeline) when one was
-    #: asked for; persisted without its large, optional chrome section.
-    obs: dict | None = field(repr=False, default=None)
+    #: Issue slots per refined stall category
+    #: (``SimStats.stall_counts``): per SM, totals and extrapolated.
+    stalls: dict = field(repr=False, default_factory=dict)
+    #: Chrome trace_event timeline, when one was asked for; never
+    #: persisted (it is large and optional).
+    chrome: dict | None = field(repr=False, default=None)
     #: Full simulation state; only populated for ``keep_raw=True`` runs
     #: and never persisted (it holds the whole memory system).
     raw: SimulationResult | None = field(repr=False, default=None)
@@ -316,7 +318,6 @@ def _make_caba_factory(
 def _simulate(
     spec: RunSpec,
     profile: AppProfile | None = None,
-    trace: bool = False,
     chrome: bool = False,
 ) -> RunResult:
     """Execute one run; the returned result carries the raw state.
@@ -369,12 +370,7 @@ def _simulate(
             capacity_model = _plan_capacity_model(
                 profile, effective_design, config, spec, image
             )
-    ledger = None
-    if trace:
-        ledger = StallLedger(
-            config.n_sms, config.schedulers_per_sm,
-            chrome=ChromeTraceCollector() if chrome else None,
-        )
+    collector = ChromeTraceCollector() if chrome else None
     simulator = Simulator(
         config,
         kernel,
@@ -382,7 +378,7 @@ def _simulate(
         image,
         caba_factory=caba_factory,
         assist_regs_per_thread=assist_regs,
-        ledger=ledger,
+        chrome=collector,
         sample=spec.sample,
         capacity=capacity_model,
     )
@@ -419,19 +415,10 @@ def _simulate(
         rmw_reads=stats.rmw_reads,
         capacity=_capacity_payload(memory, sim_result.cycles),
         scenario=scenario,
-        obs=_trace_payload(ledger),
+        stalls=sim_result.stats.stall_counts(),
+        chrome=collector.export() if collector is not None else None,
         raw=sim_result,
     )
-
-
-def _trace_payload(ledger: StallLedger | None) -> dict | None:
-    """``RunResult.obs`` for a run traced with ``ledger`` (None if not)."""
-    if ledger is None:
-        return None
-    payload = {"ledger": ledger.export()}
-    if ledger.chrome is not None:
-        payload["chrome"] = ledger.chrome.export()
-    return payload
 
 
 def _plan_capacity_model(
@@ -507,23 +494,15 @@ def scenario_spec(
     )
 
 
-def _satisfies(
-    result: RunResult, keep_raw: bool, trace: bool, chrome: bool
-) -> bool:
+def _satisfies(result: RunResult, keep_raw: bool, chrome: bool) -> bool:
     """Whether a cached result can stand in for the requested run."""
     if keep_raw and result.raw is None:
         return False
-    obs = result.obs
-    if trace and obs is None:
-        return False
-    if chrome and (obs is None or "chrome" not in obs):
-        return False
-    return True
+    return not chrome or result.chrome is not None
 
 
 def cached_result(
     spec: RunSpec,
-    trace: bool = False,
     chrome: bool = False,
     keep_raw: bool = False,
     persist: bool = True,
@@ -532,12 +511,12 @@ def cached_result(
     the persistent cache without simulating. The disk never holds raw
     state, so only the memo can serve a ``keep_raw`` request."""
     cached = _run_cache.get(spec)
-    if cached is not None and _satisfies(cached, keep_raw, trace, chrome):
+    if cached is not None and _satisfies(cached, keep_raw, chrome):
         return cached
     disk = run_cache_store.get_cache() if persist and not keep_raw else None
     if disk is not None:
         hit = disk.get(spec)
-        if hit is not None and _satisfies(hit, False, trace, chrome):
+        if hit is not None and _satisfies(hit, False, chrome):
             _run_cache[spec] = hit
             return hit
     return None
@@ -548,25 +527,21 @@ def record_result(
     result: RunResult,
     keep_raw: bool = False,
     persist: bool = True,
-    trace: bool = False,
 ) -> None:
     """Integrate a computed (local or pool-worker) result into the
     in-process memo and, when ``persist``, the persistent cache.
 
     The memo keeps raw state only for ``keep_raw`` results; the disk
     copy never holds raw state or the (large, optional) chrome timeline.
-    A ``trace``d result replaces an untraced disk entry in place.
     """
     slim = result if result.raw is None else replace(result, raw=None)
     _run_cache[spec] = result if keep_raw else slim
     disk = run_cache_store.get_cache() if persist else None
     if disk is None:
         return
-    if slim.obs is not None and "chrome" in slim.obs:
-        slim = replace(slim, obs={
-            k: v for k, v in slim.obs.items() if k != "chrome"
-        })
-    disk.put(spec, slim, overwrite=trace)
+    if slim.chrome is not None:
+        slim = replace(slim, chrome=None)
+    disk.put(spec, slim)
 
 
 def run_spec(
@@ -575,7 +550,6 @@ def run_spec(
     keep_raw: bool = False,
     profile: AppProfile | None = None,
     persist: bool = True,
-    trace: bool | None = None,
     chrome: bool = False,
 ) -> RunResult:
     """Simulate (or recall) one :class:`RunSpec`.
@@ -584,27 +558,20 @@ def run_spec(
     set ``persist=False`` since an unregistered profile's name is not a
     sound content address across processes.
 
-    ``trace`` attaches the stall ledger and populates ``RunResult.obs``
-    with its export; the default (``None``) follows the ``REPRO_TRACE``
-    environment knob. ``chrome`` additionally collects a Chrome
-    trace_event timeline (implies ``trace``); chrome payloads are kept
-    out of the persistent cache.
+    ``chrome`` collects a Chrome trace_event timeline into
+    ``RunResult.chrome``; chrome payloads are kept out of the persistent
+    cache.
     """
-    if trace is None:
-        trace = trace_enabled()
-    if chrome:
-        trace = True
     if use_cache:
-        hit = cached_result(spec, trace=trace, chrome=chrome,
-                            keep_raw=keep_raw, persist=persist)
+        hit = cached_result(spec, chrome=chrome, keep_raw=keep_raw,
+                            persist=persist)
         if hit is not None:
             return hit
-    result = _simulate(spec, profile, trace=trace, chrome=chrome)
+    result = _simulate(spec, profile, chrome=chrome)
     if not keep_raw:
         result = replace(result, raw=None)
     if use_cache:
-        record_result(spec, result, keep_raw=keep_raw, persist=persist,
-                      trace=trace)
+        record_result(spec, result, keep_raw=keep_raw, persist=persist)
     return result
 
 
@@ -621,7 +588,6 @@ def run_app(
     caba_params: CabaParams | None = None,
     use_cache: bool = True,
     keep_raw: bool = False,
-    trace: bool | None = None,
     chrome: bool = False,
     sample: SampleConfig | None | object = _SAMPLE_FROM_ENV,
     capacity: CapacityConfig | None = None,
@@ -640,10 +606,8 @@ def run_app(
         keep_raw: Attach the full :class:`SimulationResult` to the
             returned result. Raw state is big (it holds the memory
             system), so it is opt-in and never cached on disk.
-        trace: Attach the stall ledger and populate ``RunResult.obs``
-            with its export; ``None`` (default) follows ``REPRO_TRACE``.
-        chrome: Also collect a Chrome trace_event timeline (implies
-            ``trace``).
+        chrome: Also collect a Chrome trace_event timeline
+            (``RunResult.chrome``).
         sample: Interval-sampling knobs: a
             :class:`~repro.gpu.sampling.SampleConfig` to sample, ``None``
             to force exact simulation, or unset to follow
@@ -671,7 +635,7 @@ def run_app(
         registered = False
     return run_spec(spec, use_cache=use_cache, keep_raw=keep_raw,
                     profile=profile, persist=registered,
-                    trace=trace, chrome=chrome)
+                    chrome=chrome)
 
 
 def speedup(result: RunResult, baseline: RunResult) -> float:

@@ -1,8 +1,8 @@
 """The one reader of on/off environment knobs.
 
-``REPRO_CACHE``, ``REPRO_SAMPLE`` and ``REPRO_TRACE`` accept the same
-spellings, compared case-insensitively: ``1``/``on``/``true``/``yes``
-and ``0``/``off``/``false``/``no``. Unset or empty means the knob's
+``REPRO_CACHE`` and ``REPRO_SAMPLE`` accept the same spellings, compared
+case-insensitively: ``1``/``on``/``true``/``yes`` and
+``0``/``off``/``false``/``no``. Unset or empty means the knob's
 default. Anything else raises :class:`KnobError`, naming the knob,
 rather than silently meaning one or the other. Knobs are read at call
 time, so a process may flip one between runs.

@@ -71,7 +71,8 @@ class LineFill(NamedTuple):
     size_bytes: int
     merged: bool = False
     from_l1: bool = False
-    #: Deepest level serving the line (MEM_SRC_*; read by the stall ledger).
+    #: Deepest level serving the line (MEM_SRC_*; splits the SM's
+    #: DRAM waits from on-chip waits).
     source: int = MEM_SRC_L2
 
 

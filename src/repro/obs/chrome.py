@@ -9,13 +9,13 @@ microseconds by the viewer, which only affects axis labels).
 The collector samples rather than archives: once ``max_events`` events
 have been emitted it stops recording and counts the drops, so tracing a
 long run cannot exhaust memory. Event emission is deterministic — the
-ledger feeds slots in simulation order and the trailing open segments
-are flushed in (sm, scheduler) order.
+SMs feed slots in simulation order and the trailing open segments are
+flushed in (sm, scheduler) order.
 """
 
 from __future__ import annotations
 
-from repro.obs.ledger import StallCat
+from repro.gpu.stats import StallCat
 
 #: Synthetic thread row (per SM) carrying assist-warp lifetime events.
 ASSIST_TID = 255
@@ -42,7 +42,7 @@ class ChromeTraceCollector:
 
     def note_slot(self, sm: int, sched: int, cat: int, n: int) -> None:
         """Advance scheduler ``sched``'s timeline by ``n`` cycles of
-        category ``cat`` (called by the ledger once per charge)."""
+        category ``cat`` (called by the SM as it counts them)."""
         lane = self._lanes.get((sm, sched))
         if lane is None:
             self._lanes[(sm, sched)] = [n, 0, cat]

@@ -1,5 +1,8 @@
 """Trace-artifact serialization: JSON/CSV files and the CLI table.
 
+A run's trace payload is ``{"ledger": <RunResult.stalls>}``, plus
+``"chrome"`` (the timeline) when one was collected.
+
 All writers are deterministic — sorted keys, integer metrics, newline-
 terminated — so identical runs produce byte-identical artifacts whether
 they ran serially or through the parallel engine (tested in
@@ -11,16 +14,24 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.ledger import CAT_LABELS, StallCat
+from repro.gpu.stats import CAT_LABELS, StallCat
+
+
+def trace_payload(run) -> dict:
+    """The trace payload of a :class:`~repro.harness.runner.RunResult`."""
+    payload = {"ledger": run.stalls}
+    if run.chrome is not None:
+        payload["chrome"] = run.chrome
+    return payload
 
 
 def payload_json(payload: dict) -> str:
-    """Canonical JSON for a ``RunResult.obs`` payload."""
+    """Canonical JSON for a trace payload."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def payload_csv(payload: dict) -> str:
-    """Flat CSV of the ledger: totals, then per-SM counts."""
+    """Flat CSV of the stall counts: totals, then per-SM counts."""
     lines = ["kind,name,field,value"]
     ledger = payload.get("ledger", {})
     for cat, total in sorted(ledger.get("totals", {}).items()):

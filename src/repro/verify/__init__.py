@@ -8,7 +8,7 @@ surface:
 * :mod:`repro.verify.differential` — byte-identical agreement of the
   compressed-size computation paths (scalar, numpy batch, batch without
   numpy, cached planes) on real application images,
-* :mod:`repro.verify.invariants` — conservation laws replayed on traced
+* :mod:`repro.verify.invariants` — conservation laws replayed on real
   simulation runs (issue slots, MSHRs, flits, DRAM bursts, compressed
   cache budgets),
 * :mod:`repro.verify.sampling` — bounded-error agreement (≤2 % on IPC /

@@ -1,12 +1,12 @@
 """Simulator conservation invariants, checked on real replayed runs.
 
-Every check replays a (small, traced) simulation with ``keep_raw=True``
-and asserts an accounting identity that must hold by construction:
+Every check replays a small simulation with ``keep_raw=True`` and
+asserts an accounting identity that must hold by construction:
 
-* **Issue slots** — the stall ledger's per-SM counts regroup exactly to
-  ``SmStats.slots``, and every SM attributes exactly
-  ``cycles * schedulers_per_sm`` slots: no issue slot is lost or
-  double-charged.
+* **Issue slots** — every SM's stall counts (``SmStats.stalls``) sum to
+  exactly ``cycles * schedulers_per_sm``: no issue slot is lost or
+  double-charged, including slept, fast-forwarded and extrapolated
+  ones.
 * **MSHRs** — every allocated MSHR is released (completed runs), or
   still accounted in the in-flight maps (truncated runs), and the used
   counters match the in-flight maps entry for entry.
@@ -27,7 +27,7 @@ either side (or a code path that forgets to charge one) breaks them.
 :func:`check_scenarios` extends the same replay/check loop to the
 diversity scenarios: capacity-mode runs with a budget tight enough to
 force real spill traffic, and prefetch/memoization scenario runs (exact
-and interval-sampled) — proving the ledger still closes when assist
+and interval-sampled) — proving the slot count still closes when assist
 warps come from a scenario controller rather than the compression
 subroutine library, and that extrapolated sampled slots stay accounted.
 """
@@ -57,24 +57,17 @@ DEFAULT_ALGORITHMS: tuple[str, ...] = (
 def _check_run(
     label: str, result, config: GPUConfig
 ) -> list[CheckResult]:
-    """All conservation checks for one traced keep_raw run."""
+    """All conservation checks for one keep_raw run."""
     raw = result.raw
     memory = raw.memory
     stats = raw.stats
-    ledger = raw.ledger
     out: list[CheckResult] = []
 
-    # 1. Issue-slot conservation (ledger vs stats, and total attribution).
+    # 1. Issue-slot conservation (every slot counted exactly once).
     failure = ""
+    expected = stats.cycles * config.schedulers_per_sm
     for sm_id, sm in enumerate(stats.sms):
-        if ledger.slot_view(sm_id) != sm.slots:
-            failure = (
-                f"SM {sm_id}: ledger {ledger.slot_view(sm_id)} != "
-                f"stats {sm.slots}"
-            )
-            break
-        expected = stats.cycles * config.schedulers_per_sm
-        attributed = ledger.attributed_slots(sm_id)
+        attributed = sum(sm.stalls)
         if attributed != expected:
             failure = (
                 f"SM {sm_id}: {attributed} slots attributed, expected "
@@ -192,7 +185,7 @@ def check_invariants(
     config: GPUConfig | None = None,
     scale: TraceScale | None = None,
 ) -> list[CheckResult]:
-    """Replay ``apps x algorithms`` traced runs and check conservation.
+    """Replay ``apps x algorithms`` runs and check conservation.
 
     Each pair runs the CABA design for that algorithm; additionally one
     compressed-cache design (L2, 2x tags) runs per app so the cache
@@ -210,7 +203,7 @@ def check_invariants(
         for design in design_points:
             run = run_app(
                 app, design, config=config, scale=scale,
-                use_cache=False, keep_raw=True, trace=True,
+                use_cache=False, keep_raw=True,
             )
             results.extend(
                 _check_run(f"{app}.{design.name}", run, config)
@@ -225,7 +218,7 @@ def check_scenarios(
 ) -> list[CheckResult]:
     """Conservation checks on capacity-mode and scenario runs.
 
-    Replays, traced with ``keep_raw=True``:
+    Replays, with ``keep_raw=True``:
 
     * capacity-mode PVC under the baseline and under CABA-BDI, with a
       device budget of ``budget_fraction`` of the footprint — tight
@@ -234,11 +227,11 @@ def check_scenarios(
       host-link burst identity is exercised for real on both the plain
       and the compressed-DRAM spill paths;
     * the prefetch and memoization scenarios with assist warps on,
-      exact mode — the ledger/MSHR/flit/DRAM identities must close when
+      exact mode — the slot/MSHR/flit/DRAM identities must close when
       assist warps come from scenario controllers;
     * both scenarios again under interval sampling — extrapolated slots
-      must stay attributed (charged to the extrapolation pseudo-warp),
-      keeping the slot identity exact on sampled runs.
+      must stay counted, keeping the slot identity exact on sampled
+      runs.
     """
     from repro.gpu.sampling import SampleConfig
     from repro.harness.runner import run_spec, scenario_spec
@@ -261,7 +254,7 @@ def check_scenarios(
     for design in (designs.base(), designs.caba("bdi")):
         run = run_app(
             "PVC", design, config=config, scale=scale,
-            use_cache=False, keep_raw=True, trace=True,
+            use_cache=False, keep_raw=True,
             capacity=CapacityConfig(device_bytes=budget),
         )
         label = f"capacity.PVC.{design.name}"
@@ -287,9 +280,7 @@ def check_scenarios(
     for kind in ("prefetch", "memoization"):
         for mode, knob in (("exact", None), ("sampled", sample)):
             spec = scenario_spec(kind, config, sample=knob)
-            run = run_spec(
-                spec, use_cache=False, keep_raw=True, trace=True,
-            )
+            run = run_spec(spec, use_cache=False, keep_raw=True)
             label = f"scenario.{kind}.{mode}"
             results.extend(_check_run(label, run, config))
             stats = run.scenario or {}

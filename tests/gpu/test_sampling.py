@@ -10,7 +10,8 @@ on any machine at any knob setting, and is pinned here:
 * exact mode untouched by default (no ``REPRO_SAMPLE`` → no sampling),
 * sampled runs execute every parent instruction (bit-exact totals),
 * sampled runs are deterministic,
-* every conservation invariant closes on sampled runs (traced or not),
+* every conservation invariant closes on sampled runs, and a Chrome
+  timeline covers their extrapolated slots without perturbing them,
 * exact and sampled runs never collide in the run cache.
 """
 
@@ -188,23 +189,33 @@ def test_extrapolated_slots_tagged_separately():
 @pytest.mark.parametrize("design_name", ["base", "caba-bdi"])
 def test_sampled_conservation_invariants(design_name):
     """Every accounting identity the exact simulator guarantees must
-    survive sampling — traced, so the ledger reconciliation (including
-    the EXTRAP_WARP charges) is part of the contract."""
+    survive sampling, the slot count over extrapolated slots included."""
     from repro.verify.invariants import _check_run
 
     design = designs.base() if design_name == "base" \
         else designs.caba("bdi")
-    result = _run(design=design, sample=SAMPLE, keep_raw=True, trace=True)
+    result = _run(design=design, sample=SAMPLE, keep_raw=True)
     for check in _check_run("sampled", result, GPUConfig.small()):
         assert check.passed, f"{check.name}: {check.detail}"
 
 
 def test_traced_and_untraced_sampled_runs_agree():
-    untraced = _run(sample=SAMPLE, keep_raw=True)
-    traced = _run(sample=SAMPLE, keep_raw=True, trace=True)
+    """A sampled run with a Chrome timeline attached counts what the
+    plain run counts, and the timeline's slot rows cover every counted
+    slot, extrapolated ones included."""
+    untraced = _run(sample=SAMPLE)
+    traced = _run(sample=SAMPLE, chrome=True)
     assert traced.cycles == untraced.cycles
-    assert [list(sm.slots) for sm in traced.raw.stats.sms] == \
-        [list(sm.slots) for sm in untraced.raw.stats.sms]
+    assert traced.stalls == untraced.stalls
+    assert traced.stalls["extrapolated"][0] > 0
+    timeline = traced.chrome
+    assert timeline["metadata"]["dropped_events"] == 0
+    names = traced.stalls["categories"]
+    per_sm = [[0] * len(names) for _ in traced.stalls["per_sm"]]
+    for event in timeline["traceEvents"]:
+        if event["cat"] == "slots":
+            per_sm[event["pid"]][names.index(event["name"])] += event["dur"]
+    assert per_sm == traced.stalls["per_sm"]
 
 
 # ----------------------------------------------------------------------

@@ -174,10 +174,12 @@ class TestFastForwardIdentity:
         assert jumped.cycles == full.cycles
         assert jumped_key == full_key
 
-    def _run_workload(self, traced, app="MM", point=None):
+    def _run_workload(self, chrome, app="MM", point=None):
+        """One run and its fingerprint (every SM's stall counts among
+        it), plus its Chrome timeline events, sorted, when ``chrome``."""
         from repro.core.params import CabaParams
         from repro.harness.runner import _make_caba_factory, build_image
-        from repro.obs import StallLedger
+        from repro.obs import ChromeTraceCollector
         from repro.workloads.apps import get_app
         from repro.workloads.tracegen import TraceScale, build_kernel
 
@@ -190,48 +192,57 @@ class TestFastForwardIdentity:
         factory, regs = _make_caba_factory(
             point, config, CabaParams(), plane=image.plane
         )
-        ledger = (StallLedger(config.n_sms, config.schedulers_per_sm)
-                  if traced else None)
+        collector = ChromeTraceCollector() if chrome else None
         sim = Simulator(
             config, kernel, point, image,
             caba_factory=factory,
             assist_regs_per_thread=regs,
-            ledger=ledger,
+            chrome=collector,
         )
         result = sim.run()
-        payload = ledger.export() if traced else None
-        return result, self._fingerprint(sim, result), payload
+        events = None
+        if chrome:
+            events = sorted(
+                repr(sorted(event.items()))
+                for event in collector.export()["traceEvents"]
+            )
+        return result, self._fingerprint(sim, result), events
 
-    @pytest.mark.parametrize("traced", [False, True])
-    def test_workload_identity(self, traced):
+    @pytest.mark.parametrize("chrome", [False, True])
+    def test_workload_identity(self, chrome):
         with forced_ticks(fast_forward=False):
-            full, full_key, full_obs = self._run_workload(traced)
-        jumped, jumped_key, jumped_obs = self._run_workload(traced)
+            full, full_key, full_events = self._run_workload(chrome)
+        jumped, jumped_key, jumped_events = self._run_workload(chrome)
         assert jumped.cycles == full.cycles
+        # Skipped slots are counted during a jump under the same
+        # categories the full-tick loop counts them.
         assert jumped_key == full_key
-        # The stall ledger charges skipped slots during a jump; traced
-        # runs must attribute them to the same (category, warp) pairs
-        # the full-tick loop would have.
-        assert jumped_obs == full_obs
+        assert [sm.stalls for sm in jumped.stats.sms] == \
+            [sm.stalls for sm in full.stats.sms]
+        assert jumped_events == full_events
 
-    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("chrome", [False, True])
     @pytest.mark.parametrize("app,point", [
         ("MM", designs.base()),
         ("PVC", designs.caba("bdi")),
     ], ids=["MM-Base", "PVC-CABA-BDI"])
-    def test_sleep_identity(self, app, point, traced):
+    def test_sleep_identity(self, app, point, chrome):
         """Sleeping SMs replay exactly what their ticks would have done,
         down to the CABA controller's counters (its throttle EMA is
-        replayed once per loop iteration slept through) and every
-        ledger charge."""
+        replayed once per loop iteration slept through), every stall
+        count and, with a timeline attached, every timeline event."""
         with forced_ticks():
-            ticked, ticked_key, ticked_obs = self._run_workload(
-                traced, app, point
+            ticked, ticked_key, ticked_events = self._run_workload(
+                chrome, app, point
             )
-        slept, slept_key, slept_obs = self._run_workload(traced, app, point)
+        slept, slept_key, slept_events = self._run_workload(
+            chrome, app, point
+        )
         assert slept.cycles == ticked.cycles
         assert slept_key == ticked_key
-        assert slept_obs == ticked_obs
+        assert [sm.stalls for sm in slept.stats.sms] == \
+            [sm.stalls for sm in ticked.stats.sms]
+        assert slept_events == ticked_events
 
     def test_caba_design_requires_factory(self):
         config = GPUConfig.small()

@@ -18,7 +18,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.kernel import Kernel
 from repro.gpu.simulator import Simulator
-from repro.obs import StallLedger
+from repro.obs import ChromeTraceCollector
 from tests.gpu.stepping import forced_ticks
 from tests.images import make_image
 
@@ -59,10 +59,10 @@ bodies = st.lists(
 )
 
 
-def run_program(kinds, iterations, design, trace=False):
+def run_program(kinds, iterations, design, chrome=False):
     """Simulate the random program on three blocks of two warps; a
     design with assist warps gets a CABA controller and an image
-    compressed with its algorithm."""
+    compressed with its algorithm. ``chrome`` attaches a timeline."""
     config = GPUConfig.small()
     body = tuple(_instr(kind, salt=i) for i, kind in enumerate(kinds))
     kernel = Kernel(
@@ -85,9 +85,8 @@ def run_program(kinds, iterations, design, trace=False):
         )
     # Loads touch lines [0, 400), stores [1000, 1300).
     image = make_image(algo, line_size, lines=1300)
-    ledger = (StallLedger(config.n_sms, config.schedulers_per_sm)
-              if trace else None)
-    return Simulator(config, kernel, design, image, ledger=ledger,
+    collector = ChromeTraceCollector() if chrome else None
+    return Simulator(config, kernel, design, image, chrome=collector,
                      **caba).run()
 
 
@@ -122,31 +121,27 @@ def test_slot_accounting_complete(kinds):
 @settings(max_examples=10, deadline=None)
 @given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
 def test_ledger_invariants_on_random_programs(kinds, iterations):
-    """The stall ledger stays complete, non-negative and reconciled with
-    the coarse slot stats for arbitrary well-formed programs."""
-    result = run_program(kinds, iterations, designs.base(), trace=True)
-    ledger = result.ledger
+    """The refined stall counts stay complete and non-negative for
+    arbitrary well-formed programs."""
+    result = run_program(kinds, iterations, designs.base())
     config = GPUConfig.small()
-    for sm_id, sm_stats in enumerate(result.stats.sms):
-        counts = ledger.sm_counts[sm_id]
+    for sm_stats in result.stats.sms:
+        counts = sm_stats.stalls
         assert all(count >= 0 for count in counts)
         assert sum(counts) == result.cycles * config.schedulers_per_sm
-        assert ledger.slot_view(sm_id) == list(sm_stats.slots)
-        for row in ledger.warp_counts[sm_id].values():
-            assert all(count >= 0 for count in row)
 
 
 @settings(max_examples=8, deadline=None)
 @given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
 def test_tracing_preserves_simulation_outcome(kinds, iterations):
-    """Attaching the observability layer never changes what happens."""
+    """Attaching a Chrome timeline never changes what happens."""
     plain = run_program(kinds, iterations, designs.base())
-    traced = run_program(kinds, iterations, designs.base(), trace=True)
+    traced = run_program(kinds, iterations, designs.base(), chrome=True)
     assert traced.cycles == plain.cycles
     assert traced.stats.parent_instructions == plain.stats.parent_instructions
     assert traced.memory.stats.dram_reads == plain.memory.stats.dram_reads
     for t_sm, p_sm in zip(traced.stats.sms, plain.stats.sms):
-        assert list(t_sm.slots) == list(p_sm.slots)
+        assert t_sm.stalls == p_sm.stalls
 
 
 @settings(max_examples=10, deadline=None)

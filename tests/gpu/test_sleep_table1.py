@@ -5,11 +5,9 @@ at once. Sleep matters most on ``GPUConfig()`` (15 SMs): most of a
 memory-bound run's SM ticks are slept there. These runs compare the
 default loop with ``forced_ticks()`` (every SM ticks on every cycle the
 loop runs) on a memory-bound baseline and on CABA-BDI, whose
-controller replays its throttle EMA across every slept tick.
-
-Under ``REPRO_TRACE=1`` (CI's trace-invariant suite) the runs carry the
-stall ledger, and every ledger charge must match too, so the ledger
-reconciles across slept spans.
+controller replays its throttle EMA across every slept tick. Every
+SM's refined stall counts must match too, so slept spans are counted
+under the categories their ticks would have counted.
 """
 
 import dataclasses
@@ -22,7 +20,6 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import Simulator
 from repro.gpu.sm import SM
 from repro.harness.runner import _make_caba_factory, build_image
-from repro.obs import StallLedger, trace_enabled
 from repro.workloads.apps import get_app
 from repro.workloads.tracegen import TraceScale, build_kernel
 from tests.gpu.stepping import forced_ticks
@@ -37,11 +34,9 @@ def _run(app, point):
     factory, regs = _make_caba_factory(
         point, config, CabaParams(), plane=image.plane
     )
-    ledger = (StallLedger(config.n_sms, config.schedulers_per_sm)
-              if trace_enabled() else None)
     sim = Simulator(config, build_kernel(profile, config, SCALE), point,
                     image, caba_factory=factory,
-                    assist_regs_per_thread=regs, ledger=ledger)
+                    assist_regs_per_thread=regs)
     result = sim.run()
     assert not result.truncated
     fingerprint = {
@@ -54,8 +49,6 @@ def _run(app, point):
         ],
         "memory": repr(result.memory.stats),
     }
-    if ledger is not None:
-        fingerprint["ledger"] = ledger.export()
     return fingerprint
 
 

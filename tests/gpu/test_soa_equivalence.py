@@ -11,8 +11,8 @@ invisible. This suite pins that three ways:
 * the reference mode reproduces ``tests/fixtures/golden_stats.json``
   byte-exactly over the full app x algorithm matrix (the fixture pins
   the memoized default, so reference == golden == memoized);
-* both modes are compared head to head on traced workload runs, down to
-  the per-SM slot counters and every stall-ledger charge;
+* both modes are compared head to head on workload runs, down to every
+  SM's refined stall counts;
 * hypothesis-fuzzed kernels, Base and CABA-BDI, are run in both modes
   and compared byte for byte.
 
@@ -136,7 +136,7 @@ def test_reference_mode_matches_golden(app, algorithm):
 
 
 # ----------------------------------------------------------------------
-# Head-to-head on representative workloads (per-SM and ledger detail)
+# Head-to-head on representative workloads (per-SM stall detail)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("app,algorithm", [
     ("PVC", "bdi"),        # memory-bound, assist warps + decompression
@@ -144,24 +144,17 @@ def test_reference_mode_matches_golden(app, algorithm):
     ("CONS", "bestofall"), # store-heavy, composed algorithm
 ])
 def test_modes_agree_head_to_head(app, algorithm):
-    """Traced runs: a replayed memo also replays the stall category and
-    warp it charges to the ledger, which the untraced golden stats do
-    not see."""
+    """A replayed memo also replays the refined stall category it
+    counts, which the golden stats see only regrouped into slots."""
     scale = TraceScale(work=0.25, waves=0.25)
     prints = {}
     for memo in (False, True):
         with forced_rescan(enabled=not memo):
             clear_caches()
             raw = run_app(app, _design_for(algorithm), GPUConfig.small(),
-                          scale=scale, use_cache=False, keep_raw=True,
-                          trace=True).raw
-        ledger = raw.ledger
+                          scale=scale, use_cache=False, keep_raw=True).raw
         prints[memo] = _fingerprint(raw)
-        prints[memo]["ledger"] = (
-            [list(counts) for counts in ledger.sm_counts],
-            [sorted((wid, list(row)) for wid, row in per_sm.items())
-             for per_sm in ledger.warp_counts],
-        )
+        prints[memo]["stalls"] = [sm.stalls for sm in raw.stats.sms]
     assert prints[False] == prints[True]
 
 

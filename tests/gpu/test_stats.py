@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.gpu.stats import SLOT_LABELS, SimStats, Slot, SmStats
+from repro.gpu.stats import (
+    SLOT_LABELS,
+    SLOT_OF_CAT,
+    SimStats,
+    Slot,
+    SmStats,
+    StallCat,
+)
 
 
 class TestSmStats:
@@ -20,9 +27,11 @@ class TestSimStats:
             sm = SmStats()
             sm.parent_instructions = 50
             sm.assist_instructions = 10
-            sm.slots[Slot.ACTIVE] = 60
-            sm.slots[Slot.MEMORY_STALL] = 80
-            sm.slots[Slot.IDLE] = 60
+            sm.stalls[StallCat.ISSUE] = 40
+            sm.stalls[StallCat.ASSIST] = 20
+            sm.stalls[StallCat.MSHR_FULL] = 50
+            sm.stalls[StallCat.LSU] = 30
+            sm.stalls[StallCat.IDLE] = 60
             sm.alu_ops = 30
             stats.sms.append(sm)
         return stats
@@ -40,6 +49,20 @@ class TestSimStats:
         breakdown = stats.slot_breakdown()
         assert sum(breakdown.values()) == pytest.approx(1.0)
         assert breakdown[Slot.ACTIVE] == pytest.approx(120 / 400)
+
+    def test_slots_regroup_the_stall_counts(self):
+        sm = self.make().sms[0]
+        assert sm.slots == [60, 0, 80, 0, 60]
+        assert len(SLOT_OF_CAT) == len(StallCat)
+        assert all(isinstance(slot, Slot) for slot in SLOT_OF_CAT)
+
+    def test_stall_counts_export(self):
+        counts = self.make().stall_counts()
+        assert counts["categories"] == [c.name.lower() for c in StallCat]
+        assert counts["per_sm"][0][StallCat.LSU] == 30
+        assert counts["totals"]["issue"] == 80
+        assert sum(counts["totals"].values()) == 400
+        assert counts["extrapolated"] == [0, 0]
 
     def test_empty_breakdown(self):
         assert sum(SimStats().slot_breakdown().values()) == 0.0

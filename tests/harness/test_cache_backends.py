@@ -1,6 +1,6 @@
 """RunCache's local-directory store: the on-disk contract.
 
-Round-trips, overwrite semantics, corrupt-entry-as-miss, concurrent
+Round-trips, keep-existing semantics, corrupt-entry-as-miss, concurrent
 same-key writers, the historical ``<root>/<stamp>/<key>.pkl`` layout with
 its pickle bytes, and the age-gated ``.tmp`` sweep.
 """
@@ -44,8 +44,6 @@ class TestConformance:
         cache.put(spec, _Result("first"))
         cache.put(spec, _Result("second"))
         assert cache.get(spec).payload == "first"
-        cache.put(spec, _Result("third"), overwrite=True)
-        assert cache.get(spec).payload == "third"
 
     def test_corrupt_entry_reads_as_miss_through_runcache(self, cache):
         """Garbage bytes in the store must surface as a miss."""
@@ -63,28 +61,30 @@ class TestConformance:
         assert cache.get_plane("feedf00d") == {"plane": 1}
 
     def test_concurrent_writers_same_key_keep_entry_valid(self, cache):
-        """N racing writers (atomic replace / last-writer-wins): the
-        surviving entry must be one of the complete payloads, never an
-        interleaving."""
-        spec = _Spec("contested")
+        """N writers race onto one fresh key per round (atomic replace /
+        last-writer-wins): the surviving entry must be one of the
+        complete payloads, never an interleaving."""
         payloads = [f"writer-{i}" * 64 for i in range(4)]
-        errors = []
+        for round_ in range(10):
+            spec = _Spec(f"contested-{round_}")
+            barrier = threading.Barrier(len(payloads))
+            errors = []
 
-        def write(data: str) -> None:
-            try:
-                for _ in range(10):
-                    cache.put(spec, _Result(data), overwrite=True)
-            except Exception as exc:  # pragma: no cover - fail loudly
-                errors.append(exc)
+            def write(data: str) -> None:
+                try:
+                    barrier.wait(timeout=30.0)
+                    cache.put(spec, _Result(data))
+                except Exception as exc:  # pragma: no cover - fail loudly
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=write, args=(p,))
-                   for p in payloads]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert cache.get(spec).payload in payloads
+            threads = [threading.Thread(target=write, args=(p,))
+                       for p in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors
+            assert cache.get(spec).payload in payloads
 
 
 class TestLocalLayout:

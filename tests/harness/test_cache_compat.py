@@ -3,9 +3,9 @@
 ``repro cache info`` must work on whatever it finds on disk: cache
 directories written before the planes/traces layout existed, leftover
 temp files from killed workers, and plain garbage a user dropped in the
-directory. It must also report trace artifacts, ``put`` must honour
-its overwrite contract (traced recomputes upgrade untraced entries), and
-run and plane entries with the same key must not collide.
+directory. It must also report trace artifacts, ``put`` must keep an
+existing entry, and run and plane entries with the same key must not
+collide.
 """
 
 import os
@@ -263,12 +263,6 @@ class TestPutOverwrite:
         cache.put(spec, _Result("first"))
         cache.put(spec, _Result("second"))
         assert cache.get(spec).payload == "first"
-
-    def test_overwrite_replaces_entry(self, cache):
-        spec = _Spec("spec")
-        cache.put(spec, _Result("first"))
-        cache.put(spec, _Result("upgraded"), overwrite=True)
-        assert cache.get(spec).payload == "upgraded"
 
 
 class TestLayout:

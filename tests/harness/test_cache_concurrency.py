@@ -138,26 +138,31 @@ class TestThreadRaces:
         self._race(tmp_path, disrupt)
 
     def test_concurrent_writers_same_key_keep_entry_valid(self, tmp_path):
+        """Each round, four threads race ``put`` onto one fresh key, so
+        their renames land on the same path."""
         cache = RunCache(root=tmp_path)
-        spec = _spec()
-        expected = make_result(app=spec.app)
-        errors: list[BaseException] = []
+        for round_ in range(25):
+            spec = _spec(f"MM{round_}")
+            expected = make_result(app=spec.app)
+            errors: list[BaseException] = []
+            barrier = threading.Barrier(4)
 
-        def writer() -> None:
-            try:
-                for _ in range(100):
-                    cache.put(spec, expected, overwrite=True)
-            except BaseException as exc:
-                errors.append(exc)
+            def writer() -> None:
+                try:
+                    barrier.wait(timeout=30.0)
+                    cache.put(spec, expected)
+                except BaseException as exc:
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert not errors
-        hit = cache.get(spec)
-        assert hit is not None and hit.cycles == expected.cycles
+            threads = [threading.Thread(target=writer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not errors
+            hit = cache.get(spec)
+            assert hit is not None and hit.app == spec.app
+        assert cache.info()["tmp_entries"] == 0
 
 
 _WORKER_SCRIPT = r"""
@@ -172,11 +177,11 @@ from repro.harness.runner import RunSpec
 from harness.test_cache_concurrency import make_result
 
 cache = RunCache(root={root!r})
-specs = [RunSpec(app, designs.base(), GPUConfig.small(), sample=None)
-         for app in ("MM", "PVC", "CONS")]
-for _ in range(50):
-    for spec in specs:
-        cache.put(spec, make_result(app=spec.app), overwrite=True)
+for round_ in range(50):
+    for app in ("MM", "PVC", "CONS"):
+        spec = RunSpec(f"{{app}}{{round_}}", designs.base(),
+                       GPUConfig.small(), sample=None)
+        cache.put(spec, make_result(app=spec.app))
         hit = cache.get(spec)
         assert hit is None or hit.app == spec.app, hit
 print("worker-ok")
@@ -185,9 +190,10 @@ print("worker-ok")
 
 class TestCrossProcess:
     def test_two_processes_share_one_cache_dir(self, tmp_path):
-        """Two real processes hammer the same keys in one directory —
-        the atomic-write protocol must keep every read valid in both,
-        and must leave no torn entries or tmp leftovers behind."""
+        """Two real processes write the same fresh keys in one
+        directory — the atomic-write protocol must keep every read
+        valid in both, and must leave no torn entries or tmp leftovers
+        behind."""
         here = os.path.dirname(__file__)
         script = _WORKER_SCRIPT.format(
             src=os.path.abspath(os.path.join(here, "..", "..", "src")),
@@ -207,7 +213,7 @@ class TestCrossProcess:
         # Every entry left behind is a complete, valid pickle.
         cache = RunCache(root=tmp_path)
         entries = list((tmp_path / cache.stamp).glob("*.pkl"))
-        assert len(entries) == 3
+        assert len(entries) == 150
         for path in entries:
             with open(path, "rb") as fh:
                 pickle.load(fh)

@@ -13,7 +13,7 @@ from repro.gpu.config import GPUConfig
 from repro.harness import parallel
 from repro.harness import runner as runner_mod
 from repro.harness.cache import RunCache
-from repro.harness.runner import RunSpec, clear_caches, run_spec
+from repro.harness.runner import RunSpec, clear_caches, run_app, run_spec
 from repro.workloads.tracegen import TraceScale
 
 #: Shrunk workload so each simulation stays well under a second.
@@ -57,20 +57,20 @@ class TestPoolDeterminism:
         with parallel.ExperimentEngine(jobs=1) as engine:
             assert engine.run_many([spec])[0] is run_spec(spec)
 
-    def test_pool_honours_repro_trace_over_untraced_cache(self,
-                                                          monkeypatch):
-        """A warm untraced entry must not stand in for a traced run,
-        in the pool exactly as in run_spec."""
-        spec = _specs()[1]
+    def test_pool_and_serial_carry_equal_stall_counts(self):
+        """A pool worker's result carries the stall counts a serial run
+        counts, category by category and SM by SM."""
+        specs = _specs()
         clear_caches()
-        assert run_spec(spec, trace=False).obs is None
-        monkeypatch.setenv("REPRO_TRACE", "1")
         with parallel.ExperimentEngine(jobs=2) as engine:
-            [pooled] = engine.run_many([spec])
+            pooled = engine.run_many(specs)
+        clear_caches()
         with parallel.ExperimentEngine(jobs=1) as engine:
-            [serial] = engine.run_many([spec])
-        assert pooled.obs is not None
-        assert serial.obs is not None
+            serial = engine.run_many(specs)
+        for a, b in zip(pooled, serial):
+            assert a is not b
+            assert a.stalls["per_sm"]
+            assert a.stalls == b.stalls
 
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
@@ -96,6 +96,22 @@ class TestPersistentCache:
         warm = run_spec(spec)
         assert warm is not cold
         assert _metrics(warm) == _metrics(cold)
+
+    def test_warm_run_carries_the_cold_runs_stall_counts(
+        self, tmp_path, monkeypatch
+    ):
+        """Stall counts persist with the run: a result served from disk
+        explains itself exactly as the cold run did."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_caches()
+        cold = run_app("PVC", designs.caba())
+        clear_caches()
+        monkeypatch.setattr(runner_mod, "_simulate", None)
+        warm = run_app("PVC", designs.caba())
+        assert warm is not cold
+        assert sum(cold.stalls["totals"].values()) > 0
+        assert warm.stalls["per_sm"] == cold.stalls["per_sm"]
+        assert warm.stalls == cold.stalls
 
     def test_stamp_change_invalidates(self, tmp_path):
         spec = _specs()[1]

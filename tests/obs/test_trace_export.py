@@ -5,12 +5,13 @@ import json
 from repro import design as designs
 from repro.gpu.config import GPUConfig
 from repro.harness.runner import run_app
-from repro.obs import StallCat
+from repro.gpu.stats import StallCat
 from repro.obs.chrome import ASSIST_TID, ChromeTraceCollector
 from repro.obs.export import (
     payload_csv,
     payload_json,
     render_ledger,
+    trace_payload,
     write_trace_files,
 )
 from repro.workloads.tracegen import TraceScale
@@ -18,10 +19,13 @@ from repro.workloads.tracegen import TraceScale
 SCALE = TraceScale(work=0.25, waves=0.25)
 
 
+def _traced_run(chrome=False):
+    return run_app("PVC", designs.caba("bdi"), GPUConfig.small(),
+                   scale=SCALE, use_cache=False, chrome=chrome)
+
+
 def _traced_payload(chrome=False):
-    run = run_app("PVC", designs.caba("bdi"), GPUConfig.small(),
-                  scale=SCALE, use_cache=False, trace=True, chrome=chrome)
-    return run.obs
+    return trace_payload(_traced_run(chrome))
 
 
 class TestChromeCollector:
@@ -104,8 +108,8 @@ class TestPayloadWriters:
 class TestRunnerObsPayload:
     def test_runresult_obs_counters_match_scalars(self):
         run = run_app("MM", designs.caba("bdi"), GPUConfig.small(),
-                      scale=SCALE, use_cache=False, trace=True)
-        total_slots = sum(run.obs["ledger"]["totals"].values())
+                      scale=SCALE, use_cache=False)
+        total_slots = sum(run.stalls["totals"].values())
         n_sched = GPUConfig.small().schedulers_per_sm
         n_sms = GPUConfig.small().n_sms
         assert total_slots == run.cycles * n_sched * n_sms
@@ -123,7 +127,36 @@ class TestRunnerObsPayload:
         assert all(e["cat"] == "assist" for e in assist)
         assert any(e["name"].startswith("decompress:") for e in assist)
 
+    def test_chrome_timeline_tiles_each_scheduler_row(self):
+        """Every scheduler row of the timeline covers ``[0, cycles)``
+        with no gap or overlap, and per SM its per-category durations
+        are the SM's stall counts."""
+        run = _traced_run(chrome=True)
+        timeline = run.chrome
+        assert timeline["metadata"]["dropped_events"] == 0
+        rows = {}
+        for event in timeline["traceEvents"]:
+            if event["cat"] == "slots":
+                rows.setdefault((event["pid"], event["tid"]), []).append(
+                    (event["ts"], event["dur"], event["name"]))
+        config = GPUConfig.small()
+        assert len(rows) == config.n_sms * config.schedulers_per_sm
+        names = run.stalls["categories"]
+        per_sm = [[0] * len(names) for _ in range(config.n_sms)]
+        for (sm, _), segments in rows.items():
+            clock = 0
+            for ts, dur, name in sorted(segments):
+                assert ts == clock and dur > 0
+                clock += dur
+                per_sm[sm][names.index(name)] += dur
+            assert clock == run.cycles
+        assert per_sm == run.stalls["per_sm"]
+
     def test_untraced_run_has_no_obs(self):
+        """Without ``chrome`` a run collects no timeline; it still
+        carries its stall counts."""
         run = run_app("MM", designs.base(), GPUConfig.small(),
-                      scale=SCALE, use_cache=False, trace=False)
-        assert run.obs is None
+                      scale=SCALE, use_cache=False)
+        assert run.chrome is None
+        assert set(trace_payload(run)) == {"ledger"}
+        assert sum(run.stalls["totals"].values()) > 0

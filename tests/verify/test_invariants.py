@@ -1,5 +1,5 @@
-"""Conservation invariants: they hold on a real traced run, and each
-one trips when its counters are tampered with."""
+"""Conservation invariants: they hold on a real run, and each one trips
+when its counters are tampered with."""
 
 import pytest
 
@@ -15,11 +15,11 @@ SCALE = TraceScale(work=0.25, waves=0.25)
 
 
 @pytest.fixture(scope="module")
-def traced_run():
+def replayed():
     clear_caches()
     return run_app(
         "PVC", designs.caba("bdi"), config=CONFIG, scale=SCALE,
-        use_cache=False, keep_raw=True, trace=True,
+        use_cache=False, keep_raw=True,
     )
 
 
@@ -28,22 +28,22 @@ def _by_kind(results):
 
 
 class TestCleanRun:
-    def test_all_invariants_hold(self, traced_run):
-        results = _check_run("PVC.CABA-BDI", traced_run, CONFIG)
+    def test_all_invariants_hold(self, replayed):
+        results = _check_run("PVC.CABA-BDI", replayed, CONFIG)
         failures = [r for r in results if not r.passed]
         assert not failures, failures
         assert set(_by_kind(results)) == {
             "slots", "mshr", "flits", "dram", "cache",
         }
 
-    def test_checker_is_read_only(self, traced_run):
-        before = traced_run.raw.memory.stats.mshr_allocs
-        _check_run("x", traced_run, CONFIG)
-        _check_run("x", traced_run, CONFIG)
-        assert traced_run.raw.memory.stats.mshr_allocs == before
+    def test_checker_is_read_only(self, replayed):
+        before = replayed.raw.memory.stats.mshr_allocs
+        _check_run("x", replayed, CONFIG)
+        _check_run("x", replayed, CONFIG)
+        assert replayed.raw.memory.stats.mshr_allocs == before
 
-    def test_mshr_traffic_is_nontrivial(self, traced_run):
-        stats = traced_run.raw.memory.stats
+    def test_mshr_traffic_is_nontrivial(self, replayed):
+        stats = replayed.raw.memory.stats
         assert stats.mshr_allocs > 0
         assert stats.mshr_allocs == stats.mshr_releases
 
@@ -53,49 +53,49 @@ class TestTamperedCountersAreCaught:
     Counters are restored after each check so the module-scoped run
     stays clean for other tests."""
 
-    def _failing(self, traced_run, kind):
-        results = _check_run("t", traced_run, CONFIG)
+    def _failing(self, replayed, kind):
+        results = _check_run("t", replayed, CONFIG)
         return _by_kind(results)[kind]
 
-    def test_mshr_imbalance(self, traced_run):
-        stats = traced_run.raw.memory.stats
+    def test_mshr_imbalance(self, replayed):
+        stats = replayed.raw.memory.stats
         stats.mshr_allocs += 1
         try:
-            result = self._failing(traced_run, "mshr")
+            result = self._failing(replayed, "mshr")
             assert not result.passed
             assert "allocs" in result.detail
         finally:
             stats.mshr_allocs -= 1
 
-    def test_flit_imbalance(self, traced_run):
-        xbar = traced_run.raw.memory.crossbar
+    def test_flit_imbalance(self, replayed):
+        xbar = replayed.raw.memory.crossbar
         xbar.request_flits += 1
         try:
-            result = self._failing(traced_run, "flits")
+            result = self._failing(replayed, "flits")
             assert not result.passed
             assert "flits" in result.detail
         finally:
             xbar.request_flits -= 1
 
-    def test_dram_burst_imbalance(self, traced_run):
-        mc = traced_run.raw.memory.mcs[0]
+    def test_dram_burst_imbalance(self, replayed):
+        mc = replayed.raw.memory.mcs[0]
         mc.stats.read_bursts += 1
         try:
-            result = self._failing(traced_run, "dram")
+            result = self._failing(replayed, "dram")
             assert not result.passed
             assert "bursts" in result.detail
         finally:
             mc.stats.read_bursts -= 1
 
-    def test_slot_imbalance(self, traced_run):
-        ledger = traced_run.raw.ledger
-        ledger.sm_counts[0][0] += 1
+    def test_slot_imbalance(self, replayed):
+        stalls = replayed.raw.stats.sms[0].stalls
+        stalls[0] += 1
         try:
-            result = self._failing(traced_run, "slots")
+            result = self._failing(replayed, "slots")
             assert not result.passed
             assert "SM 0" in result.detail
         finally:
-            ledger.sm_counts[0][0] -= 1
+            stalls[0] -= 1
 
 
 class TestCompressedCacheAudit:
