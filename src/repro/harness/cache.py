@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 
 from repro.knobs import env_flag
+from repro.memory.plane import CompressionPlane
 
 #: Bump manually on cache-format changes (key scheme, pickle layout).
 #: 2: stamp hashes package-relative paths, not bare file names (a module
@@ -152,9 +153,14 @@ class RunCache:
 
         Plane keys are already content addresses (see
         :func:`repro.memory.plane.plane_key`); combined with the
-        stamp directory they invalidate on any source change.
+        stamp directory they invalidate on any source change. An entry
+        that is not a plane, or is the plane of another key (a renamed
+        or foreign file), reads as a miss.
         """
-        return self._load(self._plane_path(key))
+        plane = self._load(self._plane_path(key))
+        if isinstance(plane, CompressionPlane) and plane.key == key:
+            return plane
+        return None
 
     def put_plane(self, key: str, plane) -> None:
         """Persist one compression plane under the current stamp."""

@@ -428,10 +428,7 @@ def fig11_compression_ratio(
             # The sampled image is batch-compressed through the shared
             # plane machinery (and its caches).
             plane = plane_for_app(app, algo, sample_lines, line_size)
-            compressed_bursts = sum(
-                plane.bursts(line_addr) for line_addr in range(sample_lines)
-            )
-            ratio = total_bursts / compressed_bursts
+            ratio = total_bursts / plane.total_bursts()
             row[algo.upper()] = ratio
             sums[algo] += ratio
         result.rows.append(row)

@@ -73,6 +73,19 @@ class Cache:
         """Tag check without any state change."""
         return line in self._set_for(line)
 
+    def hit(self, line: int) -> bool:
+        """Count a hit on ``line`` and make it MRU, as :meth:`access`
+        does; a miss changes nothing (not even the counts), so a caller
+        that cannot track the miss yet allocates nothing."""
+        target = self._sets[(line ^ (line >> 7) ^ (line >> 15)) % self.n_sets]
+        if line in target:
+            stats = self.stats
+            stats.accesses += 1
+            stats.hits += 1
+            target.move_to_end(line)
+            return True
+        return False
+
     def access(
         self, line: int, is_write: bool = False, allocate: bool = True
     ) -> AccessResult:

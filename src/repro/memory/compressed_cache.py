@@ -72,8 +72,25 @@ class CompressedCache:
     def _set_for(self, line: int) -> OrderedDict[int, _Entry]:
         return self._sets[self._set_index(line)]
 
-    def probe(self, line: int) -> bool:
-        return line in self._set_for(line)
+    def hit(self, line: int) -> bool:
+        """Count a hit on ``line`` and make it MRU, as :meth:`access`
+        does; a miss changes nothing. The hit line keeps its stored size
+        until :meth:`resize`."""
+        target = self._sets[(line ^ (line >> 7) ^ (line >> 15)) % self.n_sets]
+        if line in target:
+            self.stats.accesses += 1
+            self.stats.hits += 1
+            target.move_to_end(line)
+            return True
+        return False
+
+    def resize(self, line: int, size: int) -> tuple[tuple[int, bool], ...]:
+        """Store resident ``line`` at ``size`` bytes; returns the LRU
+        victims evicted to fit it (see :meth:`access`)."""
+        if not 1 <= size <= self.line_size:
+            raise ValueError(f"bad compressed size {size}")
+        index = self._set_index(line)
+        return self._resize(index, self._sets[index][line], size)
 
     def stored_size(self, line: int) -> int | None:
         """Compressed size the cache holds for ``line`` (None if absent)."""
@@ -101,24 +118,8 @@ class CompressedCache:
             target.move_to_end(line)
             if is_write:
                 entry.dirty = True
-            self._used[index] += size - entry.size
-            entry.size = size
-            if self._used[index] <= self.data_budget:
-                return _HIT
-            # A line growing in place can push the set over its byte
-            # budget; evict LRU lines until it fits again. The hit line
-            # is MRU and fits on its own, so it is never its own victim.
-            evicted: list[tuple[int, bool]] = []
-            used = self._used[index]
-            while used > self.data_budget:
-                victim_line, victim = target.popitem(last=False)
-                used -= victim.size
-                evicted.append((victim_line, victim.dirty))
-                self.stats.evictions += 1
-                if victim.dirty:
-                    self.stats.dirty_evictions += 1
-            self._used[index] = used
-            return CompressedAccessResult(True, tuple(evicted))
+            evicted = self._resize(index, entry, size)
+            return CompressedAccessResult(True, evicted) if evicted else _HIT
         self.stats.misses += 1
         if not allocate:
             return _MISS
@@ -128,6 +129,30 @@ class CompressedCache:
         if evicted:
             return CompressedAccessResult(False, tuple(evicted))
         return _MISS
+
+    def _resize(
+        self, index: int, entry: _Entry, size: int
+    ) -> tuple[tuple[int, bool], ...]:
+        """Set a resident MRU ``entry`` to ``size`` bytes."""
+        self._used[index] += size - entry.size
+        entry.size = size
+        if self._used[index] <= self.data_budget:
+            return ()
+        # A line growing in place can push the set over its byte
+        # budget; evict LRU lines until it fits again. The hit line
+        # is MRU and fits on its own, so it is never its own victim.
+        target = self._sets[index]
+        evicted: list[tuple[int, bool]] = []
+        used = self._used[index]
+        while used > self.data_budget:
+            victim_line, victim = target.popitem(last=False)
+            used -= victim.size
+            evicted.append((victim_line, victim.dirty))
+            self.stats.evictions += 1
+            if victim.dirty:
+                self.stats.dirty_evictions += 1
+        self._used[index] = used
+        return tuple(evicted)
 
     def _make_room(self, index: int, size: int) -> list[tuple[int, bool]]:
         target = self._sets[index]

@@ -256,7 +256,7 @@ class MemorySystem:
             )
 
         l1 = self._l1s[sm_id]
-        if l1.probe(line):
+        if l1.hit(line):
             stats.l1_load_hits += 1
             if self._compression:
                 info = self.image.info(line)
@@ -271,11 +271,9 @@ class MemorySystem:
             if encoding != "uncompressed":
                 needs_assist = self._l1_assist
                 ready += self._l1_decompress
-            # Touch LRU state.
             if self._l1_sized:
-                l1.access(line, size)
-            else:
-                l1.access(line)
+                # Another SM's store may have changed the line's size.
+                l1.resize(line, size)
             return LineFill(
                 line, fill_time, ready, needs_assist, encoding, size,
                 False, True, MEM_SRC_L1,

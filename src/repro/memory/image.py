@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from repro.compression.base import CompressionAlgorithm, bursts_for
 
@@ -38,15 +39,20 @@ class LineInfo:
 def line_info(size_bytes: int, encoding: str) -> LineInfo:
     """The one shared :class:`LineInfo` of a ``(size, encoding)`` pair.
 
-    A run touches tens of thousands of lines but sees at most one pair
-    per stored size and encoding, so every image's per-line memo holds
-    references to these instead of one record per line.
+    A plane holds a few distinct pairs over tens of thousands of lines,
+    so every plane entry and store override refers to one of these
+    instead of one record per line.
     """
     return LineInfo(size_bytes, encoding)
 
 
 class MemoryImage:
     """Per-line compressed sizes of the simulated global memory.
+
+    A compressed image keeps two pieces of per-line state: one touched
+    flag per plane line (set when a lookup reads the line's baseline
+    record) and an override per store-written line. An image without an
+    algorithm keeps none: every line is a full uncompressed line.
 
     Args:
         algorithm: Active compression algorithm, or ``None`` for the
@@ -78,9 +84,16 @@ class MemoryImage:
         self.algorithm = algorithm
         self.line_size = line_size
         self.burst_bytes = burst_bytes
-        self._cache: dict[int, LineInfo] = {}
-        self._overrides: dict[int, LineInfo] = {}
         self.plane = plane if algorithm is not None else None
+        self._uncompressed = line_info(line_size, "uncompressed")
+        self._overrides: dict[int, LineInfo] = {}
+        # Planes are consulted per lookup (never bulk-copied) so the
+        # touched lines — and with them every aggregate statistic — are
+        # only the lines the run looked up.
+        self._touched = (
+            [bytearray(len(codes)) for codes in self.plane.codes]
+            if self.plane is not None else []
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -95,23 +108,18 @@ class MemoryImage:
         return self._baseline_info(line)
 
     def _baseline_info(self, line: int) -> LineInfo:
-        cached = self._cache.get(line)
-        if cached is not None:
-            return cached
-        if self.algorithm is None:
-            info = line_info(self.line_size, "uncompressed")
-        else:
-            # Planes are consulted per lookup (never bulk-copied) so the
-            # touched-line set — and with it every aggregate statistic —
-            # holds only the lines the run looked up.
-            info = self.plane.info(line)
-            if info is None:
-                raise UncoveredLineError(
-                    f"line {line} is outside the {self.algorithm.name} "
-                    f"plane ({len(self.plane)} lines)"
-                )
-        self._cache[line] = info
-        return info
+        plane = self.plane
+        if plane is None:
+            return self._uncompressed
+        at = plane.locate(line)
+        if at is None:
+            raise UncoveredLineError(
+                f"line {line} is outside the {self.algorithm.name} "
+                f"plane ({len(plane)} lines)"
+            )
+        extent, offset = at
+        self._touched[extent][offset] = 1
+        return plane.entries[plane.codes[extent][offset]][3]
 
     def size_of(self, line: int) -> int:
         return self.info(line).size_bytes
@@ -133,28 +141,35 @@ class MemoryImage:
         When ``compressed`` the line keeps its algorithmic size (stored
         data is assumed to follow the application's data patterns, as the
         baseline image does); otherwise the line is marked uncompressed
-        until a later compressed store replaces it.
+        until a later compressed store replaces it. An uncompressed
+        image records nothing: every line already reads uncompressed.
         """
-        if compressed and self.algorithm is not None:
+        if self.plane is None:
+            return self._uncompressed
+        if compressed:
             info = self._baseline_info(line)
         else:
-            info = line_info(self.line_size, "uncompressed")
+            info = self._uncompressed
         self._overrides[line] = info
         return info
 
     # ------------------------------------------------------------------
-    # Aggregate statistics (used by the Fig. 11 harness)
+    # Aggregate statistics (the run's compression ratio)
     # ------------------------------------------------------------------
     def touched_compression_ratio(self) -> float:
-        """Burst-weighted compression ratio over every line touched so far."""
-        seen = {**self._cache, **self._overrides}
-        if not seen:
+        """Burst-weighted compression ratio over every line looked up or
+        stored so far (1.0 before any, and always 1.0 uncompressed)."""
+        lines = self.touched_lines()
+        if not lines:
             return 1.0
-        uncompressed = len(seen) * self.line_bursts
-        compressed = sum(
-            bursts_for(info.size_bytes, self.burst_bytes) for info in seen.values()
-        )
-        return uncompressed / compressed
+        return len(lines) * self.line_bursts / sum(map(self.bursts_of, lines))
 
-    def lines_touched(self) -> int:
-        return len({**self._cache, **self._overrides})
+    def touched_lines(self) -> list[int]:
+        """Every line looked up or stored so far, ascending (none for an
+        uncompressed image, which keeps no per-line state)."""
+        if self.plane is None:
+            return []
+        lines = set(self._overrides)
+        for (base, count), flags in zip(self.plane.extents, self._touched):
+            lines.update(compress(range(base, base + count), flags))
+        return sorted(lines)

@@ -5,9 +5,11 @@ The paper's bandwidth-compression results only need the *size* and
 themselves matter only when decompression correctness is under test.
 A :class:`CompressionPlane` exploits that split: the application's whole
 memory image is batch-compressed once per algorithm (through the
-whole-image kernels behind ``CompressionAlgorithm.size_table``) into a
-per-line table of ``(stored_size, bursts, encoding)``. The hot path
-then does O(1) lookups instead of calling ``compress()`` per access.
+whole-image kernels behind ``CompressionAlgorithm.size_table``) into
+one 16-bit code per line, naming one of a few distinct
+``(stored_size, bursts, encoding)`` entries. The hot path then looks a
+line up (a bisect over the extents and two indexings) instead of
+calling ``compress()`` per access.
 
 Planes are immutable and content-addressed by
 ``(image parameters, algorithm, line size)`` — see :func:`plane_key` —
@@ -22,6 +24,8 @@ contents.
 from __future__ import annotations
 
 import hashlib
+from array import array
+from bisect import bisect_right
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.compression.base import CompressionAlgorithm, bursts_for
@@ -30,18 +34,30 @@ from repro.memory.image import LineInfo, line_info
 
 #: Bump when plane layout or the batch kernels change in a way the
 #: version stamp of the persistent cache would not capture on its own.
-PLANE_FORMAT = 1
+PLANE_FORMAT = 2
+
+#: ``(stored_size, bursts, encoding, LineInfo)`` of one entry code.
+PlaneEntry = tuple[int, int, str, LineInfo]
 
 
 class CompressionPlane:
-    """Immutable per-line ``(size, bursts, encoding)`` table of one image.
+    """Immutable per-line compressed sizes of one image, 2 bytes a line.
+
+    A plane holds only a few distinct ``(size, encoding)`` pairs (87 at
+    most over every app and algorithm on the Table-1 footprint at
+    ``work=0.25``), so each line stores the 16-bit code of its pair:
+    one ``array('H')`` per footprint extent, indexed by the line's
+    offset in the extent. A plane holds at most 65,536 distinct pairs
+    (the code array refuses a larger code).
 
     Attributes:
         algorithm_name: Name of the algorithm the plane was built with.
         line_size: Uncompressed line size in bytes.
         burst_bytes: DRAM burst granularity used for the burst column.
         key: Content-address of the plane (see :func:`plane_key`).
-        table: ``line -> (stored_size, bursts, encoding)``.
+        extents: Sorted, disjoint ``(base_line, n_lines)`` regions.
+        codes: Per extent, the entry code of each of its lines.
+        entries: ``code -> (stored_size, bursts, encoding, LineInfo)``.
     """
 
     __slots__ = (
@@ -49,7 +65,10 @@ class CompressionPlane:
         "line_size",
         "burst_bytes",
         "key",
-        "table",
+        "extents",
+        "codes",
+        "entries",
+        "_bases",
     )
 
     def __init__(
@@ -58,31 +77,69 @@ class CompressionPlane:
         line_size: int,
         burst_bytes: int,
         key: str,
-        table: dict[int, tuple[int, int, str]],
+        extents: Sequence[tuple[int, int]],
+        codes: Sequence[array],
+        pairs: Sequence[tuple[int, str]],
     ) -> None:
+        """``pairs`` lists the ``(stored_size, encoding)`` of each code."""
         self.algorithm_name = algorithm_name
         self.line_size = line_size
         self.burst_bytes = burst_bytes
         self.key = key
-        self.table = table
+        self.extents = tuple((base, count) for base, count in extents)
+        self.codes = tuple(codes)
+        self.entries: tuple[PlaneEntry, ...] = tuple(
+            (size, bursts_for(size, burst_bytes), encoding,
+             line_info(size, encoding))
+            for size, encoding in pairs
+        )
+        self._bases = [base for base, _ in self.extents]
+        if len(self.codes) != len(self.extents):
+            raise ValueError("need one code array per extent")
+        end = None
+        for (base, count), line_codes in zip(self.extents, self.codes):
+            if end is not None and base < end:
+                raise ValueError("plane extents must be sorted and disjoint")
+            if line_codes.typecode != "H" or len(line_codes) != count:
+                raise ValueError(f"extent at line {base} needs {count} codes")
+            end = base + count
+
+    def __reduce__(self):
+        # Pickle the pairs alone: bursts and the shared LineInfo records
+        # are derived again on load.
+        pairs = tuple((entry[0], entry[2]) for entry in self.entries)
+        return CompressionPlane, (
+            self.algorithm_name, self.line_size, self.burst_bytes, self.key,
+            self.extents, self.codes, pairs,
+        )
 
     def __len__(self) -> int:
-        return len(self.table)
+        return sum(map(len, self.codes))
 
-    def info(self, line: int) -> LineInfo | None:
-        """The :class:`LineInfo` of ``line``, or ``None`` if uncovered."""
-        entry = self.table.get(line)
-        if entry is None:
+    def locate(self, line: int) -> tuple[int, int] | None:
+        """``(extent index, offset)`` of ``line``, or ``None`` if uncovered."""
+        extent = bisect_right(self._bases, line) - 1
+        if extent >= 0:
+            offset = line - self._bases[extent]
+            if offset < len(self.codes[extent]):
+                return extent, offset
+        return None
+
+    def entry(self, line: int) -> PlaneEntry | None:
+        """The entry of ``line``, or ``None`` if uncovered."""
+        at = self.locate(line)
+        if at is None:
             return None
-        return line_info(entry[0], entry[2])
-
-    def bursts(self, line: int) -> int:
-        """Burst count of ``line`` (must be covered by the plane)."""
-        return self.table[line][1]
+        return self.entries[self.codes[at[0]][at[1]]]
 
     def encodings(self) -> set[str]:
         """Every encoding tag appearing in the image."""
-        return {entry[2] for entry in self.table.values()}
+        return {entry[2] for entry in self.entries}
+
+    def total_bursts(self) -> int:
+        """Burst count of every line of the plane, summed."""
+        bursts = [entry[1] for entry in self.entries]
+        return sum(bursts[code] for codes in self.codes for code in codes)
 
 
 def build_plane(
@@ -96,17 +153,21 @@ def build_plane(
 ) -> CompressionPlane:
     """Batch-compress a whole memory image into a plane.
 
-    ``extents`` enumerates ``(base_line, n_lines)`` regions (from
-    :func:`repro.workloads.tracegen.footprint_extents`). Lines are
-    generated and compressed in ``chunk``-sized blocks to bound peak
-    memory while keeping the batch kernels on large inputs. Each block
-    comes from ``line_block`` when given (the batch generator of
-    :func:`repro.workloads.data_patterns.make_block_generator`), else
-    from one ``line_bytes`` call per line.
+    ``extents`` enumerates sorted, disjoint ``(base_line, n_lines)``
+    regions (from :func:`repro.workloads.tracegen.footprint_extents`).
+    Lines are generated and compressed in ``chunk``-sized blocks to
+    bound peak memory while keeping the batch kernels on large inputs.
+    Each block comes from ``line_block`` when given (the batch generator
+    of :func:`repro.workloads.data_patterns.make_block_generator`), else
+    from one ``line_bytes`` call per line. Pairs are coded in the order
+    they first appear.
     """
+    extents = tuple(extents)
     line_size = algorithm.line_size
-    table: dict[int, tuple[int, int, str]] = {}
+    pair_codes: dict[tuple[int, str], int] = {}
+    codes = []
     for base, count in extents:
+        line_codes = array("H")
         for start in range(0, count, chunk):
             stop = min(start + chunk, count)
             if line_block is None:
@@ -117,19 +178,19 @@ def build_plane(
                     raw[i:i + line_size]
                     for i in range(0, len(raw), line_size)
                 ]
-            sizes = algorithm.size_table(block)
-            for offset, (size, encoding) in enumerate(sizes):
-                table[base + start + offset] = (
-                    size,
-                    bursts_for(size, burst_bytes),
-                    encoding,
-                )
+            line_codes.extend([
+                pair_codes.setdefault(pair, len(pair_codes))
+                for pair in algorithm.size_table(block)
+            ])
+        codes.append(line_codes)
     return CompressionPlane(
         algorithm_name=algorithm.name,
         line_size=algorithm.line_size,
         burst_bytes=burst_bytes,
         key=key,
-        table=table,
+        extents=extents,
+        codes=codes,
+        pairs=tuple(pair_codes),
     )
 
 
@@ -145,27 +206,40 @@ def compose_best_of_all(
     Reuses :func:`repro.compression.bestofall.compose_size_tables`, so
     the selection (first component with the strictly smallest size wins)
     is exactly the scalar ``BestOfAllCompressor`` rule — without
-    recompressing a single line.
+    recompressing a single line. The rule runs once per distinct
+    combination of component codes, not once per line.
     """
-    lines = sorted(component_planes[0][1].table)
-    tables = [
-        (
-            comp_name,
-            [(plane.table[ln][0], plane.table[ln][2]) for ln in lines],
-        )
-        for comp_name, plane in component_planes
-    ]
-    composed = compose_size_tables(tables, line_size)
-    table = {
-        ln: (size, bursts_for(size, burst_bytes), encoding)
-        for ln, (size, encoding) in zip(lines, composed)
-    }
+    extents = component_planes[0][1].extents
+    if any(plane.extents != extents for _, plane in component_planes):
+        raise ValueError("component planes cover different extents")
+    pair_codes: dict[tuple[int, str], int] = {}
+    combo_codes: dict[tuple[int, ...], int] = {}
+    codes = []
+    for columns in zip(*(plane.codes for _, plane in component_planes)):
+        line_codes = array("H")
+        for combo in zip(*columns):
+            code = combo_codes.get(combo)
+            if code is None:
+                tables = []
+                for (comp_name, plane), comp_code in zip(
+                    component_planes, combo
+                ):
+                    size, _, encoding, _ = plane.entries[comp_code]
+                    tables.append((comp_name, [(size, encoding)]))
+                [pair] = compose_size_tables(tables, line_size)
+                code = combo_codes[combo] = pair_codes.setdefault(
+                    pair, len(pair_codes)
+                )
+            line_codes.append(code)
+        codes.append(line_codes)
     return CompressionPlane(
         algorithm_name=name,
         line_size=line_size,
         burst_bytes=burst_bytes,
         key=key,
-        table=table,
+        extents=extents,
+        codes=codes,
+        pairs=tuple(pair_codes),
     )
 
 

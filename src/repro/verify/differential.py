@@ -139,7 +139,10 @@ def differential_check(
                     profile, algorithm_name, lines,
                     line_size=line_size, burst_bytes=burst_bytes,
                 )
-                from_plane = [plane.table[i] for i in range(lines)]
+                from_plane = [
+                    entry and entry[:3]
+                    for entry in map(plane.entry, range(lines))
+                ]
                 if from_plane != scalar:
                     failure = "plane vs scalar: " + _first_diff(
                         from_plane, scalar

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.harness.cache import RunCache
+from tests.images import make_plane, plane_state
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,9 @@ class TestConformance:
         spec = _Spec("rt")
         cache.put(spec, _Result("hello"))
         assert cache.get(spec).payload == "hello"
-        cache.put_plane("feedf00d", {"plane": 1})
-        assert cache.get_plane("feedf00d") == {"plane": 1}
+        cache.put_plane("feedf00d", make_plane("feedf00d"))
+        assert plane_state(cache.get_plane("feedf00d")) == plane_state(
+            make_plane("feedf00d"))
 
     def test_concurrent_writers_same_key_keep_entry_valid(self, cache):
         """N writers race onto one fresh key per round (atomic replace /
@@ -98,11 +100,11 @@ class TestLocalLayout:
         run = tmp_path / "stampA" / f"{cache.key(spec)}.pkl"
         assert run.read_bytes() == pickle.dumps(
             result, protocol=pickle.HIGHEST_PROTOCOL)
-        cache.put_plane("cafe", {"p": 2})
+        cache.put_plane("cafe", make_plane("cafe"))
         plane = tmp_path / "stampA" / "planes" / "cafe.pkl"
         assert plane.read_bytes() == pickle.dumps(
-            {"p": 2}, protocol=pickle.HIGHEST_PROTOCOL)
-        assert cache.get_plane("cafe") == {"p": 2}
+            make_plane("cafe"), protocol=pickle.HIGHEST_PROTOCOL)
+        assert cache.get_plane("cafe").key == "cafe"
         assert cache.trace_dir() == tmp_path / "stampA" / "traces"
 
     def test_sweep_removes_only_old_tmp(self, tmp_path):

@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness.cache import RunCache, compute_stamp
+from tests.images import make_plane, plane_state
 
 
 @dataclass(frozen=True)
@@ -274,6 +275,27 @@ class TestLayout:
         key = cache.key(spec)
         cache.put(spec, _Result("run"))
         assert cache.get_plane(key) is None
-        cache.put_plane(key, {"plane": 1})
+        cache.put_plane(key, make_plane(key))
         assert cache.get(spec).payload == "run"
-        assert cache.get_plane(key) == {"plane": 1}
+        assert plane_state(cache.get_plane(key)) == plane_state(
+            make_plane(key))
+
+
+class TestPlaneValidation:
+    """A plane entry is served only as the plane of the requested key;
+    anything else on disk reads as a miss, never as line sizes."""
+
+    def test_plane_of_another_key_is_a_miss(self, cache):
+        cache.put_plane("renamed", make_plane("original"))
+        assert cache._plane_path("renamed").exists()
+        assert cache.get_plane("renamed") is None
+
+    def test_non_plane_object_is_a_miss(self, cache):
+        path = cache._plane_path("foreign")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps({"key": "foreign", "codes": [0]}))
+        assert cache.get_plane("foreign") is None
+
+    def test_matching_plane_is_served(self, cache):
+        cache.put_plane("right", make_plane("right"))
+        assert cache.get_plane("right").key == "right"

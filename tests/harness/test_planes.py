@@ -10,10 +10,13 @@ in-memory/persistent plane caches and the Fig. 11 plane path.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro import design as designs
 from repro.compression import batch, make_algorithm
+from repro.compression.base import bursts_for
 from repro.gpu.config import GPUConfig
 from repro.harness import figures, runner
 from repro.harness.cache import RunCache
@@ -27,6 +30,7 @@ from repro.harness.runner import (
 from repro.workloads.apps import get_app
 from repro.workloads.data_patterns import make_line_generator
 from repro.workloads.tracegen import TraceScale
+from tests.images import plane_state
 
 APPS = ("PVC", "MM", "CONS")
 SCALE = TraceScale(work=0.25, waves=0.25)
@@ -56,14 +60,15 @@ def test_plane_stats_identical_to_scalar():
             image = run.raw.memory.image
             where = (app, point.name)
             assert image.plane is not None, where
-            # The image's per-line memos: baseline lookups and stores.
-            looked_up, stored = image._cache, image._overrides
-            assert looked_up, where
-            assert set(looked_up) | set(stored) <= set(image.plane.table)
+            # Every line the run looked up or stored.
+            touched = image.touched_lines()
+            assert touched, where
             algorithm = make_algorithm(point.algorithm, config.line_size)
-            for line, info in looked_up.items():
+            for line in touched:
+                entry = image.plane.entry(line)
+                assert entry is not None, (where, line)
                 compressed = algorithm.compress(gen(line))
-                assert (info.size_bytes, info.encoding) == (
+                assert (entry[0], entry[2]) == (
                     compressed.size_bytes, compressed.encoding,
                 ), (where, line)
     clear_caches()
@@ -99,14 +104,16 @@ def test_plane_persistence_round_trip():
     cache = RunCache()
     loaded = cache.get_plane(built.key)
     assert loaded is not None
-    assert loaded.table == built.table
-    assert loaded.algorithm_name == built.algorithm_name
+    assert plane_state(loaded) == plane_state(built)
+    # Entries are rebuilt from the shared LineInfo records on load.
+    assert all(a[3] is b[3] for a, b in zip(loaded.entries, built.entries))
 
     # A second process (simulated by clearing the memo) hits the disk
     # entry instead of rebuilding.
     runner._plane_cache.clear()
     again = plane_for_app("MM", "bdi", 96)
-    assert again.table == built.table
+    assert again is not built
+    assert plane_state(again) == plane_state(built)
 
     info = cache.info()
     assert info["plane_entries"] >= 1
@@ -140,13 +147,12 @@ def test_plane_lookup_keeps_touched_set_lazy():
     image = build_image(get_app("PVC"), designs.caba("bdi"), config, SCALE)
     assert image.plane is not None
     assert len(image.plane) > 0
-    assert image.lines_touched() == 0  # nothing consulted yet
-    info = image.info(next(iter(image.plane.table)))
-    assert image.lines_touched() == 1
-    assert (info.size_bytes, info.encoding) == (
-        image.plane.table[next(iter(image.plane.table))][0],
-        image.plane.table[next(iter(image.plane.table))][2],
-    )
+    assert image.touched_lines() == []  # nothing consulted yet
+    first = image.plane.extents[0][0]
+    info = image.info(first)
+    assert image.touched_lines() == [first]
+    entry = image.plane.entry(first)
+    assert (info.size_bytes, info.encoding) == (entry[0], entry[2])
     clear_caches()
 
 
@@ -155,7 +161,7 @@ def test_store_overrides_shadow_plane():
     clear_caches()
     config = GPUConfig.small()
     image = build_image(get_app("PVC"), designs.caba("bdi"), config, SCALE)
-    line = next(iter(image.plane.table))
+    line = image.plane.extents[0][0]
     baseline = image.info(line)
     stored = image.record_store(line, compressed=False)
     assert stored.encoding == "uncompressed"
@@ -175,9 +181,47 @@ def test_plane_matches_scalar_sizes(algorithm):
     gen = make_line_generator(app.data, 128, seed=app.seed)
     for line_addr in range(48):
         compressed = algo.compress(gen(line_addr))
-        assert plane.table[line_addr][:1] + plane.table[line_addr][2:] == (
+        entry = plane.entry(line_addr)
+        assert (entry[0], entry[2]) == (
             compressed.size_bytes, compressed.encoding,
         )
+    clear_caches()
+
+
+@pytest.mark.parametrize("algorithm", ["bdi", "fpc", "cpack", "bestofall"])
+def test_plane_layout_matches_size_table(algorithm):
+    """Over a footprint of several extents, every line's entry, the
+    plane's encodings and its length equal what ``size_table`` and
+    ``bursts_for`` give for the same lines; lines between and outside
+    the extents are uncovered."""
+    clear_caches()
+    app = get_app("PVC")
+    extents = ((0, 70), (1000, 5), (5000, 300))
+    plane = runner._plane_for(app, algorithm, 128, 32, extents)
+    gen = make_line_generator(app.data, 128, seed=app.seed)
+    lines = [base + i for base, count in extents for i in range(count)]
+    table = make_algorithm(algorithm, 128).size_table(
+        [gen(line) for line in lines])
+    for line, (size, encoding) in zip(lines, table):
+        assert plane.entry(line)[:3] == (
+            size, bursts_for(size, 32), encoding), line
+    assert plane.encodings() == {encoding for _, encoding in table}
+    assert len(plane) == len(lines) == 375
+    assert plane.total_bursts() == sum(
+        bursts_for(size, 32) for size, _ in table)
+    for line in (-1, 70, 999, 1005, 4999, 5300):
+        assert plane.entry(line) is None, line
+    clear_caches()
+
+
+def test_plane_pickles_to_two_bytes_a_line():
+    """Footprint guard: a plane stores one 16-bit code per line plus a
+    few entries, never a record per line."""
+    clear_caches()
+    for algorithm in ("bdi", "bestofall"):
+        plane = plane_for_app("PVC", algorithm, 8192)
+        size = len(pickle.dumps(plane, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size <= 2 * len(plane) + 4096, (algorithm, size)
     clear_caches()
 
 
@@ -193,5 +237,5 @@ def test_scalar_generator_builds_the_same_plane(monkeypatch, algorithm):
     monkeypatch.setattr(batch, "np", None)
     scalar = plane_for_app("MUM", algorithm, 300)
     assert scalar is not vectorized
-    assert scalar.table == vectorized.table
+    assert plane_state(scalar) == plane_state(vectorized)
     clear_caches()

@@ -6,6 +6,7 @@ batch-compresses the lines a test can touch into a plane up front, the
 way ``harness.runner.build_image`` does for a run's footprint.
 """
 
+from repro.compression import BdiCompressor
 from repro.memory.image import MemoryImage
 from repro.memory.plane import build_plane
 
@@ -23,3 +24,18 @@ def make_image(algorithm, line_size=128, line_bytes=None, lines=LINES):
                 return bytes(line_size)
         plane = build_plane(line_bytes, ((0, lines),), algorithm)
     return MemoryImage(algorithm, line_size, plane=plane)
+
+
+def make_plane(key, lines=8):
+    """A small BDI plane of all-zero lines whose content address is
+    ``key`` (for cache tests that need a real plane entry)."""
+    return build_plane(lambda line: bytes(128), ((0, lines),),
+                       BdiCompressor(128), key=key)
+
+
+def plane_state(plane):
+    """Everything a plane holds, for comparing two planes."""
+    return (
+        plane.algorithm_name, plane.line_size, plane.burst_bytes, plane.key,
+        plane.extents, plane.codes, plane.entries,
+    )

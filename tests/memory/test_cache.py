@@ -34,6 +34,22 @@ class TestBasics:
         cache.access(5)
         assert cache.probe(5)
 
+    def test_hit_counts_and_refreshes_lru(self):
+        cache = Cache(n_sets=1, assoc=2)
+        a, b, c = same_set_lines(cache, 3)
+        cache.access(a)
+        cache.access(b)
+        assert cache.hit(a)
+        assert (cache.stats.accesses, cache.stats.hits) == (3, 1)
+        # a is MRU now, so c evicts b.
+        assert cache.access(c).evicted_line == b
+
+    def test_hit_miss_changes_nothing(self):
+        cache = Cache(n_sets=4, assoc=2)
+        assert not cache.hit(5)
+        assert cache.stats == type(cache.stats)()
+        assert not cache.probe(5)
+
     def test_non_allocating_miss(self):
         cache = Cache(n_sets=4, assoc=2)
         result = cache.access(5, allocate=False)

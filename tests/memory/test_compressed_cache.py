@@ -76,6 +76,30 @@ class TestDirtyAndSizes:
         cache.access(3, size=17)
         assert cache.stored_size(3) == 17
 
+    def test_hit_then_resize_equals_a_hit_access(self):
+        """``hit`` + ``resize`` (the L1 load hit) leaves the same state
+        and counts as ``access`` with the new size."""
+        split = CompressedCache(n_sets=1, assoc=2, line_size=128, tag_mult=2)
+        whole = CompressedCache(n_sets=1, assoc=2, line_size=128, tag_mult=2)
+        lines = same_set_lines(split, 4)
+        for cache in (split, whole):
+            for line in lines:
+                cache.access(line, size=60, is_write=line == lines[0])
+        assert split.hit(lines[3])
+        evicted = split.resize(lines[3], 128)
+        assert whole.access(lines[3], size=128).evicted == evicted
+        assert evicted == ((lines[0], True),)
+        assert split.stats == whole.stats
+        assert list(split._sets[0].items()) == list(whole._sets[0].items())
+        assert split._used == whole._used
+        assert split.audit() == []
+
+    def test_hit_miss_changes_nothing(self):
+        cache = CompressedCache(n_sets=1, assoc=2, line_size=128)
+        assert not cache.hit(7)
+        assert cache.stats.accesses == 0
+        assert cache.resident_lines() == 0
+
     def test_stored_size_absent(self):
         cache = CompressedCache(n_sets=1, assoc=2, line_size=128)
         assert cache.stored_size(42) is None

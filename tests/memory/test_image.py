@@ -24,6 +24,13 @@ class TestBaseline:
         assert image.bursts_of(0) == 4
         assert not image.compression_enabled
 
+    def test_uncompressed_image_keeps_no_per_line_state(self):
+        image = make_image(None, 128)
+        image.size_of(3)
+        assert image.record_store(4, compressed=True).size_bytes == 128
+        assert image.touched_lines() == []
+        assert image.touched_compression_ratio() == 1.0
+
     def test_compressed_sizes_come_from_algorithm(self):
         image = bdi_image()
         assert image.size_of(0) < 128
@@ -44,6 +51,8 @@ class TestBaseline:
 
     def test_uncovered_line_raises(self):
         image = bdi_image()
+        assert image.plane.entry(16) is None
+        assert image.plane.entry(-1) is None
         with pytest.raises(UncoveredLineError, match="line 16"):
             image.size_of(16)
         with pytest.raises(LookupError):
@@ -81,9 +90,9 @@ class TestSharedCache:
         first = bdi_image()
         first.size_of(5)
         second = bdi_image()
-        assert second.lines_touched() == 0
+        assert second.touched_lines() == []
         second.size_of(5)
-        assert first.lines_touched() == second.lines_touched() == 1
+        assert first.touched_lines() == second.touched_lines() == [5]
 
     def test_overrides_stay_private(self):
         first = bdi_image()
@@ -99,7 +108,22 @@ class TestAggregates:
         for line in range(10):
             image.size_of(line)
         assert image.touched_compression_ratio() > 1.0
-        assert image.lines_touched() == 10
+        assert image.touched_lines() == list(range(10))
+
+    def test_ratio_counts_each_touched_or_stored_line_once(self):
+        """Lookups and stores, overlapping or not: each line counts once,
+        at its current size."""
+        image = bdi_image()
+        for line in range(6):
+            image.size_of(line)
+        image.record_store(2, compressed=False)  # looked up, then stored
+        image.record_store(9, compressed=False)  # stored only
+        image.record_store(11, compressed=True)  # stored compressed
+        lines = image.touched_lines()
+        assert lines == [0, 1, 2, 3, 4, 5, 9, 11]
+        bursts = sum(image.bursts_of(line) for line in lines)
+        assert image.touched_compression_ratio() == len(lines) * 4 / bursts
+        assert image.touched_lines() == lines
 
     def test_ratio_of_untouched_image_is_one(self):
         image = bdi_image()

@@ -86,12 +86,14 @@ class TestCatchesPlantedBugs:
 
         def corrupted(app, algorithm, lines, **kwargs):
             plane = real_plane_for_app(app, algorithm, lines, **kwargs)
-            table = dict(plane.table)
-            size, bursts, encoding = table[0]
-            table[0] = (size, bursts + 1, encoding)
+            # Line 0 holds code 0 (codes number pairs as they appear);
+            # growing that pair by a burst corrupts line 0 first.
+            pairs = [(entry[0], entry[2]) for entry in plane.entries]
+            size, encoding = pairs[0]
+            pairs[0] = (size + plane.burst_bytes, encoding)
             return CompressionPlane(
-                plane.algorithm_name, plane.line_size,
-                plane.burst_bytes, plane.key, table,
+                plane.algorithm_name, plane.line_size, plane.burst_bytes,
+                plane.key, plane.extents, plane.codes, pairs,
             )
 
         monkeypatch.setattr(diff_mod, "plane_for_app", corrupted)
