@@ -90,19 +90,23 @@ class AssistController:
         """Utilization feedback for throttling decisions."""
 
     def has_pending_work(self) -> bool:
-        """Whether the SM must keep ticking cycle by cycle."""
+        """Whether a queued assist warp may issue on the next cycle."""
         return False
 
     def quiet_until(self, cycle: int) -> float:
         """After a tick of ``cycle`` that issued nothing: the first
         cycle at which this controller could act (deploy, spawn or
-        issue) without an event of its SM. The SM may sleep until then;
-        ``cycle + 1`` (the default) keeps it ticking."""
-        return cycle + 1
+        issue) without an event of its SM; the SM may sleep until then.
+        By default that is ``cycle + 1`` (keep ticking) while
+        :meth:`has_pending_work`, else never: a controller that queues
+        work only from its SM's issues and events needs no wake of its
+        own."""
+        return cycle + 1 if self.has_pending_work() else float("inf")
 
     def replay_idle(self, ticks: int, slots: int) -> None:
-        """Account ``ticks`` slept ticks that issued nothing. Only called
-        for controllers whose :meth:`quiet_until` let the SM sleep."""
+        """Account ``ticks`` slept cycles as the ticks that issued
+        nothing would have: ``ticks`` calls of ``observe(0, slots)``,
+        which by default observes nothing."""
 
     # --- issue hooks ------------------------------------------------------
     def issue_high(self, sched: int, cycle: int) -> bool:

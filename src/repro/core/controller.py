@@ -155,10 +155,9 @@ class CabaController(AssistController):
         self._store_buffer: deque[_StoreEntry] = deque()
         self._busy_compress_parents: set[int] = set()
 
-        # O(1) pending-work accounting (tick, has_pending_work and
-        # quiet_until run every cycle): AWT entries with instructions
-        # left to deploy, and store-buffer entries still waiting for an
-        # assist warp.
+        # O(1) pending-work accounting (tick and quiet_until run every
+        # cycle): AWT entries with instructions left to deploy, and
+        # store-buffer entries still waiting for an assist warp.
         self._undeployed = 0
         self._waiting_stores = 0
 
@@ -210,13 +209,6 @@ class CabaController(AssistController):
     @property
     def throttled(self) -> bool:
         return self._throttling and self._utilization > self._throttle_threshold
-
-    def has_pending_work(self) -> bool:
-        """Whether the controller needs the SM ticked next cycle: an AWT
-        entry has instructions left to deploy, or a buffered store waits
-        for its compression assist warp. Bounds the simulator's
-        fast-forward; a controller with pending work never sleeps."""
-        return self._undeployed > 0 or self._waiting_stores > 0
 
     def quiet_until(self, cycle: int) -> float:
         """The earliest issue gate, when no store waits and deployment
@@ -632,10 +624,6 @@ class CabaController(AssistController):
         self._waiting_stores = 0
 
     # ------------------------------------------------------------------
-    @property
-    def awt_occupancy(self) -> int:
-        return len(self._awt)
-
     @property
     def store_buffer_occupancy(self) -> int:
         return len(self._store_buffer)

@@ -171,6 +171,15 @@ class PrefetchController(AssistController):
         alpha = self.params.ema_alpha
         self._utilization += alpha * (issued / slots - self._utilization)
 
+    def replay_idle(self, ticks: int, slots: int) -> None:
+        """``ticks`` calls of ``observe(0, slots)``, as the same float
+        recurrence."""
+        alpha = self.params.ema_alpha
+        u = self._utilization
+        for _ in range(ticks):
+            u += alpha * (0 / slots - u)
+        self._utilization = u
+
     def finish(self, assist: _ActivePrefetch) -> None:
         """Address computed: issue the prefetch through the L1 miss path."""
         memory = self.sm.memory

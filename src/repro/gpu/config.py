@@ -126,10 +126,6 @@ class GPUConfig:
         per_mc = self.l2_size // self.n_mcs
         return per_mc // (self.line_size * self.l2_assoc)
 
-    @property
-    def warps_per_scheduler(self) -> int:
-        return self.warps_per_sm // self.schedulers_per_sm
-
     # ------------------------------------------------------------------
     # Variants
     # ------------------------------------------------------------------

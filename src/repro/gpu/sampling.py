@@ -243,19 +243,13 @@ class SamplingController:
         # and the cycles they were observed over (see run()).
         self._window_busy = [0.0] * len(self._resource_busy())
         self._window_cycles = 0
-        # Whether a warmed store reaches memory compressed at the core:
-        # HW-at-core and Ideal compress inline; CABA designs compress
-        # through the assist warp, whose (rare) buffer-overflow
-        # uncompressed releases the warming pass ignores.
-        design = sim.memory.design
+        # Whether a warmed store reaches memory compressed by an assist
+        # warp; the (rare) buffer-overflow uncompressed releases are
+        # ignored. The memory system itself compresses every other
+        # design's stores (MemorySystem.store).
         self._store_compressed = (
-            design.compress_at == "core_hw"
-            or design.ideal
-            or (
-                sim._has_caba
-                and design.compress_at == "core_assist"
-                and sim.memory.image.compression_enabled
-            )
+            sim.memory.design.compress_at == "core_assist"
+            and sim.memory.image.compression_enabled
         )
 
     # ------------------------------------------------------------------

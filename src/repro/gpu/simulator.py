@@ -1,6 +1,8 @@
 """Top-level GPU simulator: SMs + memory system + block dispatcher.
 
-The main loop is cycle-driven, and it ticks only what can change.
+The main loop is cycle-driven, and it ticks only what can change. The
+simulated machine does not depend on how the loop skips time: every
+SM, asleep or awake, accounts every cycle.
 
 * **Per-SM sleep.** An SM whose tick issued nothing, and whose
   schedulers all hold a valid stall memo, would only replay that tick
@@ -11,24 +13,23 @@ The main loop is cycle-driven, and it ticks only what can change.
   (the MSHR epoch), an assist warp's finish, a decompression trigger.
   The block dispatch that follows a retirement lands on the same SM,
   from one of its own events. Nothing on another SM can change its
-  scan: MSHR state and epochs are per SM. A CABA SM sleeps only while
-  its controller has nothing to deploy or spawn and no queued assist
-  warp is ready.
-* **Settling a sleep.** On waking, ``SM.replay_stall`` charges the
-  slept cycles to the last classification, and the controller replays
-  one ``observe(0, ...)`` per loop iteration that ran meanwhile (not
-  per slept cycle: the utilization EMA samples executed cycles), as a
-  float loop so the throttle stays byte-identical. Sleepers are settled
-  at the end of every ``_run_detailed`` call, so the sampling
-  controller's snapshots are exact.
-* **Fast-forward.** When no SM issues, the clock jumps to the next
-  scheduled event or SM wake hint (``_fast_forward``), with the skipped
-  slots accounted under their last classification. The jump rule is
-  the one the every-SM loop used, so the loop runs exactly the cycles
-  it ran; when every SM sleeps, this is the only way time moves.
+  scan: MSHR state and epochs are per SM. An SM with an assist
+  controller sleeps only while the controller has nothing to deploy
+  or spawn and no queued assist warp is ready.
+* **Settling a sleep.** On waking, ``SM.wake`` charges the slept
+  cycles to the last classification and replays one idle cycle per
+  slept cycle to the controller's monitors (``replay_idle``), so the
+  utilization EMA sees every cycle, as it would with every SM ticked.
+  Sleepers are settled at the end of every ``_run_detailed`` call, so
+  the sampling controller's snapshots are exact.
+* **The clock jump.** When every SM sleeps after a tick pass and the
+  kernel is not done, the clock jumps to the earlier of the next
+  scheduled event and the earliest wake, capped at the window's limit.
+  It is the all-asleep case of sleep: the skipped cycles are charged
+  when each SM wakes.
 
 Memory-bound applications spend most of their wall clock inside these
-jumps and sleeps, which is what makes a Python cycle-level model
+sleeps and jumps, which is what makes a Python cycle-level model
 practical.
 """
 
@@ -53,8 +54,6 @@ from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.image import MemoryImage
 from repro.obs.chrome import ChromeTraceCollector
-
-_INF = float("inf")
 
 
 @dataclass
@@ -167,7 +166,6 @@ class Simulator:
                     sm.caba.chrome = chrome
 
         self._sample = sample
-        self._has_caba = caba_factory is not None
         self._asleep = [0] * config.n_sms
 
         self._pending_blocks: deque[int] = deque(range(kernel.n_blocks))
@@ -267,9 +265,8 @@ class Simulator:
         # Per SM: the cycle a sleeping SM must tick again, 0 = awake.
         asleep = [0] * len(sms)
         self._asleep = asleep
+        everyone = (1 << len(sms)) - 1
         sleepers = 0  # bitmask of sleeping SM ids
-        iterations = 0  # loop iterations (cycles ticked) so far
-        last = self._cycle - 1  # cycle of the latest iteration
         truncated = False
         while not self.done:
             cycle = self._cycle
@@ -283,10 +280,9 @@ class Simulator:
                 woken = owners.pop(when) & sleepers
                 if woken:
                     sleepers &= ~woken
-                    self._wake(woken, cycle, iterations, last)
+                    self._wake(woken, cycle)
                 for fn in buckets.pop(when):
                     fn()
-            issued = 0
             for i, tick in enumerate(ticks):
                 wake_at = asleep[i]
                 if wake_at:
@@ -294,28 +290,30 @@ class Simulator:
                         continue
                     asleep[i] = 0
                     sleepers &= ~(1 << i)
-                    sms[i].wake(cycle, iterations, last)
-                n = tick(cycle)
-                if n:
-                    issued += n
-                else:
+                    sms[i].wake(cycle)
+                if not tick(cycle):
                     sm = sms[i]
                     quiet = sm.quiet_until(cycle)
                     if quiet > cycle + 1:
                         asleep[i] = quiet
                         sleepers |= 1 << i
-                        sm.sleep(cycle, iterations + 1)
-            iterations += 1
-            last = cycle
-            self._cycle = cycle + 1
-            if issued == 0:
-                self._fast_forward(limit)
+                        sm.sleep(cycle)
+            cycle += 1
+            if sleepers == everyone and not self.done:
+                # Nothing ticks before the next event or wake.
+                target = min(asleep)
+                if cycles and cycles[0] < target:
+                    target = cycles[0]
+                if target > limit:
+                    target = limit
+                if target > cycle:
+                    cycle = int(target)
+            self._cycle = cycle
         if sleepers:
-            self._wake(sleepers, self._cycle, iterations, last)
+            self._wake(sleepers, self._cycle)
         return truncated
 
-    def _wake(self, mask: int, cycle: int, iterations: int,
-              last: int) -> None:
+    def _wake(self, mask: int, cycle: int) -> None:
         """Wake the sleeping SMs in bitmask ``mask`` before ``cycle`` is
         ticked or its events run (see ``SM.wake``)."""
         asleep = self._asleep
@@ -325,7 +323,7 @@ class Simulator:
             mask ^= bit
             i = bit.bit_length() - 1
             asleep[i] = 0
-            sms[i].wake(cycle, iterations, last)
+            sms[i].wake(cycle)
 
     def _deliver_until(self, target: int) -> int:
         """Deliver every queued event due by ``target``, advancing the
@@ -347,49 +345,6 @@ class Simulator:
         if not self.done and self._cycle < target:
             self._cycle = target
         return self._cycle - start
-
-    def _fast_forward(self, limit: int) -> None:
-        """Jump to the next time anything can happen (capped at
-        ``limit``, the detailed window's end).
-
-        ``self._cycle`` has already advanced past the tick that issued
-        nothing, so the just-simulated cycle is ``self._cycle - 1`` —
-        the "now" that ``SM.next_wake`` expects. Passing ``self._cycle``
-        instead would make an SM with pending CABA work report
-        ``now + 2`` and the jump would skip a cycle in which an assist
-        warp could have issued; tests/gpu/test_simulator.py pins
-        fast-forward on/off byte-identity against exactly that class of
-        off-by-one.
-        """
-        wake = float(self._event_cycles[0]) if self._event_cycles else _INF
-        cycle = self._cycle
-        if not self._has_caba:
-            # Without a CABA controller every SM's next_wake is exactly
-            # its last tick's wake hint, mirrored into the SoA wake
-            # list at the end of SM.tick — one batched min replaces
-            # the per-SM next_wake calls.
-            if wake > cycle:
-                hint = min(self._soa.wake)
-                if hint < wake:
-                    wake = hint
-        else:
-            for sm in self.sms:
-                hint = sm.next_wake(cycle - 1)
-                if hint < wake:
-                    wake = hint
-                    if wake <= cycle:
-                        return
-        if wake == _INF or wake <= cycle:
-            return
-        target = min(int(wake), limit)
-        skipped = target - cycle
-        if skipped <= 0:
-            return
-        # Sleepers are charged the jump when they wake.
-        for sm, asleep in zip(self.sms, self._asleep):
-            if not asleep:
-                sm.replay_stall(skipped)
-        self._cycle = target
 
     def _drain(self) -> None:
         """Flush CABA store buffers so end-of-kernel traffic is counted,

@@ -15,7 +15,6 @@ the very same ALU/SFU/LSU resources as regular instructions.
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import partial
 from typing import Callable
@@ -118,7 +117,7 @@ class SM:
         self.sched_warps: list[list[WarpContext]] = [[] for _ in range(n)]
         self._current: list[WarpContext | None] = [None] * n
         #: Each scheduler's category of its last ticked cycle, which
-        #: slept and fast-forwarded cycles repeat.
+        #: slept cycles repeat.
         self._last_cats: list[int] = [_CAT_IDLE] * n
         if config.scheduler not in ("gto", "lrr"):
             raise ValueError(f"unknown scheduler {config.scheduler!r}")
@@ -144,7 +143,6 @@ class SM:
         self._scheds = range(n)
         self._stalls = self.stats.stalls
         self._codes = soa.code
-        self._wakes = soa.wake
         self._seq = soa.seq
         self._epochs = memory.mshr_epoch
         self._mshr_used = memory._mshr_used
@@ -165,16 +163,11 @@ class SM:
         self._scan_hint = _INF
         self._low_stall: tuple | None = None
 
-        #: Min-heap of the cycles at which assist-warp destination
-        #: registers free up (assist warps schedule no release events;
-        #: see try_issue_assist). Bounds next_wake.
-        self._releases: list[int] = []
         # id(program) -> (program, per-pc issue table) for assist programs.
         self._assist_tables: dict[int, tuple] = {}
-        # Sleep bookkeeping (see sleep/wake): the first cycle not ticked
-        # and the loop iteration of the last tick.
+        # The first cycle not ticked since the SM fell asleep (see
+        # sleep/wake).
         self._slept_at = 0
-        self._slept_iter = 0
 
     # ------------------------------------------------------------------
     # Block / warp management
@@ -337,7 +330,6 @@ class SM:
                 self.chrome.note_slot(self.sm_id, s, cat, 1)
         if caba is not None:
             caba.observe(issued, len(memos))
-        self._wakes[self.sm_id] = self._wake_hint
         return issued
 
     # ------------------------------------------------------------------
@@ -520,40 +512,14 @@ class SM:
         return cat
 
     def replay_stall(self, skipped: int) -> None:
-        """Account ``skipped`` fast-forwarded or slept cycles with the
-        last classification (no state changed during the gap)."""
+        """Account ``skipped`` slept cycles with the last classification
+        (no state changed during the gap)."""
         stalls = self._stalls
         for cat in self._last_cats:
             stalls[cat] += skipped
         if self.chrome is not None:
             for s, cat in enumerate(self._last_cats):
                 self.chrome.note_slot(self.sm_id, s, cat, skipped)
-
-    def next_wake(self, cycle: int) -> float:
-        """Earliest cycle at which this SM might make progress without an
-        event it scheduled (used for fast-forwarding).
-
-        ``cycle`` is the most recently *simulated* cycle (the caller has
-        already advanced its clock past it, hence the ``cycle - 1`` at
-        the call site): with assist work queued the SM must be ticked on
-        the very next cycle. Otherwise it is the earlier of
-        ``_wake_hint``, an absolute cycle collected from the scan's
-        structural-hazard hints during the SM's last tick, and the next
-        pending assist-register release, which stands in for the
-        release event assist warps do not schedule. A sleeping SM
-        answers from its last tick, which its slept ticks would have
-        repeated."""
-        caba = self.caba
-        if caba is None:
-            return self._wake_hint
-        if caba.has_pending_work():
-            return cycle + 1
-        releases = self._releases
-        while releases and releases[0] <= cycle:
-            heapq.heappop(releases)
-        if releases and releases[0] < self._wake_hint:
-            return releases[0]
-        return self._wake_hint
 
     # ------------------------------------------------------------------
     # Sleep (driven by Simulator._run_detailed)
@@ -575,25 +541,20 @@ class SM:
                 until = quiet
         return until
 
-    def sleep(self, cycle: int, iteration: int) -> None:
-        """Stop ticking after the tick of ``cycle``, the loop's
-        ``iteration``-th."""
+    def sleep(self, cycle: int) -> None:
+        """Stop ticking after the tick of ``cycle``."""
         self._slept_at = cycle + 1
-        self._slept_iter = iteration
 
-    def wake(self, cycle: int, iterations: int, last: int) -> None:
+    def wake(self, cycle: int) -> None:
         """Settle a sleep before ``cycle`` is ticked or its events run:
-        charge the slept cycles to the last classification, and replay
-        one idle tick to the controller per loop iteration that ran
-        since the SM's last tick (``iterations`` ran in all; the latest
-        was at cycle ``last``)."""
+        charge each slept cycle to the last classification and replay
+        it to the controller as a tick that issued nothing."""
         span = cycle - self._slept_at
         if span > 0:
             self.replay_stall(span)
-        self.now = last
-        owed = iterations - self._slept_iter
-        if self.caba is not None and owed > 0:
-            self.caba.replay_idle(owed, self.config.schedulers_per_sm)
+            if self.caba is not None:
+                self.caba.replay_idle(span, self.config.schedulers_per_sm)
+        self.now = cycle - 1
 
     # ------------------------------------------------------------------
     # Stall refinement (scanned slots only; memos keep the result)
@@ -739,8 +700,8 @@ class SM:
         lines = self._coalesce(instr, warp)
         for line in lines:
             if not memory.mshr_available(sm_id, line):
-                # MSHRs free up via fill events, which also end
-                # fast-forwards.
+                # MSHRs free up via fill events, which also wake a
+                # sleeping SM.
                 warp.mshr_stall_line = line
                 return _STRUCT_MSHR
         fills = []
@@ -815,11 +776,9 @@ class SM:
         ):
             self.caba.buffer_store(warp, lines, full_line, cycle)
         else:
-            compressed = design.compress_at == "core_hw" or design.ideal
             for line in lines:
                 self.memory.store(
-                    self.sm_id, line, cycle,
-                    full_line=full_line, compressed_by_core=compressed,
+                    self.sm_id, line, cycle, full_line=full_line
                 )
         return _OK
 
@@ -873,9 +832,9 @@ class SM:
 
         The caller has checked that the instruction is deployed and its
         scoreboard clear (``cycle >= assist.ready``). Issue records when
-        the destination registers free up (``assist.rel``, and this SM's
-        ``_releases`` heap) and derives the next instruction's ``ready``
-        from its producers, instead of scheduling a release event."""
+        the destination registers free up (``assist.rel``) and derives
+        the next instruction's ``ready`` from its producers, instead of
+        scheduling a release event."""
         ops = assist.ops
         if ops is None:
             ops = assist.ops = self._assist_table(assist.program)
@@ -913,13 +872,7 @@ class SM:
         stats.register_writes += writes
         rel = assist.rel
         if hold:
-            when = cycle + hold
-            rel[pc] = when
-            releases = self._releases
-            if releases and releases[0] <= cycle:
-                heapq.heapreplace(releases, when)
-            else:
-                heapq.heappush(releases, when)
+            rel[pc] = cycle + hold
         assist.pc = pc + 1
         if done:
             self.schedule(cycle + done, partial(self.caba.finish, assist))

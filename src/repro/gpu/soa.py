@@ -71,11 +71,6 @@ class SoAState:
         self.cap = cap
         n_slots = n_sms * cap
         self.n_gids = n_sms * n_sched
-        #: Per-SM wake hint, written at the end of every ``SM.tick`` —
-        #: exactly what ``SM.next_wake`` returns for a SM without a
-        #: CABA controller, so the simulator's fast-forward can take
-        #: one min over the list instead of calling into every SM.
-        self.wake = [float("inf")] * n_sms
         #: Per-scheduler invalidation counters (+1 sentinel for unbound
         #: slots).
         self.seq: list[int] = [0] * (self.n_gids + 1)

@@ -5,8 +5,8 @@ asserts an accounting identity that must hold by construction:
 
 * **Issue slots** — every SM's stall counts (``SmStats.stalls``) sum to
   exactly ``cycles * schedulers_per_sm``: no issue slot is lost or
-  double-charged, including slept, fast-forwarded and extrapolated
-  ones.
+  double-charged, including slept (clock jumps among them) and
+  extrapolated ones.
 * **MSHRs** — every allocated MSHR is released (completed runs), or
   still accounted in the in-flight maps (truncated runs), and the used
   counters match the in-flight maps entry for entry.

@@ -1,12 +1,17 @@
 """Integration tests for the top-level simulator."""
 
+import dataclasses
+from functools import partial
+
 import pytest
 
 from repro import design as designs
+from repro.core.params import CabaParams
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.kernel import Kernel
 from repro.gpu.simulator import Simulator
+from repro.gpu.sm import SM
 from repro.gpu.stats import Slot
 from tests.gpu.stepping import forced_ticks
 from tests.images import make_image
@@ -124,29 +129,64 @@ class TestDeterminism:
         assert first.memory.stats.dram_reads == second.memory.stats.dram_reads
 
 
+def _app_simulator(app, point, chrome, work=0.1, config=None, params=None):
+    """A simulator of ``app`` under ``point``, built as the runner does."""
+    from repro.harness.runner import _make_caba_factory, build_image
+    from repro.workloads.apps import get_app
+    from repro.workloads.tracegen import TraceScale, build_kernel
+
+    config = config or GPUConfig.small()
+    scale = TraceScale(work=work)
+    profile = get_app(app)
+    image = build_image(profile, point, config, scale)
+    factory, regs = _make_caba_factory(
+        point, config, params or CabaParams(), plane=image.plane
+    )
+    return Simulator(
+        config, build_kernel(profile, config, scale), point, image,
+        caba_factory=factory,
+        assist_regs_per_thread=regs,
+        chrome=chrome,
+    )
+
+
+def _scenario_simulator(kind, chrome, **knobs):
+    """A simulator of the ``kind`` assist-warp scenario."""
+    from repro.harness.runner import scenario_spec
+    from repro.harness.scenarios import build_scenario
+
+    spec = scenario_spec(kind, **knobs)
+    kernel, factory, _ = build_scenario(spec.scenario, spec.config)
+    return Simulator(
+        spec.config, kernel, designs.base(), plain_image(spec.config),
+        caba_factory=factory, chrome=chrome,
+    )
+
+
 class TestFastForwardIdentity:
-    """Per-SM sleep and fast-forwarding are accounting shortcuts, not
+    """Per-SM sleep and the clock jump are accounting shortcuts, not
     model changes.
 
     A sleeping SM must wake on exactly the cycle a ticking one would
-    next do something other than replay its stall, and the jump must
-    resume on exactly the cycle the full-tick loop would next make
-    progress on — this pins the ``next_wake(cycle - 1)`` contract in
-    ``Simulator._fast_forward`` (the caller's clock has already
-    advanced past the zero-issue tick) against off-by-ones. The oracle
-    is ``forced_ticks`` (``tests/gpu/stepping.py``). Sleep identity
-    holds for every design; jump identity is contractual for designs
-    without a CABA controller, whose utilization EMA samples the cycles
-    the loop runs, so CABA designs define their semantics with
-    fast-forward on.
+    next do something other than replay its stall, and the clock may
+    jump only over cycles in which every SM sleeps. The oracle is
+    ``forced_ticks`` (``tests/gpu/stepping.py``): every SM ticks on
+    every cycle. Identity holds for every design, down to each SM's
+    stall counts and its assist controller's counters: the
+    controllers' utilization monitors see every cycle, slept or not.
     """
 
     @staticmethod
-    def _fingerprint(sim, result):
-        return repr(result.stats) + "".join(
-            repr(sm.stats.__dict__)
-            + repr(getattr(sm.caba, "stats", None))
-            for sm in sim.sms
+    def _fingerprint(sim):
+        result = sim.run()
+        return (
+            result.cycles,
+            [dataclasses.asdict(sm.stats) for sm in sim.sms],
+            [
+                dataclasses.asdict(sm.caba.stats) if sm.caba is not None
+                else None
+                for sm in sim.sms
+            ],
         )
 
     def _run_synthetic(self):
@@ -158,90 +198,108 @@ class TestFastForwardIdentity:
             alu_i(dst=2, src=1, latency=12),
         ]
         config = GPUConfig.small()
-        sim = Simulator(
+        return self._fingerprint(Simulator(
             config,
             make_kernel(body, iterations=6),
             designs.base(),
             plain_image(config),
-        )
-        result = sim.run()
-        return result, self._fingerprint(sim, result)
+        ))
 
     def test_synthetic_memory_kernel(self):
-        with forced_ticks(fast_forward=False):
-            full, full_key = self._run_synthetic()
-        jumped, jumped_key = self._run_synthetic()
-        assert jumped.cycles == full.cycles
-        assert jumped_key == full_key
+        with forced_ticks():
+            ticked = self._run_synthetic()
+        assert self._run_synthetic() == ticked
 
-    def _run_workload(self, chrome, app="MM", point=None):
-        """One run and its fingerprint (every SM's stall counts among
-        it), plus its Chrome timeline events, sorted, when ``chrome``."""
-        from repro.core.params import CabaParams
-        from repro.harness.runner import _make_caba_factory, build_image
+    def _run_case(self, build, chrome):
+        """The fingerprint of one run of ``build(collector)``, plus its
+        Chrome timeline events, sorted, when ``chrome``."""
         from repro.obs import ChromeTraceCollector
-        from repro.workloads.apps import get_app
-        from repro.workloads.tracegen import TraceScale, build_kernel
 
-        config = GPUConfig.small()
-        scale = TraceScale(work=0.1)
-        point = point or designs.base()
-        profile = get_app(app)
-        image = build_image(profile, point, config, scale)
-        kernel = build_kernel(profile, config, scale)
-        factory, regs = _make_caba_factory(
-            point, config, CabaParams(), plane=image.plane
-        )
         collector = ChromeTraceCollector() if chrome else None
-        sim = Simulator(
-            config, kernel, point, image,
-            caba_factory=factory,
-            assist_regs_per_thread=regs,
-            chrome=collector,
-        )
-        result = sim.run()
+        fingerprint = self._fingerprint(build(collector))
         events = None
         if chrome:
             events = sorted(
                 repr(sorted(event.items()))
                 for event in collector.export()["traceEvents"]
             )
-        return result, self._fingerprint(sim, result), events
+        return fingerprint, events
 
     @pytest.mark.parametrize("chrome", [False, True])
-    def test_workload_identity(self, chrome):
-        with forced_ticks(fast_forward=False):
-            full, full_key, full_events = self._run_workload(chrome)
-        jumped, jumped_key, jumped_events = self._run_workload(chrome)
-        assert jumped.cycles == full.cycles
-        # Skipped slots are counted during a jump under the same
-        # categories the full-tick loop counts them.
-        assert jumped_key == full_key
-        assert [sm.stalls for sm in jumped.stats.sms] == \
-            [sm.stalls for sm in full.stats.sms]
-        assert jumped_events == full_events
+    def test_workload_identity(self, chrome, monkeypatch):
+        """The clock jump on MM/Base: the default run does pass cycles on
+        which every SM sleeps, and still ends with the every-cycle
+        oracle's statistics — the memory system's traffic counters too,
+        not only each SM's — and, with a timeline attached, its events."""
+        from repro.obs import ChromeTraceCollector
 
-    @pytest.mark.parametrize("chrome", [False, True])
-    @pytest.mark.parametrize("app,point", [
-        ("MM", designs.base()),
-        ("PVC", designs.caba("bdi")),
-    ], ids=["MM-Base", "PVC-CABA-BDI"])
-    def test_sleep_identity(self, app, point, chrome):
-        """Sleeping SMs replay exactly what their ticks would have done,
-        down to the CABA controller's counters (its throttle EMA is
-        replayed once per loop iteration slept through), every stall
-        count and, with a timeline attached, every timeline event."""
-        with forced_ticks():
-            ticked, ticked_key, ticked_events = self._run_workload(
-                chrome, app, point
+        def run():
+            collector = ChromeTraceCollector() if chrome else None
+            sim = _app_simulator("MM", designs.base(), collector)
+            result = sim.run()
+            events = None
+            if chrome:
+                events = sorted(
+                    repr(sorted(event.items()))
+                    for event in collector.export()["traceEvents"]
+                )
+            key = (
+                repr(result.stats),
+                dataclasses.asdict(result.memory.stats),
+                result.bandwidth_utilization(),
             )
-        slept, slept_key, slept_events = self._run_workload(
-            chrome, app, point
-        )
-        assert slept.cycles == ticked.cycles
-        assert slept_key == ticked_key
-        assert [sm.stalls for sm in slept.stats.sms] == \
-            [sm.stalls for sm in ticked.stats.sms]
+            return result.cycles, key, events
+
+        with forced_ticks():
+            ticked = run()
+
+        busy = set()
+        tick = SM.tick
+
+        def recording_tick(sm, cycle):
+            busy.add(cycle)
+            return tick(sm, cycle)
+
+        monkeypatch.setattr(SM, "tick", recording_tick)
+        slept = run()
+        assert len(busy) < slept[0]
+        assert slept == ticked
+
+    @pytest.mark.parametrize("chrome", [False, True])
+    @pytest.mark.parametrize("build", [
+        pytest.param(partial(_app_simulator, "MM", designs.base()),
+                     id="MM-Base"),
+        pytest.param(partial(_app_simulator, "PVC", designs.caba("bdi")),
+                     id="PVC-CABA-BDI"),
+        # The AWC's utilization monitor throttles here. An EMA fed only
+        # on the cycles the loop ran, not the ones it jumped, read
+        # 33,302 cycles against 35,888 with every cycle ticked.
+        pytest.param(partial(_app_simulator, "PVR", designs.caba("bdi"),
+                             work=1.0, config=GPUConfig.small()
+                             .with_bandwidth_scale(2.0)),
+                     id="PVR-CABA-BDI-2x"),
+        # Low-priority decompression: assist warps still run while the
+        # last blocks drain, so this pins the end of the run (a clock
+        # jump after the last block retired read 43,443, not 43,440).
+        pytest.param(partial(_app_simulator, "PVC", designs.caba("bdi"),
+                             work=1.0, params=CabaParams(
+                                 decompression_high_priority=False)),
+                     id="PVC-CABA-BDI-lowprio"),
+        # The prefetcher throttles on its own utilization monitor (3,127
+        # cycles against 3,349 when the EMA skipped the jumped cycles).
+        pytest.param(partial(_scenario_simulator, "prefetch", distance=4),
+                     id="prefetch-d4"),
+        pytest.param(partial(_scenario_simulator, "memoization"),
+                     id="memoization"),
+    ])
+    def test_sleep_identity(self, build, chrome):
+        """The default loop replays exactly what ticking every SM on
+        every cycle does: every stall count, every controller counter
+        and, with a timeline attached, every timeline event."""
+        with forced_ticks():
+            ticked, ticked_events = self._run_case(build, chrome)
+        slept, slept_events = self._run_case(build, chrome)
+        assert slept == ticked
         assert slept_events == ticked_events
 
     def test_caba_design_requires_factory(self):

@@ -3,7 +3,7 @@
 Generates random (but well-formed) warp programs and checks the
 system-level invariants: every run terminates, executes exactly the
 expected dynamic instruction count, is deterministic, and simulates
-the same machine with per-SM sleep and fast-forwarding on or off.
+the same machine with per-SM sleep (and the clock jump) on or off.
 """
 
 import pytest
@@ -147,12 +147,12 @@ def test_tracing_preserves_simulation_outcome(kinds, iterations):
 @settings(max_examples=10, deadline=None)
 @given(kinds=bodies, iterations=st.integers(min_value=1, max_value=3))
 def test_fast_forward_preserves_per_sm_stats(kinds, iterations):
-    """Sleeping SMs and jumping uniform-stall gaps are exact: every SM's
-    stats match the run that ticks every SM on every cycle. The jump
-    target is the minimum of the SMs' wake hints, including the ones a
-    replayed stall memo or a sleeping SM carries instead of a fresh
-    scan, so a stale hint shows up here."""
-    with forced_ticks(fast_forward=False):
+    """Sleeping SMs and the clock jump over cycles in which every SM
+    sleeps are exact: every SM's stats match the run that ticks every
+    SM on every cycle. An SM sleeps until the earliest wake hint of its
+    memos, including ones a replayed stall memo carries instead of a
+    fresh scan, so a stale hint shows up here."""
+    with forced_ticks():
         full = run_program(kinds, iterations, designs.base())
     jumped = run_program(kinds, iterations, designs.base())
     assert jumped.cycles == full.cycles

@@ -3,9 +3,9 @@
 The golden fixture runs the small machine (3 SMs), where few SMs sleep
 at once. Sleep matters most on ``GPUConfig()`` (15 SMs): most of a
 memory-bound run's SM ticks are slept there. These runs compare the
-default loop with ``forced_ticks()`` (every SM ticks on every cycle the
-loop runs) on a memory-bound baseline and on CABA-BDI, whose
-controller replays its throttle EMA across every slept tick. Every
+default loop with ``forced_ticks()`` (every SM ticks on every cycle)
+on a memory-bound baseline and on CABA-BDI, whose controller replays
+its throttle EMA across every slept cycle. Every
 SM's refined stall counts must match too, so slept spans are counted
 under the categories their ticks would have counted.
 """
@@ -62,9 +62,9 @@ def test_sleep_matches_forced_ticks_on_table1(app, point, monkeypatch):
     sleeps = [0]
     real_sleep = SM.sleep
 
-    def sleep(self, cycle, iteration):
+    def sleep(self, cycle):
         sleeps[0] += 1
-        real_sleep(self, cycle, iteration)
+        real_sleep(self, cycle)
 
     monkeypatch.setattr(SM, "sleep", sleep)
     assert _run(app, point) == ticked

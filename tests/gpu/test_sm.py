@@ -242,10 +242,10 @@ class TestFastForwardSupport:
         h.sm.replay_stall(10)
         assert h.sm.stats.slots[Slot.IDLE] == idle_before + 10 * 2
 
-    def test_next_wake_infinite_when_idle(self):
+    def test_quiet_until_infinite_when_idle(self):
         h = SmHarness()
         h.run(1)
-        assert h.sm.next_wake(1) == float("inf")
+        assert h.sm.quiet_until(1) == float("inf")
 
 
 class TestSchedulerPolicies:

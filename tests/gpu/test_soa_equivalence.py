@@ -95,9 +95,9 @@ def forced_rescan(enabled=True, stale_seq_every=None):
                 invalidated[0] += 1
         return real_tick(self, cycle)
 
-    def wake(self, cycle, iterations, last):
-        invalidated[0] += iterations - self._slept_iter
-        return real_wake(self, cycle, iterations, last)
+    def wake(self, cycle):
+        invalidated[0] += cycle - self._slept_at
+        return real_wake(self, cycle)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SM, "tick", tick)
