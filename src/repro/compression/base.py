@@ -63,15 +63,6 @@ class CompressedLine:
         """Number of DRAM bursts needed to transfer this line."""
         return bursts_for(self.size_bytes, burst_bytes)
 
-    def burst_ratio(self, burst_bytes: int = BURST_BYTES) -> float:
-        """Uncompressed bursts divided by compressed bursts.
-
-        This is the paper's definition of compression ratio: "the ratio of
-        the number of DRAM bursts required to transfer data in the
-        compressed vs. uncompressed form" (Section 5).
-        """
-        return bursts_for(self.line_size, burst_bytes) / self.bursts(burst_bytes)
-
 
 def bursts_for(size_bytes: int, burst_bytes: int = BURST_BYTES) -> int:
     """Number of fixed-size bursts needed for ``size_bytes`` of data."""

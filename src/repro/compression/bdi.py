@@ -309,13 +309,3 @@ class BdiCompressor(CompressionAlgorithm):
             big |= word << shift
             shift += bits
         return big.to_bytes(self.line_size, "little")
-
-    # ------------------------------------------------------------------
-    # Introspection helpers used by the assist-warp subroutine generator
-    # ------------------------------------------------------------------
-    def encoding_for(self, name: str) -> BdiEncoding:
-        """Look up one of this compressor's encodings by name."""
-        for encoding in self.encodings:
-            if encoding.name == name:
-                return encoding
-        raise CompressionError(f"unknown BDI encoding {name!r}")

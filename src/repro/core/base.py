@@ -28,9 +28,6 @@ class AssistWarp:
     where the parents' scan tests a pending-register mask.
     """
 
-    #: Assist warps have no screen-code slot (see repro.gpu.warp.touch).
-    soa = None
-
     __slots__ = (
         "parent",
         "program",

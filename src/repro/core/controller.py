@@ -14,9 +14,8 @@ Section 4.2:
 * **Deployment.** Every cycle the AWC stages up to ``deploy_width``
   instructions from active assist warps into the AWB, round-robin, each
   warp bounded by its instruction-buffer partition depth. The
-  round-robin pointer advances on every tick with a non-empty AWT; the
-  controller counts ticks and folds the rotations in lazily, so a tick
-  with nothing to deploy or spawn costs nothing.
+  round-robin pointer advances by one on every tick with a non-empty
+  AWT (by the slept ticks when the SM wakes).
 * **Scheduling.** High-priority assist warps preempt their parent
   scheduler's warps; low-priority warps (bounded by the two-entry AWB
   low-priority partition) issue only into otherwise-idle slots, and the
@@ -137,11 +136,9 @@ class CabaController(AssistController):
             deque() for _ in range(n_sched)
         ]
         self._low: list[ActiveAssistWarp] = []
+        #: Deployment pointer: each tick with a non-empty AWT advances
+        #: it by one, modulo the AWT size.
         self._deploy_rr = 0
-        # Ticks so far, and the tick count at which _deploy_rr was last
-        # brought up to date (see _fold_rr).
-        self._ticks = 0
-        self._rr_mark = 0
         # Set when a deploy pass staged nothing: every undeployed warp
         # is at its staging depth, which only an assist issue or a
         # spawn can change.
@@ -180,22 +177,10 @@ class CabaController(AssistController):
     def tick(self, cycle: int) -> None:
         if self._undeployed and not self._deploy_stalled:
             self._deploy(cycle)
-        self._ticks += 1
+        if self._awt:
+            self._deploy_rr = (self._deploy_rr + 1) % len(self._awt)
         if self._waiting_stores:
             self._spawn_compressions(cycle)
-
-    def _fold_rr(self) -> None:
-        """Apply the deployment-pointer rotations owed since the last
-        fold: each tick with a non-empty AWT advances ``_deploy_rr`` by
-        one, modulo the AWT size. Called before the pointer is read and
-        before the AWT changes size, so the size is constant over the
-        owed ticks."""
-        owed = self._ticks - self._rr_mark
-        if owed:
-            n = len(self._awt)
-            if n:
-                self._deploy_rr = (self._deploy_rr + owed) % n
-            self._rr_mark = self._ticks
 
     def observe(self, issued: int, slots: int) -> None:
         """Feed the AWC's functional-unit utilization monitor."""
@@ -226,11 +211,12 @@ class CabaController(AssistController):
         return until
 
     def replay_idle(self, ticks: int, slots: int) -> None:
-        """Replay ``ticks`` slept ticks: the deployment pointer's owed
+        """Replay ``ticks`` slept ticks: the deployment pointer's
         rotations and one ``observe(0, slots)`` each. The EMA runs as
         the same float recurrence, step by step, so the throttle stays
         exactly what the ticks would have made it."""
-        self._ticks += ticks
+        if self._awt:
+            self._deploy_rr = (self._deploy_rr + ticks) % len(self._awt)
         alpha = self._ema_alpha
         threshold = self._throttle_threshold
         throttling = self._throttling
@@ -250,7 +236,6 @@ class CabaController(AssistController):
         """Stage up to ``deploy_width`` instructions, round-robin over
         the AWT from ``_deploy_rr``. Only called with instructions left
         to deploy (so the AWT is non-empty)."""
-        self._fold_rr()
         awt = self._awt
         n = len(awt)
         rr = self._deploy_rr
@@ -408,7 +393,6 @@ class CabaController(AssistController):
         )
         aw.spawn_cycle = self.sm.now
         entry.assist = aw
-        self._fold_rr()
         self._awt.append(aw)
         self._undeployed += 1
         self._deploy_stalled = False
@@ -512,7 +496,6 @@ class CabaController(AssistController):
         entry.state = "compressing"
         self._waiting_stores -= 1
         entry.assist = aw
-        self._fold_rr()
         self._awt.append(aw)
         self._undeployed += 1
         self._deploy_stalled = False
@@ -574,9 +557,7 @@ class CabaController(AssistController):
     def _unblock(self, aw: ActiveAssistWarp) -> None:
         if aw.blocking:
             aw.parent.assist_block -= 1
-            # A sampling skip can finish (and retire) a gated parent.
-            if aw.parent.soa is not None:
-                touch(aw.parent)
+            touch(aw.parent)
             aw.blocking = False
 
     def _cancel(self, aw: ActiveAssistWarp) -> None:
@@ -597,7 +578,6 @@ class CabaController(AssistController):
 
     def _remove_from_awt(self, aw: ActiveAssistWarp) -> None:
         if aw in self._awt:
-            self._fold_rr()
             self._awt.remove(aw)
             if aw.deployed < aw.size:
                 self._undeployed -= 1

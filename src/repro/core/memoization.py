@@ -236,7 +236,5 @@ class MemoizationController(AssistController):
     def _unblock(self, assist: _ActiveMemo) -> None:
         if assist.blocking:
             assist.parent.assist_block -= 1
-            # A sampling skip can finish (and retire) a gated parent.
-            if assist.parent.soa is not None:
-                touch(assist.parent)
+            touch(assist.parent)
             assist.blocking = False

@@ -72,11 +72,6 @@ class DesignPoint:
         return "core_assist" in (self.decompress_at, self.compress_at)
 
     @property
-    def l1_compressed(self) -> bool:
-        """Whether the L1 stores compressed data (Fig. 13 designs only)."""
-        return self.l1_tag_mult > 1
-
-    @property
     def needs_metadata(self) -> bool:
         """The MD cache is needed whenever DRAM holds compressed lines,
         except in the zero-overhead ideal design."""

@@ -64,13 +64,6 @@ class EnergyBreakdown:
             + self.static + self.dram_static
         )
 
-    @property
-    def dram_power_share(self) -> float:
-        """DRAM energy (dynamic + static) as a fraction of total."""
-        if self.total == 0:
-            return 0.0
-        return (self.dram_dynamic + self.dram_static) / self.total
-
     def as_dict(self) -> dict[str, float]:
         return {
             "core_dynamic": self.core_dynamic,

@@ -85,10 +85,6 @@ class Instr:
     tag: str = ""
     meta: int = 0
 
-    @property
-    def is_memory(self) -> bool:
-        return self.kind in (OpKind.LOAD, OpKind.STORE)
-
 
 def alu(latency: int = 4, dst: int = 1, src: int = 0, tag: str = "alu") -> Instr:
     """An ALU instruction writing register ``dst`` and reading ``src``."""
@@ -175,22 +171,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.body) * self.iterations
-
-    @property
-    def loads_per_iteration(self) -> int:
-        return sum(
-            1
-            for instr in self.body
-            if instr.kind is OpKind.LOAD and instr.space is MemSpace.GLOBAL
-        )
-
-    @property
-    def stores_per_iteration(self) -> int:
-        return sum(
-            1
-            for instr in self.body
-            if instr.kind is OpKind.STORE and instr.space is MemSpace.GLOBAL
-        )
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from repro.gpu.kernel import Kernel
 from repro.gpu.occupancy import Occupancy, compute_occupancy
 from repro.gpu.sampling import SampleConfig, SamplingController
 from repro.gpu.sm import SM
-from repro.gpu.soa import SoAState
+from repro.gpu.soa import luts
 from repro.gpu.stats import SimStats
 from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
@@ -138,11 +138,8 @@ class Simulator:
         self._event_owners: dict[int, int] = {}
         self._cycle = 0
 
-        # Live screen codes of every resident warp slot machine-wide.
-        self._soa = SoAState(
-            config.n_sms, config.schedulers_per_sm,
-            self.occupancy.blocks_per_sm * kernel.warps_per_block,
-        )
+        # The kernel's screen-code tables, shared by all its warps.
+        self._luts = luts(kernel.program)
         self.sms = [
             SM(
                 sm_id=i,
@@ -150,7 +147,6 @@ class Simulator:
                 memory=self.memory,
                 schedule=partial(self._schedule, 1 << i),
                 on_block_retired=self._on_block_retired,
-                soa=self._soa,
             )
             for i in range(config.n_sms)
         ]
@@ -208,12 +204,11 @@ class Simulator:
         block_id = self._pending_blocks.popleft()
         block = BlockContext(block_id)
         program = self.kernel.program
-        soa = self._soa
         for w in range(self.kernel.warps_per_block):
             index = self.kernel.warp_linear_index(block_id, w)
-            block.warps.append(WarpContext(
-                soa, soa.alloc(sm.sm_id), index, block, program, 0
-            ))
+            block.warps.append(
+                WarpContext(index, block, program, self._luts)
+            )
         sm.add_block(block)
 
     def _on_block_retired(self, sm: SM) -> None:

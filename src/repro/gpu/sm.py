@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind
-from repro.gpu.soa import KLASS_GLOAD, SoAState
+from repro.gpu.soa import KLASS_GLOAD
 from repro.gpu.stats import (
     SLOT_OF_CAT,
     STATE_ONLY_SLOTS,
@@ -96,11 +96,7 @@ class SM:
         memory: MemorySystem,
         schedule: Callable[[int, Callable[[], None]], None],
         on_block_retired: Callable[["SM"], None],
-        soa: SoAState,
     ) -> None:
-        """``soa`` holds the screen codes of this SM's warp slots (and
-        of every other SM's, when shared machine-wide); warps added
-        through :meth:`add_block` must own slots of it."""
         self.sm_id = sm_id
         self.config = config
         self.memory = memory
@@ -136,14 +132,19 @@ class SM:
         #: whose callbacks fire from the event queue).
         self.now = 0
 
-        #: Screen codes (repro.gpu.soa) and this SM's first scheduler id.
-        self._soa = soa
-        self._gid0 = sm_id * n
+        #: Per-scheduler sequence counters (repro.gpu.soa): bumped by
+        #: every touch of a resident warp and every change to the
+        #: scheduler's warp set.
+        self._seq: list[int] = [0] * n
+        #: What a retired warp's late touches (a register release, an
+        #: assist warp's unblock) bump instead; nothing reads it. One
+        #: per SM, not per warp: a retired warp lives until the cyclic
+        #: GC frees it with its block, and a list of its own raised
+        #: peak RSS by ~2 MB on the Table-1 machine.
+        self._retired_seq: list[int] = [0] * n
         # Per-cycle reads, bound once.
         self._scheds = range(n)
         self._stalls = self.stats.stalls
-        self._codes = soa.code
-        self._seq = soa.seq
         self._epochs = memory.mshr_epoch
         self._mshr_used = memory._mshr_used
         self._inflight = memory._inflight[sm_id]
@@ -178,10 +179,10 @@ class SM:
         n = self.config.schedulers_per_sm
         for warp in block.warps:
             warp.sched = self._age_counter % n
-            warp.age = self._age_counter
             self._age_counter += 1
             self.sched_warps[warp.sched].append(warp)
-            self._soa.bind(warp.slot, self._gid0 + warp.sched)
+            warp.seqs = self._seq
+            self._seq[warp.sched] += 1
 
     def _retire_block(self, block: BlockContext) -> None:
         if block.retired:
@@ -194,13 +195,9 @@ class SM:
             self.sched_warps[s] = [w for w in warps if w not in retired]
             if self._current[s] in retired:
                 self._current[s] = None
-        # Free the slots before on_block_retired may dispatch a
-        # replacement block into them. detach() first: late
-        # register-release events on these warps must not write into a
-        # reassigned slot.
         for warp in block.warps:
-            warp.detach()
-            self._soa.release(warp.slot)
+            self._seq[warp.sched] += 1
+            warp.seqs = self._retired_seq
         self.on_block_retired(self)
 
     def _check_block_drain(self, warp: WarpContext) -> None:
@@ -239,9 +236,7 @@ class SM:
         stalls = self._stalls
         last = self._last_cats
         seq = self._seq
-        codes = self._codes
         memos = self._memos
-        g = self._gid0
         for s in self._scheds:
             if (
                 caba is not None
@@ -253,10 +248,9 @@ class SM:
                 stalls[_CAT_ASSIST] += 1
                 last[s] = _CAT_ASSIST
                 issued += 1
-                g += 1
                 continue
             m = memos[s]
-            if m is not None and m[0] == seq[g] and (
+            if m is not None and m[0] == seq[s] and (
                 m[2] == 1
                 or (
                     self._lsu_free == m[3]
@@ -266,7 +260,6 @@ class SM:
                     and (m[6] < 0 or self._epochs[self.sm_id] == m[6])
                 )
             ):
-                g += 1
                 if (
                     caba is not None
                     and cycle >= caba.low_gate
@@ -285,7 +278,7 @@ class SM:
                 stalls[cat] += 1
                 last[s] = cat
                 continue
-            cat = self._issue_slot(s, cycle, codes)
+            cat = self._issue_slot(s, cycle)
             stalls[cat] += 1
             last[s] = cat
             if cat <= _CAT_ASSIST:  # an instruction issued
@@ -293,7 +286,6 @@ class SM:
                 low = self._low_stall
                 if low is None:
                     memos[s] = None
-                    g += 1
                     continue
                 # A low-priority assist warp took a slot the parent scan
                 # stalled on: memoize the scan, with the unit state it
@@ -310,21 +302,20 @@ class SM:
                 # Scoreboard/idle: a pure function of seq-tracked warp
                 # state. No structural candidate was reached, so the
                 # parent scan contributed no wake hint.
-                memos[s] = (seq[g], cat, 1, 0, 0, 0, 0, _INF)
+                memos[s] = (seq[s], cat, 1, 0, 0, 0, 0, _INF)
             elif kind == 2 and self._scan_safe:
                 # A stall that never saw an MSHR status is independent
                 # of MSHR state: every memory candidate failed on the
                 # LSU-port gate (or there were none), which an epoch
                 # bump cannot change. -1 marks the memo epoch-free.
                 memos[s] = (
-                    seq[g], cat, 2, lsu, sfu, heavy,
+                    seq[s], cat, 2, lsu, sfu, heavy,
                     self._epochs[self.sm_id]
                     if cat == _CAT_MSHR_FULL else -1,
                     self._scan_hint,
                 )
             else:
                 memos[s] = None
-            g += 1
         if self.chrome is not None:
             for s, cat in enumerate(last):
                 self.chrome.note_slot(self.sm_id, s, cat, 1)
@@ -335,7 +326,7 @@ class SM:
     # ------------------------------------------------------------------
     # Issue-slot logic
     # ------------------------------------------------------------------
-    def _issue_slot(self, s: int, cycle: int, screen: list[int]) -> int:
+    def _issue_slot(self, s: int, cycle: int) -> int:
         """Classify scheduler ``s``'s slot per Figure 1, issuing the
         instruction that takes it if any (a high-priority assist warp
         has already had its chance, in ``tick``): the greedy current
@@ -346,8 +337,8 @@ class SM:
         the slot, the (unrefined) stall the parents showed and the unit
         state they saw are left in ``_low_stall`` for the memo.
 
-        Warps are screened by their live screen codes
-        (:mod:`repro.gpu.soa`): ``< SCREEN_BLOCKED`` is a candidate (the
+        Warps are screened by their live screen codes (``warp.code``,
+        :mod:`repro.gpu.soa`): ``< SCREEN_BLOCKED`` is a candidate (the
         code is its instruction class), ``< 32`` is scoreboard-blocked,
         the rest are finished/barrier/assist-gated.
 
@@ -385,11 +376,10 @@ class SM:
         inflight = self._inflight
         current = self._current[s] if self._greedy else None
         # GTO: stay greedy on the current warp until it stalls. A warp
-        # whose final issue retired its block stays current but is
-        # detached (its slot may have been reassigned); it is finished,
-        # so it is skipped like any finished warp.
-        if current is not None and current.soa is not None:
-            code = screen[current.slot]
+        # whose final issue retired its block stays current; it is
+        # finished, so its code skips it like any finished warp.
+        if current is not None:
+            code = current.code
             if code < 16:
                 if (code == 1 or code == 4) and lsu_busy:
                     saw = _SAW_LSU
@@ -433,7 +423,7 @@ class SM:
         # was tried above: screening it again repeats what it already
         # contributed, so it is only skipped before an issue attempt.
         for warp in order:
-            code = screen[warp.slot]
+            code = warp.code
             if code == 4:
                 if lsu_busy:
                     saw |= _SAW_LSU
@@ -660,9 +650,7 @@ class SM:
         touch(warp)
         def release() -> None:
             warp.pending_mask &= ~dst_mask
-            # A retired warp's slot may belong to a new warp by now.
-            if warp.soa is not None:
-                touch(warp)
+            touch(warp)
         self.schedule(until, release)
 
     # --- Memory --------------------------------------------------------

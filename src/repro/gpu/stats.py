@@ -98,9 +98,9 @@ def slots_of(stalls: list[int]) -> list[int]:
     return out
 
 #: Slots whose classification is a function of scheduler-visible warp
-#: state alone (scoreboard masks, barrier/assist gating). The
-#: screened issue path (repro.gpu.soa) may replay such a classification
-#: verbatim while that state is unchanged.
+#: state alone (scoreboard masks, barrier/assist gating). The SM's
+#: stall memos (SM.tick) replay such a classification verbatim while
+#: the scheduler's sequence counter shows that state unchanged.
 STATE_ONLY_SLOTS = frozenset({Slot.DATA_STALL, Slot.IDLE})
 
 #: Slots additionally gated by shared execution-unit state (LSU/SFU/

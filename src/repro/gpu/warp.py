@@ -2,9 +2,9 @@
 
 A :class:`WarpContext` is the scheduler-visible state of one warp: its
 position in the program, its scoreboard (a bitmask of registers with
-outstanding writes), barrier state and outstanding-memory accounting.
-Every warp owns a slot of a :class:`repro.gpu.soa.SoAState`, whose
-screen code :func:`touch` keeps current.
+outstanding writes), barrier state, outstanding-memory accounting and
+its screen code (:mod:`repro.gpu.soa`), which :func:`touch` keeps
+current.
 Assist warps get their own lightweight scoreboard inside the CABA
 framework; parent warps additionally carry an ``assist_block`` counter —
 a high-priority (blocking) assist warp stalls its parent until it
@@ -21,14 +21,18 @@ class WarpContext:
     """Dynamic state of one resident warp.
 
     The scheduler-facing fields are plain attributes; the warp's screen
-    code in ``soa.code[slot]`` is kept current by :func:`touch` calls at
-    the mutation sites, plus :meth:`advance` for the hottest write (the
-    program counter moving past an issued instruction).
+    code ``code`` is kept current by :func:`touch` calls at the mutation
+    sites, plus :meth:`advance` for the hottest write (the program
+    counter moving past an issued instruction). ``seqs`` is the list of
+    per-scheduler sequence counters that :func:`touch` bumps at index
+    ``sched``: the owning SM's while the warp is resident, one that no
+    scheduler reads before :meth:`repro.gpu.sm.SM.add_block` and after
+    its block retires.
     """
 
     __slots__ = (
-        "soa",
-        "slot",
+        "code",
+        "seqs",
         "klass_lut",
         "need_lut",
         "global_index",
@@ -41,7 +45,6 @@ class WarpContext:
         "at_barrier",
         "outstanding_mem",
         "assist_block",
-        "age",
         "sched",
         "coal_key",
         "coal_lines",
@@ -50,15 +53,13 @@ class WarpContext:
     )
 
     def __init__(
-        self, soa, slot: int, global_index: int, block: "BlockContext",
-        program: Program, age: int,
+        self, global_index: int, block: "BlockContext", program: Program,
+        luts: tuple[list[int], list[int]],
     ) -> None:
-        #: Screen-code state and this warp's slot in it; ``soa`` is
-        #: None once :meth:`detach` ran.
-        self.soa = soa
-        self.slot = slot
-        self.klass_lut, self.need_lut = soa.luts(program)
-        soa.code[slot] = self.klass_lut[0]
+        """``luts`` is ``repro.gpu.soa.luts(program)``."""
+        self.klass_lut, self.need_lut = luts
+        self.code = self.klass_lut[0]
+        self.seqs = [0]
         self.global_index = global_index
         self.block = block
         self.program = program
@@ -70,8 +71,6 @@ class WarpContext:
         self.outstanding_mem = 0
         #: Count of blocking assist warps currently gating this warp.
         self.assist_block = 0
-        #: Dispatch order; GTO falls back to oldest-first on a switch.
-        self.age = age
         #: Scheduler this warp is statically assigned to.
         self.sched = 0
         #: Memo for the coalescer: replayed memory instructions reuse
@@ -105,13 +104,6 @@ class WarpContext:
         touch(self)
         return finished
 
-    def detach(self) -> None:
-        """Disconnect from the screen codes (called when the slot is
-        released). Late register-release events on retired warps keep
-        mutating the plain attributes, but must not write into a slot
-        that may already belong to a new warp."""
-        self.soa = None
-
     @property
     def drained(self) -> bool:
         """Finished and with no memory operations still in flight."""
@@ -123,9 +115,9 @@ def touch(warp) -> None:
     scheduler's memoized scan results.
 
     Every site that mutates a tracked field (``pc``, ``pending_mask``,
-    ``finished``, ``at_barrier``, ``assist_block``) calls this. Sites
-    that assist warps (which have no slot) or detached warps can reach
-    guard the call with ``warp.soa is not None``. The fields stay plain
+    ``finished``, ``at_barrier``, ``assist_block``) of a parent warp
+    calls this; a retired warp's touch invalidates no scheduler's memos
+    (see ``WarpContext.seqs``). The fields stay plain
     slot attributes: an earlier property-based write-through doubled
     the cost of every hot-path *read* (the issue scan reads
     ``pending_mask``/``pc`` millions of times per run), whereas
@@ -138,16 +130,14 @@ def touch(warp) -> None:
     them is adjacent to a tracked write on the same warp, or is checked
     against the coalescer memo by the scan itself.
     """
-    soa = warp.soa
-    slot = warp.slot
     pc = warp.pc
     code = warp.klass_lut[pc]
     if warp.pending_mask & warp.need_lut[pc]:
         code += SCREEN_BLOCKED
     if warp.finished or warp.at_barrier or warp.assist_block:
         code += SCREEN_INACTIVE
-    soa.code[slot] = code
-    soa.seq[soa.gid_of[slot]] += 1
+    warp.code = code
+    warp.seqs[warp.sched] += 1
 
 
 class BlockContext:

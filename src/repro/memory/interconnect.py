@@ -54,11 +54,3 @@ class Crossbar:
 
     def total_flits(self) -> int:
         return self.request_flits + self.reply_flits
-
-    def reply_utilization(self, elapsed: float) -> float:
-        """Mean busy fraction of the reply ports (the contended direction)."""
-        if not self._reply_ports:
-            return 0.0
-        return sum(p.utilization(elapsed) for p in self._reply_ports) / len(
-            self._reply_ports
-        )

@@ -43,7 +43,6 @@ class TestFigure5Example:
         bdi = BdiCompressor(line_size=64)
         line = bdi.compress(line_from_words(self.WORDS, 8))
         assert line.bursts() == 1
-        assert line.burst_ratio() == 2.0
 
 
 class TestSpecialEncodings:
@@ -143,10 +142,6 @@ class TestValidation:
         fpc_line = FpcCompressor(line_size=64).compress(bytes(64))
         with pytest.raises(CompressionError):
             bdi.decompress(fpc_line)
-
-    def test_unknown_encoding_lookup(self):
-        with pytest.raises(CompressionError):
-            BdiCompressor().encoding_for("B16D8")
 
     def test_encoding_must_divide_line(self):
         with pytest.raises(CompressionError):

@@ -51,7 +51,6 @@ class TestBursts:
     def test_line_bursts_and_ratio(self):
         line = CompressedLine("bdi", "B8D1", size_bytes=17, line_size=64)
         assert line.bursts() == 1
-        assert line.burst_ratio() == 2.0
         assert line.compression_ratio == pytest.approx(64 / 17)
         assert line.is_compressed
 

@@ -42,7 +42,6 @@ class TestBuilders:
         assert i.kind is OpKind.ALU
         assert i.dst_mask == reg_mask(1)
         assert i.src_mask == reg_mask(3)
-        assert not i.is_memory
 
     def test_sfu(self):
         i = sfu()
@@ -55,7 +54,6 @@ class TestBuilders:
         assert i.kind is OpKind.LOAD
         assert i.space is MemSpace.GLOBAL
         assert i.addr_fn is fn
-        assert i.is_memory
 
     def test_store_has_no_dst(self):
         i = store(lambda w, i: (w,), src=3)
@@ -78,16 +76,6 @@ class TestProgram:
     def test_needs_iterations(self):
         with pytest.raises(ValueError):
             Program(body=(alu(),), iterations=0)
-
-    def test_memory_op_counters(self):
-        fn = lambda w, i: (w,)
-        p = Program(
-            body=(load(fn), alu(), store(fn),
-                  load(fn, space=MemSpace.SHARED)),
-            iterations=1,
-        )
-        assert p.loads_per_iteration == 1  # shared loads excluded
-        assert p.stores_per_iteration == 1
 
 
 class TestAssistProgram:

@@ -8,7 +8,7 @@ from repro import design as designs
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import Instr, MemSpace, OpKind, Program, reg_mask
 from repro.gpu.sm import SM
-from repro.gpu.soa import SoAState
+from repro.gpu.soa import SCREEN_INACTIVE, luts
 from repro.gpu.stats import Slot
 from repro.gpu.warp import BlockContext, WarpContext
 from repro.memory.hierarchy import MemorySystem
@@ -26,15 +26,12 @@ class SmHarness:
         self.events = []
         self.seq = 0
         self.retired = []
-        self.soa = SoAState(1, self.config.schedulers_per_sm,
-                            self.config.warps_per_sm)
         self.sm = SM(
             sm_id=0,
             config=self.config,
             memory=self.memory,
             schedule=self._schedule,
             on_block_retired=self.retired.append,
-            soa=self.soa,
         )
         self.cycle = 0
 
@@ -46,8 +43,7 @@ class SmHarness:
     def add_block(self, programs):
         block = BlockContext(len(self.retired))
         for i, program in enumerate(programs):
-            block.warps.append(WarpContext(self.soa, self.soa.alloc(0), i,
-                                           block, program, age=i))
+            block.warps.append(WarpContext(i, block, program, luts(program)))
         self.sm.add_block(block)
         return block
 
@@ -214,6 +210,25 @@ class TestSharedMemory:
         h.run(h.config.shared_mem_latency + 3)
         assert h.sm.stats.parent_instructions == 2
         assert h.sm.stats.shared_accesses == 1
+
+
+class TestRetiredWarp:
+    def test_late_register_release_leaves_sm_counters(self):
+        """A register release that fires after its warp's block retired
+        touches only the retired warp: the SM's sequence counters, and
+        so every memo the SM holds, are left as they were."""
+        h = SmHarness()
+        block = h.add_block([prog([alu_i(dst=1, latency=20)])])
+        warp = block.warps[0]
+        h.run(1)
+        assert h.retired and block.retired
+        assert warp.pending_mask  # the release is still queued
+        assert warp.seqs is not h.sm._seq
+        seqs = list(h.sm._seq)
+        h.run(25)
+        assert not h.events and not warp.pending_mask
+        assert warp.code & SCREEN_INACTIVE
+        assert h.sm._seq == seqs
 
 
 class TestBarrierExecution:

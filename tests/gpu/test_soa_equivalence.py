@@ -65,7 +65,8 @@ def forced_rescan(enabled=True, stale_seq_every=None):
     before each ``SM.tick``, so every slot is classified by a real scan
     whatever the memo validity rules say. With ``stale_seq_every=k``
     the memos are kept but made stale instead, on the schedulers whose
-    global id is a multiple of ``k``: their seq counter is bumped,
+    machine-wide index (``sm_id * schedulers_per_sm + s``) is a
+    multiple of ``k``: their seq counter is bumped,
     exactly what an event callback flipping a scoreboard bit between
     two ticks does. Yields a one-element list counting the memos
     dropped or made stale, plus the ticks SMs slept through: a sleeping
@@ -81,7 +82,7 @@ def forced_rescan(enabled=True, stale_seq_every=None):
 
     def tick(self, cycle):
         memos = self._memos
-        seq = self._soa.seq
+        seq = self._seq
         for s, memo in enumerate(memos):
             if memo is None:
                 continue
@@ -89,9 +90,9 @@ def forced_rescan(enabled=True, stale_seq_every=None):
                 memos[s] = None
                 invalidated[0] += 1
                 continue
-            g = self._gid0 + s
-            if g % stale_seq_every == 0 and memo[0] == seq[g]:
-                seq[g] += 1
+            index = self.sm_id * len(memos) + s
+            if index % stale_seq_every == 0 and memo[0] == seq[s]:
+                seq[s] += 1
                 invalidated[0] += 1
         return real_tick(self, cycle)
 
@@ -211,27 +212,20 @@ def test_fuzzed_caba_runs_agree_across_modes(kinds, iterations):
 # Live screen codes
 # ----------------------------------------------------------------------
 def _assert_codes_live(sim):
-    """Every bound slot's screen code equals the code recomputed from
-    its warp's own fields, and exactly the resident warps are bound."""
-    soa = sim._soa
-    resident = {}
+    """Every resident warp's screen code equals the code recomputed
+    from its own fields, and its touches bump its own SM's counters."""
     for sm in sim.sms:
         for warps in sm.sched_warps:
             for warp in warps:
-                resident[warp.slot] = warp
-    bound = {
-        slot for slot, gid in enumerate(soa.gid_of) if gid != soa.n_gids
-    }
-    assert bound == set(resident)
-    for slot, warp in resident.items():
-        pc = warp.pc
-        instr = warp.program.body[pc]
-        expect = warp.klass_lut[pc]
-        if warp.pending_mask & (instr.src_mask | instr.dst_mask):
-            expect += soa_mod.SCREEN_BLOCKED
-        if warp.finished or warp.at_barrier or warp.assist_block:
-            expect += soa_mod.SCREEN_INACTIVE
-        assert soa.code[slot] == expect, (slot, warp.global_index)
+                assert warp.seqs is sm._seq, warp.global_index
+                pc = warp.pc
+                instr = warp.program.body[pc]
+                expect = warp.klass_lut[pc]
+                if warp.pending_mask & (instr.src_mask | instr.dst_mask):
+                    expect += soa_mod.SCREEN_BLOCKED
+                if warp.finished or warp.at_barrier or warp.assist_block:
+                    expect += soa_mod.SCREEN_INACTIVE
+                assert warp.code == expect, (sm.sm_id, warp.global_index)
 
 
 @pytest.mark.parametrize("app,algorithm", [("PVC", "bdi"), ("MM", "none")])

@@ -1,7 +1,7 @@
 """Unit tests for warp and block contexts."""
 
 from repro.gpu.isa import Program, alu, sync
-from repro.gpu.soa import SCREEN_INACTIVE, SoAState
+from repro.gpu.soa import SCREEN_INACTIVE, luts
 from repro.gpu.warp import BlockContext, WarpContext, touch
 
 
@@ -11,8 +11,7 @@ def make_warp(iterations=2, body=None, block=None):
         body=tuple(body) if body else (alu(), alu(dst=2, src=1)),
         iterations=iterations,
     )
-    soa = SoAState(1, 1, 1)
-    warp = WarpContext(soa, soa.alloc(0), 0, block, program, age=0)
+    warp = WarpContext(0, block, program, luts(program))
     block.warps.append(warp)
     return warp
 
@@ -22,7 +21,7 @@ def considered(warp):
     code (recomputed after the direct field writes below) lacks the
     SCREEN_INACTIVE bit."""
     touch(warp)
-    return not warp.soa.code[warp.slot] & SCREEN_INACTIVE
+    return not warp.code & SCREEN_INACTIVE
 
 
 class TestAdvance:
@@ -40,9 +39,9 @@ class TestAdvance:
     def test_advance_keeps_screen_code_live(self):
         warp = make_warp(iterations=1)
         warp.advance()
-        assert warp.soa.code[warp.slot] == warp.klass_lut[1]
+        assert warp.code == warp.klass_lut[1]
         warp.advance()
-        assert warp.soa.code[warp.slot] & SCREEN_INACTIVE
+        assert warp.code & SCREEN_INACTIVE
 
     def test_drained_requires_no_outstanding(self):
         warp = make_warp(iterations=1)

@@ -34,7 +34,8 @@ class TestRegistry:
 class TestShippedDump:
     """``docs/results_small.json`` is what the code produces. The
     experiments checked here are the ones cheap enough for tier 1; CI
-    compares the simulated fig7, capacity, scheduler and fig13 entries."""
+    compares the simulated fig7, fig8, fig9, capacity, scheduler, fig13,
+    fig12, prefetch, memo and ablations entries."""
 
     DUMP = (pathlib.Path(__file__).resolve().parents[2]
             / "docs" / "results_small.json")

@@ -47,11 +47,6 @@ class TestReplies:
         assert xbar.reply_flits == 4
         assert xbar.total_flits() == 5
 
-    def test_reply_utilization(self):
-        xbar = Crossbar(n_mcs=2, latency=0, flit_bytes=32)
-        xbar.send_reply(0, 0.0, 128)
-        assert xbar.reply_utilization(8.0) == pytest.approx(0.25)
-
     def test_minimum_one_flit(self):
         xbar = Crossbar(n_mcs=1, latency=0)
         xbar.send_reply(0, 0.0, 1)

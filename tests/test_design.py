@@ -50,10 +50,8 @@ class TestFactories:
     def test_cache_variants(self):
         d = designs.caba_cache("l1", 2)
         assert d.l1_tag_mult == 2 and d.l2_tag_mult == 1
-        assert d.l1_compressed
         d = designs.caba_cache("l2", 4)
         assert d.l2_tag_mult == 4 and d.l1_tag_mult == 1
-        assert not d.l1_compressed
 
     def test_bad_cache_level(self):
         with pytest.raises(ValueError):

@@ -13,11 +13,6 @@ class TestBreakdown:
                             static=4.0)
         assert b.total == 10.0
 
-    def test_dram_power_share(self):
-        b = EnergyBreakdown(core_dynamic=5.0, dram_dynamic=3.0,
-                            dram_static=2.0)
-        assert b.dram_power_share == 0.5
-
     def test_as_dict_keys(self):
         keys = set(EnergyBreakdown().as_dict())
         assert "total" in keys and "dram_dynamic" in keys
